@@ -159,7 +159,7 @@ def _canonical_config_text(cfg: dict, subcommand: str) -> str:
     lines = [f"subcommand={subcommand}", f"version={__version__}"]
     for k in sorted(cfg):
         v = cfg[k]
-        if v is None:
+        if v is None or k == "workers":  # changes how a run executes, not its outputs
             continue
         if isinstance(v, float):
             lines.append(f"{k}={v:.17g}")

@@ -151,8 +151,17 @@ def build_initial_data(
         if spec.path is None:
             raise ValueError("file initial data requires a path")
         loaded, _ = read_snapshot(spec.path)
+        g = loaded.grid
+        if replace(g, dealias_fraction=grid.dealias_fraction) != grid:
+            raise ValueError(
+                f"snapshot grid (dim {g.dim}, n {g.n_per_axis}, L {g.domain_length:.17g}) differs "
+                f"from the configured grid (dim {grid.dim}, n {grid.n_per_axis}, "
+                f"L {grid.domain_length:.17g})"
+            )
         if isinstance(loaded, PhysicalField):
             loaded = to_spectral(loaded)
+        # on the configured grid, so that its dealias fraction applies
+        loaded = SpectralField(grid, loaded.coeffs)
         u0 = helmholtz_project(loaded.remove_mean(), "P")
     else:
         raise ValueError(f"unknown initial data kind {spec.kind!r}")

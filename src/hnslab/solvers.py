@@ -8,17 +8,19 @@ Models:
 
 The Helmholtz parts of the penalized model decouple linearly: the
 divergence-free part sees a damped wave with speed c2 = 1/sqrt(eps), the
-irrotational part one with speed c1 = sqrt((alpha+1)/(alpha eps)).  The
-production stepper solves each per-mode 2x2 linear block exactly by its
-characteristic roots and couples the nonlinearity with a second-order
-exponential (ETD2) rule, so there is no stability restriction from c1 and
-alpha sweeps down to 1e-4 stay cheap.  RK4 on the full right-hand side is kept
-as a cross-check scheme with the usual CFL limits.
+irrotational part one with speed c1 = sqrt((alpha+1)/(alpha eps)).  One
+per-mode table of exact propagators per branch, `_propagator`, with the
+characteristic roots' own k = 0 limits, serves `evolve_linear`, the Picard
+solver and the production stepper, which couples the nonlinearity with a
+second-order exponential (ETD2) rule: no stability restriction from c1, so
+alpha sweeps down to 1e-4 stay cheap.  RK4 on the full right-hand side is
+kept as a cross-check scheme with the usual CFL limits.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +52,6 @@ __all__ = [
     "ContractionFailureError",
     "NoConvergenceError",
     "nonlinear_term",
-    "linear_propagator",
     "evolve_linear",
     "step",
     "run_simulation",
@@ -271,62 +272,22 @@ def _mode_functions(t: float, eps: float, gamma: float, c2k2: np.ndarray):
     return A, B, Ap, Bp
 
 
-def _branch_speeds(params: ModelParams) -> tuple[float, float]:
-    """(P-branch speed, Q-branch speed); Q equals P unless penalized."""
-    cp = params.c2
-    cq = params.c1 if params.model is Model.HNS_EPS_ALPHA else cp
-    return cp, cq
+def _branch_c2k2(params: ModelParams, grid: GridSpec, branch: str) -> np.ndarray:
+    """c^2 k^2 of a Helmholtz branch: speed c2 on P; on Q, c1 if penalized, else c2."""
+    c = params.c1 if branch == "Q" and params.model is Model.HNS_EPS_ALPHA else params.c2
+    return c * c * k_squared(grid)
 
 
-class LinearPropagator:
-    """Undamped wave propagators A(t), B(t) of the Duhamel formula.
+def _propagator(params: ModelParams, grid: GridSpec, t: float, damping: bool, branch: str):
+    """The per-mode propagator table (A, B, A', B') at t of one Helmholtz branch.
 
-    A(t) = cos(c t Lambda) and B(t) = sin(c t Lambda)/(c Lambda) per Helmholtz
-    branch, with the branch speeds of the model; at k = 0, A = 1 and B = t.
-    `apply` maps (u0, u1) to A(t) u0 + B(t) u1; `apply_dt` gives its time
-    derivative A'(t) u0 + B'(t) u1.
+    Data (a, b) of eps l'' + gamma l' + eps c^2 k^2 l = 0 evolve to a A + b B,
+    with gamma = 1 when damped and 0 for the pure wave.  k = 0 keeps
+    _mode_functions' own limits (A = 1, A' = 0; undamped B = t, B' = 1).
+    One branch per call, so a caller can apply it before building the next.
     """
-
-    def __init__(self, params: ModelParams, t: float, grid: GridSpec):
-        if not params.is_hyperbolic:
-            raise ValueError("linear propagators are defined for the hyperbolic models")
-        self.params = params
-        self.grid = grid
-        self.t = t
-        cp, cq = _branch_speeds(params)
-        k2 = k_squared(grid)
-        self.P = _mode_functions(t, params.epsilon, 0.0, cp * cp * k2)
-        self.Q = _mode_functions(t, params.epsilon, 0.0, cq * cq * k2)
-        zero = (0,) * grid.dim
-        for fam in (self.P, self.Q):
-            fam[0][zero] = 1.0  # A -> 1
-            fam[1][zero] = t  # B -> t, the Lambda -> 0 limit of sin(c t L)/(c L)
-            fam[2][zero] = 0.0
-            fam[3][zero] = 1.0
-
-    def _split(self, F: SpectralField):
-        q = helmholtz_project(F, "Q")
-        return F - q, q
-
-    def _combine(self, F: SpectralField, idx: int) -> SpectralField:
-        p, q = self._split(F)
-        return p.multiplied(self.P[idx]) + q.multiplied(self.Q[idx])
-
-    def apply_A(self, F: SpectralField) -> SpectralField:
-        return self._combine(F, 0)
-
-    def apply_B(self, F: SpectralField) -> SpectralField:
-        return self._combine(F, 1)
-
-    def apply_A_dt(self, F: SpectralField) -> SpectralField:
-        return self._combine(F, 2)
-
-    def apply_B_dt(self, F: SpectralField) -> SpectralField:
-        return self._combine(F, 3)
-
-
-def linear_propagator(params: ModelParams, t: float, grid: GridSpec) -> LinearPropagator:
-    return LinearPropagator(params, t, grid)
+    gamma = 1.0 if damping else 0.0
+    return _mode_functions(t, params.epsilon, gamma, _branch_c2k2(params, grid, branch))
 
 
 def evolve_linear(
@@ -343,15 +304,12 @@ def evolve_linear(
     the pure wave propagators (used by the front-speed experiments).
     """
     grid = u0.grid
-    gamma = 1.0 if damping else 0.0
-    cp, cq = _branch_speeds(params)
-    k2 = k_squared(grid)
     out_u = np.zeros_like(u0.coeffs)
     out_v = np.zeros_like(u0.coeffs)
-    for which, c in (("P", cp), ("Q", cq)):
+    for which in "PQ":
         pu = helmholtz_project(u0, which)
         pv = helmholtz_project(u1, which)
-        A, B, Ap, Bp = _mode_functions(t, params.epsilon, gamma, c * c * k2)
+        A, B, Ap, Bp = _propagator(params, grid, t, damping, which)
         out_u += A * pu.coeffs + B * pv.coeffs
         out_v += Ap * pu.coeffs + Bp * pv.coeffs
     return SolverState(
@@ -366,104 +324,6 @@ def evolve_linear(
 # ---------------------------------------------------------------------------
 
 
-class _Etd2Hyperbolic:
-    """Per-branch exact 2x2 propagator plus ETD2 source integrals.
-
-    For y' = L y + (0, g)^T with L = [[0, 1], [-c^2 k^2, -1/eps]] the update is
-
-        a      = E y_n + J0 g_n
-        y_next = a + K (g(a) - g_n)
-
-    where E = exp(L dt), J0 = Int_0^dt exp(L tau) dtau (second column) and
-    K = J0 - J1/dt with J1 = Int_0^dt tau exp(L tau) dtau.  The integrals come
-    from L^-1 algebra on the propagator entries, so the kernel integration is
-    exact and the oscillatory branch costs nothing in stability.
-    """
-
-    def __init__(self, params: ModelParams, grid: GridSpec, dt: float):
-        self.grid = grid
-        self.eps = params.epsilon
-        cp, cq = _branch_speeds(params)
-        k2 = k_squared(grid)
-        self.branches = {
-            "P": self._build(dt, params.epsilon, cp * cp * k2),
-            "Q": self._build(dt, params.epsilon, cq * cq * k2),
-        }
-        self.two_branch = params.model is Model.HNS_EPS_ALPHA
-
-    def _build(self, dt, eps, c2k2):
-        A, B, Ap, Bp = _mode_functions(dt, eps, 1.0, c2k2)
-        ge = 1.0 / eps
-        safe = np.where(c2k2 > 0, c2k2, 1.0)
-        j0u = np.where(c2k2 > 0, (1.0 - Bp - ge * B) / safe, 0.0)
-        j0v = np.where(c2k2 > 0, B, 0.0)
-        l1u = (-ge * B - Bp) / safe
-        l2u = (-ge * j0u - j0v) / safe
-        j1u = np.where(c2k2 > 0, dt * l1u - l2u, 0.0)
-        j1v = np.where(c2k2 > 0, dt * B - j0u, 0.0)
-        ku = j0u - j1u / dt
-        kv = j0v - j1v / dt
-        zero = (0,) * (A.ndim)
-        A = A.copy()
-        B = B.copy()
-        Ap = Ap.copy()
-        Bp = Bp.copy()
-        A[zero], B[zero], Ap[zero], Bp[zero] = 1.0, 0.0, 0.0, 1.0
-        return (A, B, Ap, Bp, j0u, j0v, ku, kv)
-
-    def _per_branch(self, u, v, g, mats):
-        A, B, Ap, Bp, j0u, j0v, ku, kv = mats
-        au = A * u + B * v + j0u * g
-        av = Ap * u + Bp * v + j0v * g
-        return au, av
-
-    def predict(self, u: SpectralField, v: SpectralField, g: SpectralField):
-        if self.two_branch:
-            uq = helmholtz_project(u, "Q")
-            vq = helmholtz_project(v, "Q")
-            gq = helmholtz_project(g, "Q")
-            up, vp, gp = u - uq, v - vq, g - gq
-            au_p, av_p = self._per_branch(up.coeffs, vp.coeffs, gp.coeffs, self.branches["P"])
-            au_q, av_q = self._per_branch(uq.coeffs, vq.coeffs, gq.coeffs, self.branches["Q"])
-            au, av = au_p + au_q, av_p + av_q
-        else:
-            au, av = self._per_branch(u.coeffs, v.coeffs, g.coeffs, self.branches["P"])
-        grid = self.grid
-        return (
-            SpectralField(grid, au, is_mean_zero=True),
-            SpectralField(grid, av, is_mean_zero=True),
-        )
-
-    def correct(self, au, av, dg: SpectralField):
-        if self.two_branch:
-            dgq = helmholtz_project(dg, "Q")
-            dgp = dg - dgq
-            ku_p, kv_p = self.branches["P"][6], self.branches["P"][7]
-            ku_q, kv_q = self.branches["Q"][6], self.branches["Q"][7]
-            du = ku_p * dgp.coeffs + ku_q * dgq.coeffs
-            dv = kv_p * dgp.coeffs + kv_q * dgq.coeffs
-        else:
-            ku, kv = self.branches["P"][6], self.branches["P"][7]
-            du, dv = ku * dg.coeffs, kv * dg.coeffs
-        grid = self.grid
-        return (
-            SpectralField(grid, au.coeffs + du, is_mean_zero=True),
-            SpectralField(grid, av.coeffs + dv, is_mean_zero=True),
-        )
-
-
-_STEPPER_CACHE: dict[tuple, object] = {}
-
-
-def _hyperbolic_stepper(params: ModelParams, grid: GridSpec, dt: float) -> _Etd2Hyperbolic:
-    key = (params.model, params.epsilon, params.alpha, grid, dt)
-    if key not in _STEPPER_CACHE:
-        if len(_STEPPER_CACHE) > 16:
-            _STEPPER_CACHE.clear()
-        _STEPPER_CACHE[key] = _Etd2Hyperbolic(params, grid, dt)
-    return _STEPPER_CACHE[key]
-
-
 def _phi2(z: np.ndarray) -> np.ndarray:
     """(e^z - 1 - z)/z^2, series-switched for small |z|."""
     out = np.empty_like(z)
@@ -475,32 +335,80 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class _Etd2Heat:
-    """Scalar ETD2 tables for the NS mode ODE u' = -k^2 u + g."""
+def _etd2_branch(params: ModelParams, grid: GridSpec, dt: float, branch: str) -> tuple:
+    """ETD2 table of one Helmholtz branch: (A, B, A', B', J0u, J0v, Ku, Kv).
 
-    E: np.ndarray
-    J0: np.ndarray
-    K: np.ndarray
+    For y' = L y + (0, g)^T with L = [[0, 1], [-c^2 k^2, -1/eps]] the update is
 
-    @classmethod
-    def build(cls, grid: GridSpec, dt: float) -> "_Etd2Heat":
+        a      = E y_n + J0 g_n
+        y_next = a + K (g(a) - g_n)
+
+    where E = exp(L dt) is the damped propagator (A, B; A', B'),
+    J0 = Int_0^dt exp(L tau) dtau (second column) and K = J0 - J1/dt with
+    J1 = Int_0^dt tau exp(L tau) dtau.  The integrals come from L^-1 algebra
+    on the propagator entries, so the kernel integration is exact and the
+    oscillatory branch costs nothing in stability.
+    """
+    A, B, Ap, Bp = _propagator(params, grid, dt, True, branch)
+    c2k2 = _branch_c2k2(params, grid, branch)
+    ge = 1.0 / params.epsilon
+    safe = np.where(c2k2 > 0, c2k2, 1.0)  # k = 0 multiplies only zero
+    j0u = (1.0 - Bp - ge * B) / safe
+    l1u = (-ge * B - Bp) / safe
+    l2u = (-ge * j0u - B) / safe
+    j1u = dt * l1u - l2u
+    j1v = dt * B - j0u
+    return A, B, Ap, Bp, j0u, B, j0u - j1u / dt, B - j1v / dt
+
+
+@functools.lru_cache(maxsize=16)
+def _etd2_tables(model: Model, eps: float | None, alpha: float | None, grid: GridSpec, dt: float):
+    """ETD2 tables of one (model, grid, dt).
+
+    NS, u' = -k^2 u + g per mode: (E, J0, K).  The hyperbolic models: the
+    (P, Q) pair of `_etd2_branch` tables; Q is the P table object unless the
+    model is penalized, since the branch speeds are then equal.
+    """
+    if model is Model.NS:
         k2 = k_squared(grid)
         z = -k2 * dt
-        E = np.exp(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            J0 = np.where(k2 > 0, -np.expm1(z) / np.where(k2 > 0, k2, 1.0), dt)
-        K = dt * _phi2(z)
-        return cls(E, J0, K)
+        J0 = -np.expm1(z) / np.where(k2 > 0, k2, 1.0)
+        return np.exp(z), J0, dt * _phi2(z)
+    params = ModelParams(model, epsilon=eps, alpha=alpha)
+    P = _etd2_branch(params, grid, dt, "P")
+    return P, (_etd2_branch(params, grid, dt, "Q") if model is Model.HNS_EPS_ALPHA else P)
 
 
-def _heat_stepper(grid: GridSpec, dt: float) -> _Etd2Heat:
-    key = ("heat", grid, dt)
-    if key not in _STEPPER_CACHE:
-        if len(_STEPPER_CACHE) > 16:
-            _STEPPER_CACHE.clear()
-        _STEPPER_CACHE[key] = _Etd2Heat.build(grid, dt)
-    return _STEPPER_CACHE[key]
+def _split(F: SpectralField) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the Helmholtz parts (P F, Q F), from one projection."""
+    q = helmholtz_project(F, "Q")
+    return (F - q).coeffs, q.coeffs
+
+
+def _by_branch(tables, kernel, *fields: SpectralField) -> tuple:
+    """kernel(branch table, *coefficient arrays), summed over the Helmholtz branches.
+
+    The fields are split into their P and Q parts only when the tables differ.
+    """
+    P, Q = tables
+    if Q is P:
+        return kernel(P, *(F.coeffs for F in fields))
+    parts = [_split(F) for F in fields]
+    out_p = kernel(P, *(p for p, _ in parts))
+    out_q = kernel(Q, *(q for _, q in parts))
+    return tuple(a + b for a, b in zip(out_p, out_q))
+
+
+def _etd2_predict(tab, u, v, g):
+    """Predictor E (u, v) + J0 g on one branch."""
+    A, B, Ap, Bp, j0u, j0v, _, _ = tab
+    return A * u + B * v + j0u * g, Ap * u + Bp * v + j0v * g
+
+
+def _etd2_correct(tab, dg):
+    """Corrector increment K dg on one branch."""
+    *_, ku, kv = tab
+    return ku * dg, kv * dg
 
 
 def _forcing(u: SpectralField, params: ModelParams, nonlinearity: bool) -> SpectralField:
@@ -552,19 +460,22 @@ def step(
     dt = cfg.dt
     if cfg.scheme is Scheme.RK4_FULL:
         return _step_rk4(state, params, cfg, nonlinearity)
+    tables = _etd2_tables(params.model, params.epsilon, params.alpha, grid, dt)
     if params.model is Model.NS:
-        tab = _heat_stepper(grid, dt)
+        E, J0, K = tables
         g0 = _forcing(state.u, params, nonlinearity)
-        a = SpectralField(grid, tab.E * state.u.coeffs + tab.J0 * g0.coeffs, is_mean_zero=True)
+        a = SpectralField(grid, E * state.u.coeffs + J0 * g0.coeffs, is_mean_zero=True)
         g1 = _forcing(a, params, nonlinearity)
-        unew = SpectralField(grid, a.coeffs + tab.K * (g1.coeffs - g0.coeffs), is_mean_zero=True)
+        unew = SpectralField(grid, a.coeffs + K * (g1.coeffs - g0.coeffs), is_mean_zero=True)
         return SolverState(unew, None, state.time + dt)
-    eng = _hyperbolic_stepper(params, grid, dt)
     scale = 1.0 / params.epsilon
     g0 = scale * _forcing(state.u, params, nonlinearity)
-    au, av = eng.predict(state.u, state.u_t, g0)
+    au, av = _by_branch(tables, _etd2_predict, state.u, state.u_t, g0)
+    au = SpectralField(grid, au, is_mean_zero=True)
     g1 = scale * _forcing(au, params, nonlinearity)
-    unew, vnew = eng.correct(au, av, g1 - g0)
+    du, dv = _by_branch(tables, _etd2_correct, g1 - g0)
+    unew = SpectralField(grid, au.coeffs + du, is_mean_zero=True)
+    vnew = SpectralField(grid, av + dv, is_mean_zero=True)
     return SolverState(unew, vnew, state.time + dt)
 
 
@@ -742,39 +653,43 @@ def picard_local_solve(
     eps = params.epsilon
     sig = grid.dim / 2.0 + params.delta
     times = np.linspace(0.0, T, n_mesh + 1)
-    props = [linear_propagator(params, float(t), grid) for t in times]
+    tabs = [[_propagator(params, grid, float(t), False, b) for t in times] for b in "PQ"]
+    # A, B, A', B' as (branch P/Q, lag t_0..t_M, *grid.shape); data as (branch, component, ...)
+    A, B, Ap, Bp = (np.array([[tab[i] for tab in branch] for branch in tabs]) for i in range(4))
+    x0, x1 = np.array(_split(u0)), np.array(_split(u1))
+    branch_sum = functools.partial(np.einsum, "bm...,bc...->mc...")
+    base_u = branch_sum(A, x0) + branch_sum(B, x1)
+    base_v = branch_sum(Ap, x0) + branch_sum(Bp, x1)
 
-    base_u = [props[m].apply_A(u0) + props[m].apply_B(u1) for m in range(n_mesh + 1)]
-    base_v = [props[m].apply_A_dt(u0) + props[m].apply_B_dt(u1) for m in range(n_mesh + 1)]
+    # composite trapezoid over s_0..s_m of B(t_m - s) g(s) / eps: the source
+    # weights halve s_0, the lag weights halve s = t_m
+    trap = np.ones(n_mesh + 1)
+    trap[0] = 0.5
+    src_w = (T / n_mesh / eps * trap).reshape(-1, *(1,) * (grid.dim + 1))
+    B, Bp = (X * trap.reshape(-1, *(1,) * grid.dim) for X in (B, Bp))
 
     us = [SpectralField.zeros(grid, grid.dim) for _ in range(n_mesh + 1)]
     vs = [SpectralField.zeros(grid, grid.dim) for _ in range(n_mesh + 1)]
 
-    dt = T / n_mesh
     xt_norms: list[float] = []
     distances: list[float] = []
     increases = 0
+    g = np.empty((2, *base_u.shape), dtype=np.complex128)  # weighted sources, per branch
     for it in range(max_iter):
-        sources = []
         for m in range(n_mesh + 1):
-            g = -1.0 * vs[m]
+            src = -1.0 * vs[m]
             if nonlinearity:
-                g = g + nonlinear_term(us[m])
-            sources.append(g)
-        new_u = []
-        new_v = []
-        for m in range(n_mesh + 1):
-            acc_u = base_u[m].copy()
-            acc_v = base_v[m].copy()
-            if m > 0:
-                # trapezoid over s_0..s_m of B(t_m - s) g(s) / eps
-                for j in range(m + 1):
-                    w = dt * (0.5 if j in (0, m) else 1.0) / eps
-                    pr = props[m - j]
-                    acc_u = acc_u + w * pr.apply_B(sources[j])
-                    acc_v = acc_v + w * pr.apply_B_dt(sources[j])
-            new_u.append(acc_u)
-            new_v.append(acc_v)
+                src = src + nonlinear_term(us[m])
+            g[:, m] = _split(src)
+        g *= src_w
+        new_u, new_v = base_u.copy(), base_v.copy()
+        for lag in range(n_mesh + 1):
+            first = max(lag, 1)  # no integral at t_0
+            j = slice(first - lag, n_mesh + 1 - lag)
+            new_u[first:] += np.einsum("b...,bjc...->jc...", B[:, lag], g[:, j])
+            new_v[first:] += np.einsum("b...,bjc...->jc...", Bp[:, lag], g[:, j])
+        new_u = [SpectralField(grid, c) for c in new_u]
+        new_v = [SpectralField(grid, c) for c in new_v]
         dist = xt_norm(
             [a - b for a, b in zip(new_u, us)], [a - b for a, b in zip(new_v, vs)], sig
         )
@@ -788,6 +703,7 @@ def picard_local_solve(
         else:
             increases = 0
         if dist <= tol:
-            state = SolverState(us[-1], vs[-1], T)
+            # copies: views would keep the whole mesh of iterates alive
+            state = SolverState(us[-1].copy(), vs[-1].copy(), T)
             return PicardResult(state, xt_norms, distances, it + 1)
     raise NoConvergenceError((xt_norms, distances))

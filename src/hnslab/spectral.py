@@ -599,8 +599,17 @@ def write_snapshot(path, field: SpectralField | PhysicalField, time: float = 0.0
 
 
 def read_snapshot(path) -> tuple[SpectralField | PhysicalField, float]:
+    """Read a snapshot written by write_snapshot.
+
+    A header shorter than its 33 bytes, or a payload that is not exactly 1 or
+    dim whole components, raises InvalidFieldError.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
+            raise InvalidFieldError(
+                f"snapshot header is {len(raw)} bytes, expected {_HEADER.size}"
+            )
         magic, version, dim, n, L, time, is_spectral = _HEADER.unpack(raw)
         if magic != SNAPSHOT_MAGIC:
             raise InvalidFieldError(f"bad snapshot magic {magic!r}")
@@ -608,12 +617,14 @@ def read_snapshot(path) -> tuple[SpectralField | PhysicalField, float]:
             raise InvalidFieldError(f"unsupported snapshot version {version}")
         grid = GridSpec(dim=dim, n_per_axis=n, domain_length=L)
         payload = fh.read()
+    dtype = "<c16" if is_spectral else "<f8"
+    ncomp, rest = divmod(len(payload), grid.npoints * np.dtype(dtype).itemsize)
+    if rest or ncomp not in (1, dim):
+        raise InvalidFieldError(
+            f"snapshot payload of {len(payload)} bytes is not 1 or {dim} components "
+            f"of {grid.npoints} {dtype} values"
+        )
+    arr = np.frombuffer(payload, dtype=dtype).reshape((ncomp, *grid.shape))
     if is_spectral:
-        arr = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
-        ncomp = arr.size // grid.npoints
-        field = SpectralField(grid, arr.reshape((ncomp, *grid.shape)).copy())
-    else:
-        arr = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-        ncomp = arr.size // grid.npoints
-        field = PhysicalField(grid, arr.reshape((ncomp, *grid.shape)).copy())
-    return field, time
+        return SpectralField(grid, arr.astype(np.complex128)), time
+    return PhysicalField(grid, arr.astype(np.float64)), time

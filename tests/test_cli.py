@@ -82,6 +82,22 @@ class TestExitCodes:
         assert run_cli(args, tmp_path) == 2
         assert main(args + ["--out", str(tmp_path / "runs"), "--force"]) == 0
 
+    def test_worker_count_not_hashed(self, tmp_path):
+        # the worker count does not change sweep.csv, so it does not change the run id
+        args = [
+            "sweep",
+            "seed=5",
+            "grid.n=16",
+            "model.epsilon=0.05",
+            "sweep.variable=alpha",
+            "sweep.values=1e-1,1e-2,1e-3",
+            "sweep.T_final=0.05",
+            "init.kind=taylor_green",
+        ]
+        assert run_cli(args + ["--workers", "1"], tmp_path) == 0
+        assert run_cli(args + ["--workers", "2"], tmp_path) == 2
+        assert len(list((tmp_path / "runs").iterdir())) == 1
+
 
 class TestManifest:
     def test_manifest_written_and_run_id_stable(self, tmp_path):

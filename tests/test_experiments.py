@@ -92,6 +92,23 @@ class TestInitialData:
         u0, _ = build_initial_data(InitialDataSpec(kind="file", path=str(path)), grid2d, params)
         assert sobolev_norm(u0 - field, 0.0) <= 1e-12 * sobolev_norm(field, 0.0)
 
+    def test_file_on_configured_grid(self, grid2d, rng, tmp_path):
+        from hnslab.spectral import dealias_mask, write_snapshot
+
+        field = random_band_limited(grid2d, rng, ncomp=2, divergence_free=True)
+        path = tmp_path / "ic.hnsf"
+        write_snapshot(path, field)
+        params = ModelParams(Model.HNS_EPS, epsilon=1e-2)
+        spec = InitialDataSpec(kind="file", path=str(path))
+        for other in (GridSpec(2, 64), GridSpec(3, 32), GridSpec(2, 32, domain_length=1.0)):
+            with pytest.raises(ValueError, match="configured grid"):
+                build_initial_data(spec, other, params)
+        half = GridSpec(2, 32, dealias_fraction=0.5)
+        u0, u1 = build_initial_data(spec, half, params)
+        assert u0.grid == half and u1.grid == half
+        assert np.all(u0.coeffs[:, ~dealias_mask(half)] == 0)
+        assert np.any(field.coeffs[:, ~dealias_mask(half)] != 0)
+
 
 class TestFitRate:
     def test_exact_half_power(self):

@@ -13,7 +13,6 @@ from hnslab.solvers import (
     StabilityError,
     StepperConfig,
     evolve_linear,
-    linear_propagator,
     nonlinear_term,
     picard_local_solve,
     picard_time_bound,
@@ -95,19 +94,21 @@ class TestNonlinearTerm:
 
 
 class TestLinearPropagator:
+    """Undamped wave propagators A(t), B(t) through evolve_linear(..., damping=False)."""
+
     def test_t_zero_identity(self, grid2d, rng):
         params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=0.1, alpha=0.2)
-        prop = linear_propagator(params, 0.0, grid2d)
         F = random_band_limited(grid2d, rng, ncomp=2)
-        assert sobolev_norm(prop.apply_A(F) - F, 0.0) <= 1e-14
-        assert sobolev_norm(prop.apply_B(F), 0.0) <= 1e-14
+        z = SpectralField.zeros(grid2d, 2)
+        assert sobolev_norm(evolve_linear(F, z, params, 0.0, damping=False).u - F, 0.0) <= 1e-14
+        assert sobolev_norm(evolve_linear(z, F, params, 0.0, damping=False).u, 0.0) <= 1e-14
 
     def test_divfree_mode_cosine(self, grid2d):
         # A(t) on the P branch is cos(t |k| / sqrt(eps))
         eps, t = 0.04, 0.37
         params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=eps, alpha=0.5)
         u = helmholtz_project(single_mode(grid2d, (0, 3), component=0, ncomp=2), "P")
-        out = linear_propagator(params, t, grid2d).apply_A(u)
+        out = evolve_linear(u, SpectralField.zeros(grid2d, 2), params, t, damping=False).u
         expected = np.cos(t * 3.0 / np.sqrt(eps))
         nz = np.abs(u.coeffs) > 1e-14
         assert np.allclose(out.coeffs[nz] / u.coeffs[nz], expected, rtol=1e-12)
@@ -118,7 +119,7 @@ class TestLinearPropagator:
         c1, t = params.c1, 0.003
         phi = single_mode(grid2d, (2, 1))
         u = gradient(phi)
-        out = linear_propagator(params, t, grid2d).apply_B(u)
+        out = evolve_linear(SpectralField.zeros(grid2d, 2), u, params, t, damping=False).u
         kmag = np.sqrt(5.0)
         expected = np.sin(c1 * t * kmag) / (c1 * kmag)
         nz = np.abs(u.coeffs) > 1e-14
@@ -358,6 +359,22 @@ class TestPicard:
             if res.distances[i] > 0
         ]
         assert ratios and all(r < 1.0 for r in ratios)
+
+    def test_each_source_split_once(self, grid2d, rng, monkeypatch):
+        import hnslab.solvers as solvers
+
+        calls = []
+
+        def counting(F, which):
+            calls.append(which)
+            return helmholtz_project(F, which)
+
+        monkeypatch.setattr(solvers, "helmholtz_project", counting)
+        u0 = dealias(random_band_limited(grid2d, rng, ncomp=2, kmax=4, amplitude=0.02))
+        z = SpectralField.zeros(grid2d, 2)
+        n_mesh = 8
+        res = picard_local_solve(u0, z, self._params(), T=0.1, tol=1e-11, n_mesh=n_mesh)
+        assert len(calls) <= (res.iterations + 1) * (n_mesh + 1) + 2
 
     def test_time_bound_enforced(self, grid2d, rng):
         params = self._params()

@@ -289,3 +289,28 @@ class TestSnapshotIO:
         magic, version, dim, n, L, t, spec_flag = struct.unpack("<4sIIIddB", raw[:33])
         assert (version, dim, n, spec_flag) == (1, 2, 32, 1)
         assert (L, t) == (grid2d.domain_length, 2.0)
+
+    def test_short_header_rejected(self, tmp_path):
+        p = tmp_path / "f.hnsf"
+        p.write_bytes(b"HNSF")
+        with pytest.raises(InvalidFieldError, match="header"):
+            read_snapshot(p)
+
+    @pytest.mark.parametrize("spectral", [True, False])
+    @pytest.mark.parametrize("defect", ["cut", "extra"])
+    def test_payload_not_whole_components_rejected(self, grid2d, rng, tmp_path, spectral, defect):
+        # a 2D vector snapshot cut to 1.5 components, or carrying a third one
+        if spectral:
+            F = random_band_limited(grid2d, rng, ncomp=2)
+        else:
+            F = PhysicalField(grid2d, rng.normal(size=(2, *grid2d.shape)))
+        p = tmp_path / "f.hnsf"
+        write_snapshot(p, F)
+        raw = p.read_bytes()
+        comp = (len(raw) - 33) // 2
+        if defect == "cut":
+            p.write_bytes(raw[: 33 + comp + comp // 2])
+        else:
+            p.write_bytes(raw + raw[33 : 33 + comp])
+        with pytest.raises(InvalidFieldError, match="payload"):
+            read_snapshot(p)
