@@ -6,6 +6,10 @@ CSV outputs under <out>/<run_id>/, where run_id is a content hash of the
 resolved configuration and the package version, so identical configs land in
 identical directories and re-running is refused without --force.
 
+Each command first validates its configuration and builds its inputs, and
+only then creates the run directory, so a user mistake exits 2 and leaves no
+directory behind.
+
 Exit codes: 0 ok, 2 validation error, 3 blow-up, 4 internal error.
 """
 
@@ -45,7 +49,7 @@ from .solvers import (
     StepperConfig,
     run_simulation,
 )
-from .spectral import GridSpec, divergence, sobolev_norm, write_snapshot
+from .spectral import GridSpec, InvalidFieldError, divergence, sobolev_norm, write_snapshot
 
 __all__ = ["main", "RunManifest", "ConfigError"]
 
@@ -184,8 +188,17 @@ class RunManifest:
             fh.write("\n")
 
 
+def _from_config(make, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError from its validation reported as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
+
+
 def _grid_from(cfg: dict) -> GridSpec:
-    return GridSpec(
+    return _from_config(
+        GridSpec,
         dim=cfg["grid.dim"],
         n_per_axis=cfg["grid.n"],
         domain_length=cfg["grid.length"],
@@ -194,18 +207,20 @@ def _grid_from(cfg: dict) -> GridSpec:
 
 
 def _params_from(cfg: dict) -> ModelParams:
-    kind = Model(cfg["model.kind"])
+    kind = _from_config(Model, cfg["model.kind"])
     eps = cfg["model.epsilon"]
     alpha = cfg["model.alpha"]
+    s, delta = cfg["model.s"], cfg["model.delta"]
     if kind is Model.NS:
-        return ModelParams(kind, s=cfg["model.s"], delta=cfg["model.delta"])
+        return _from_config(ModelParams, kind, s=s, delta=delta)
     if kind is Model.HNS_EPS:
-        return ModelParams(kind, epsilon=eps, s=cfg["model.s"], delta=cfg["model.delta"])
-    return ModelParams(kind, epsilon=eps, alpha=alpha, s=cfg["model.s"], delta=cfg["model.delta"])
+        return _from_config(ModelParams, kind, epsilon=eps, s=s, delta=delta)
+    return _from_config(ModelParams, kind, epsilon=eps, alpha=alpha, s=s, delta=delta)
 
 
 def _init_spec_from(cfg: dict) -> InitialDataSpec:
-    return InitialDataSpec(
+    return _from_config(
+        InitialDataSpec,
         kind=cfg["init.kind"],
         seed=cfg["seed"],
         amplitude=cfg["init.amplitude"],
@@ -217,16 +232,27 @@ def _init_spec_from(cfg: dict) -> InitialDataSpec:
     )
 
 
+def _initial_data(cfg: dict, grid: GridSpec, params: ModelParams):
+    """(u0, u1) from the init.* keys; an unreadable or mismatched init file is a config error."""
+    spec = _init_spec_from(cfg)
+    if spec.epsilon_cutoff and params.epsilon is None:
+        raise ConfigError("init.epsilon_cutoff needs a hyperbolic model")
+    try:
+        return build_initial_data(spec, grid, params)
+    except (InvalidFieldError, OSError) as exc:
+        raise ConfigError(f"init.path: {type(exc).__name__}: {exc}") from exc
+
+
 def _write_text(path: str, text: str, manifest: RunManifest):
     with open(path, "w") as fh:
         fh.write(text)
     manifest.outputs.append(os.path.basename(path))
 
 
-def _cmd_simulate(cfg: dict, outdir: str, manifest: RunManifest) -> int:
+def _cmd_simulate(cfg: dict):
     grid = _grid_from(cfg)
     params = _params_from(cfg)
-    u0, u1 = build_initial_data(_init_spec_from(cfg), grid, params)
+    u0, u1 = _initial_data(cfg, grid, params)
     if cfg["init.u1_scale"] and params.is_hyperbolic:
         rng = np.random.default_rng(cfg["seed"] + 1)
         from .spectral import dealias, random_band_limited
@@ -240,12 +266,14 @@ def _cmd_simulate(cfg: dict, outdir: str, manifest: RunManifest) -> int:
     if cfg["step.t_end"] > 0:
         n_steps = max(1, round(cfg["step.t_end"] / dt))
         dt = cfg["step.t_end"] / n_steps
-    scfg = StepperConfig(
+    scfg = _from_config(
+        StepperConfig,
         dt=dt,
         t_end=cfg["step.t_end"],
-        scheme=Scheme(cfg["step.scheme"]),
+        scheme=_from_config(Scheme, cfg["step.scheme"]),
         snapshot_every=cfg["step.snapshot_every"],
     )
+    _from_config(scfg.check_stability, params, grid)
 
     probes = {
         "l2_norm": lambda st: sobolev_norm(st.u, 0.0),
@@ -256,40 +284,52 @@ def _cmd_simulate(cfg: dict, outdir: str, manifest: RunManifest) -> int:
         probes["E_base"] = lambda st: energy(st, params).base
         probes["E_high"] = lambda st: energy(st, params).high
 
-    result = run_simulation(
-        u0, u1, params, scfg, probes=probes, nonlinearity=bool(cfg["step.nonlinearity"])
-    )
-    lines = ["time,probe_name,value"]
-    for name in sorted(result.probes):
-        for t, v in zip(result.times, result.probes[name]):
-            lines.append(f"{t:.17g},{name},{v:.17g}")
-    _write_text(os.path.join(outdir, "probes.csv"), "\n".join(lines) + "\n", manifest)
-    if cfg["snapshots.save"]:
-        snap = os.path.join(outdir, "final.hnsf")
-        write_snapshot(snap, result.final.u, result.final.time)
-        manifest.outputs.append("final.hnsf")
-    return 0
+    def run(outdir: str, manifest: RunManifest) -> int:
+        result = run_simulation(
+            u0, u1, params, scfg, probes=probes, nonlinearity=bool(cfg["step.nonlinearity"])
+        )
+        lines = ["time,probe_name,value"]
+        for name in sorted(result.probes):
+            for t, v in zip(result.times, result.probes[name]):
+                lines.append(f"{t:.17g},{name},{v:.17g}")
+        _write_text(os.path.join(outdir, "probes.csv"), "\n".join(lines) + "\n", manifest)
+        if cfg["snapshots.save"]:
+            snap = os.path.join(outdir, "final.hnsf")
+            write_snapshot(snap, result.final.u, result.final.time)
+            manifest.outputs.append("final.hnsf")
+        return 0
+
+    return run
 
 
-def _cmd_sweep(cfg: dict, outdir: str, manifest: RunManifest) -> int:
+def _cmd_sweep(cfg: dict):
     grid = _grid_from(cfg)
     var = cfg["sweep.variable"]
     if var not in ("alpha", "epsilon"):
         raise ConfigError(f"sweep.variable must be alpha or epsilon, got {var!r}")
     if cfg["sweep.values"]:
-        values = tuple(float(tok) for tok in cfg["sweep.values"].split(",") if tok)
+        values = _from_config(lambda: tuple(float(t) for t in cfg["sweep.values"].split(",") if t))
     else:
         values = DEFAULT_ALPHA_GRID if var == "alpha" else DEFAULT_EPSILON_GRID
     if var == "alpha":
         eps = cfg["model.epsilon"]
         if eps is None:
             raise ConfigError("alpha sweep requires model.epsilon")
-        fixed = ModelParams(
-            Model.HNS_EPS_ALPHA, epsilon=eps, alpha=values[0], s=cfg["model.s"], delta=cfg["model.delta"]
+        fixed = _from_config(
+            ModelParams,
+            Model.HNS_EPS_ALPHA,
+            epsilon=eps,
+            alpha=values[0],
+            s=cfg["model.s"],
+            delta=cfg["model.delta"],
         )
     else:
-        fixed = ModelParams(
-            Model.HNS_EPS, epsilon=values[0], s=cfg["model.s"], delta=cfg["model.delta"]
+        fixed = _from_config(
+            ModelParams,
+            Model.HNS_EPS,
+            epsilon=values[0],
+            s=cfg["model.s"],
+            delta=cfg["model.delta"],
         )
     try:
         sweep_cfg = SweepConfig(
@@ -307,24 +347,28 @@ def _cmd_sweep(cfg: dict, outdir: str, manifest: RunManifest) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    result = sweep_alpha(sweep_cfg) if var == "alpha" else sweep_epsilon(sweep_cfg)
-    _write_text(os.path.join(outdir, "sweep.csv"), result.to_csv(), manifest)
-    fit_lines = ["metric,slope,intercept,r_squared"]
-    for name, fit in sorted(result.fits.items()):
-        fit_lines.append(fit.csv_row(name))
-    _write_text(os.path.join(outdir, "rates.csv"), "\n".join(fit_lines) + "\n", manifest)
-    for name, fit in sorted(result.fits.items()):
-        pts = "\n".join(f"{x:.17g} {y:.17g}" for x, y in fit.points)
-        _write_text(os.path.join(outdir, f"plot_{name}.dat"), pts + "\n", manifest)
-        _write_text(
-            os.path.join(outdir, f"plot_{name}.caption"),
-            f"log-log {name} vs {var}; slope {fit.slope:.4f}, r^2 {fit.r_squared:.4f}\n",
-            manifest,
-        )
-    return 0
+
+    def run(outdir: str, manifest: RunManifest) -> int:
+        result = sweep_alpha(sweep_cfg) if var == "alpha" else sweep_epsilon(sweep_cfg)
+        _write_text(os.path.join(outdir, "sweep.csv"), result.to_csv(), manifest)
+        fit_lines = ["metric,slope,intercept,r_squared"]
+        for name, fit in sorted(result.fits.items()):
+            fit_lines.append(fit.csv_row(name))
+        _write_text(os.path.join(outdir, "rates.csv"), "\n".join(fit_lines) + "\n", manifest)
+        for name, fit in sorted(result.fits.items()):
+            pts = "\n".join(f"{x:.17g} {y:.17g}" for x, y in fit.points)
+            _write_text(os.path.join(outdir, f"plot_{name}.dat"), pts + "\n", manifest)
+            _write_text(
+                os.path.join(outdir, f"plot_{name}.caption"),
+                f"log-log {name} vs {var}; slope {fit.slope:.4f}, r^2 {fit.r_squared:.4f}\n",
+                manifest,
+            )
+        return 0
+
+    return run
 
 
-def _cmd_lp_check(cfg: dict, outdir: str, manifest: RunManifest) -> int:
+def _cmd_lp_check(cfg: dict):
     grid = _grid_from(cfg)
     names = [n.strip() for n in cfg["lp.names"].split(",") if n.strip()]
     bad = sorted(set(names) - set(INEQUALITY_NAMES))
@@ -332,62 +376,77 @@ def _cmd_lp_check(cfg: dict, outdir: str, manifest: RunManifest) -> int:
         raise ConfigError(f"unknown inequality names: {', '.join(bad)}")
     from .littlewood_paley import InequalityReport
 
-    lines = [InequalityReport.csv_header()]
-    for name in names:
-        g = grid
-        if name == "l3_embedding" and grid.dim != 3:
-            g = GridSpec(3, 32, grid.domain_length)
-        if name == "ladyzhenskaya" and grid.dim != 2:
-            g = GridSpec(2, 64, grid.domain_length)
-        rep = verify_inequality(
-            name, cfg["lp.trials"], cfg["seed"], g, {"delta": cfg["model.delta"]}
-        )
-        lines.append(rep.csv_row(g))
-    _write_text(os.path.join(outdir, "inequalities.csv"), "\n".join(lines) + "\n", manifest)
-    return 0
+    def run(outdir: str, manifest: RunManifest) -> int:
+        lines = [InequalityReport.csv_header()]
+        for name in names:
+            g = grid
+            if name == "l3_embedding" and grid.dim != 3:
+                g = GridSpec(3, 32, grid.domain_length)
+            if name == "ladyzhenskaya" and grid.dim != 2:
+                g = GridSpec(2, 64, grid.domain_length)
+            rep = verify_inequality(
+                name, cfg["lp.trials"], cfg["seed"], g, {"delta": cfg["model.delta"]}
+            )
+            lines.append(rep.csv_row(g))
+        _write_text(os.path.join(outdir, "inequalities.csv"), "\n".join(lines) + "\n", manifest)
+        return 0
+
+    return run
 
 
-def _cmd_speed_test(cfg: dict, outdir: str, manifest: RunManifest) -> int:
+def _cmd_speed_test(cfg: dict):
     grid = _grid_from(cfg)
     params = _params_from(cfg)
+    if params.model is not Model.HNS_EPS_ALPHA:
+        raise ConfigError("speed-test runs the penalized model, model.kind=hns_eps_alpha")
     spec = BumpSpec(
         kind=cfg["speed.bump"],
         sigma=cfg["speed.sigma"] or None,
         amplitude=cfg["speed.amplitude"],
     )
-    report = finite_speed_experiment(
-        params,
-        grid,
-        spec,
-        damping=bool(cfg["speed.damping"]),
-        t_end=cfg["speed.t_end"] or None,
-        n_samples=cfg["speed.samples"],
-    )
-    _write_text(os.path.join(outdir, "front.csv"), report.to_csv(), manifest)
-    summary = (
-        f"c1={report.c1:.17g}\nmeasured_speed={report.measured_speed:.17g}\n"
-        f"initial_radius={report.initial_radius:.17g}\n"
-        f"bound_satisfied={int(report.slope_bound_satisfied)}\n"
-    )
-    _write_text(os.path.join(outdir, "front_summary.txt"), summary, manifest)
-    return 0
+
+    def run(outdir: str, manifest: RunManifest) -> int:
+        report = finite_speed_experiment(
+            params,
+            grid,
+            spec,
+            damping=bool(cfg["speed.damping"]),
+            t_end=cfg["speed.t_end"] or None,
+            n_samples=cfg["speed.samples"],
+        )
+        _write_text(os.path.join(outdir, "front.csv"), report.to_csv(), manifest)
+        summary = (
+            f"c1={report.c1:.17g}\nmeasured_speed={report.measured_speed:.17g}\n"
+            f"initial_radius={report.initial_radius:.17g}\n"
+            f"bound_satisfied={int(report.slope_bound_satisfied)}\n"
+        )
+        _write_text(os.path.join(outdir, "front_summary.txt"), summary, manifest)
+        return 0
+
+    return run
 
 
-def _cmd_gates(cfg: dict, outdir: str, manifest: RunManifest) -> int:
+def _cmd_gates(cfg: dict):
     grid = _grid_from(cfg)
     params = _params_from(cfg)
-    u0, u1 = build_initial_data(_init_spec_from(cfg), grid, params)
-    constants = estimate_constants(cfg["seed"], cfg["gates.constants_trials"])
-    report = smallness_gates(u0, u1, params, constants)
-    _write_text(os.path.join(outdir, "gates.txt"), report.to_table() + "\n", manifest)
-    csv = [report.csv_header()] + report.to_csv_rows()
-    _write_text(os.path.join(outdir, "gates.csv"), "\n".join(csv) + "\n", manifest)
-    const_lines = ["name,value"] + [f"{k},{v:.17g}" for k, v in sorted(constants.items())]
-    _write_text(os.path.join(outdir, "constants.csv"), "\n".join(const_lines) + "\n", manifest)
-    print(report.to_table())
-    return 0
+    u0, u1 = _initial_data(cfg, grid, params)
+
+    def run(outdir: str, manifest: RunManifest) -> int:
+        constants = estimate_constants(cfg["seed"], cfg["gates.constants_trials"])
+        report = smallness_gates(u0, u1, params, constants)
+        _write_text(os.path.join(outdir, "gates.txt"), report.to_table() + "\n", manifest)
+        csv = [report.csv_header()] + report.to_csv_rows()
+        _write_text(os.path.join(outdir, "gates.csv"), "\n".join(csv) + "\n", manifest)
+        const_lines = ["name,value"] + [f"{k},{v:.17g}" for k, v in sorted(constants.items())]
+        _write_text(os.path.join(outdir, "constants.csv"), "\n".join(const_lines) + "\n", manifest)
+        print(report.to_table())
+        return 0
+
+    return run
 
 
+# subcommand -> command: cfg -> run(outdir, manifest) -> exit code.  Calling the
+# command validates cfg and builds the inputs; run does the work and writes.
 _DISPATCH = {
     "simulate": _cmd_simulate,
     "sweep": _cmd_sweep,
@@ -434,11 +493,12 @@ def main(argv: list[str] | None = None) -> int:
         canon = _canonical_config_text(cfg, args.subcommand)
         run_id = hashlib.sha256(canon.encode()).hexdigest()[:16]
         outdir = os.path.join(out_root, run_id)
+        if os.path.exists(outdir) and not args.force:
+            raise ConfigError(
+                f"run directory exists: {outdir} (identical config); use --force to overwrite"
+            )
+        run = _DISPATCH[args.subcommand](cfg)
         if os.path.exists(outdir):
-            if not args.force:
-                raise ConfigError(
-                    f"run directory exists: {outdir} (identical config); use --force to overwrite"
-                )
             shutil.rmtree(outdir)
         os.makedirs(outdir)
 
@@ -450,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
             config_path=config_path,
             started=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started)),
         )
-        code = _DISPATCH[args.subcommand](cfg, outdir, manifest)
+        code = run(outdir, manifest)
         manifest.status = "ok"
         manifest.finished = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
         manifest.runtime_seconds = round(time.time() - started, 3)

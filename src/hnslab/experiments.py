@@ -38,8 +38,10 @@ from .solvers import (
 )
 from .spectral import (
     GridSpec,
+    InvalidFieldError,
     PhysicalField,
     SpectralField,
+    _torus_distance_sq,
     dealias,
     divergence,
     gaussian_bump,
@@ -107,6 +109,14 @@ class InitialDataSpec:
     epsilon_cutoff: bool = False
     path: str | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("random", "taylor_green", "file"):
+            raise ValueError(f"unknown initial data kind {self.kind!r}")
+        if self.kind == "random" and self.seed is None:
+            raise ValueError("random initial data requires a seed")
+        if self.kind == "file" and self.path is None:
+            raise ValueError("file initial data requires a path")
+
 
 def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
     """Classical div-free trigonometric vortex (2D, or columnar in 3D)."""
@@ -132,8 +142,6 @@ def build_initial_data(
 ) -> tuple[SpectralField, SpectralField]:
     """Divergence-free mean-zero u0 (optionally eps-filtered) and u1 = 0."""
     if spec.kind == "random":
-        if spec.seed is None:
-            raise ValueError("random initial data requires a seed")
         rng = np.random.default_rng(spec.seed)
         u0 = random_band_limited(
             grid,
@@ -147,13 +155,11 @@ def build_initial_data(
         )
     elif spec.kind == "taylor_green":
         u0 = taylor_green(grid, spec.amplitude)
-    elif spec.kind == "file":
-        if spec.path is None:
-            raise ValueError("file initial data requires a path")
+    else:  # file
         loaded, _ = read_snapshot(spec.path)
         g = loaded.grid
         if replace(g, dealias_fraction=grid.dealias_fraction) != grid:
-            raise ValueError(
+            raise InvalidFieldError(
                 f"snapshot grid (dim {g.dim}, n {g.n_per_axis}, L {g.domain_length:.17g}) differs "
                 f"from the configured grid (dim {grid.dim}, n {grid.n_per_axis}, "
                 f"L {grid.domain_length:.17g})"
@@ -163,8 +169,6 @@ def build_initial_data(
         # on the configured grid, so that its dealias fraction applies
         loaded = SpectralField(grid, loaded.coeffs)
         u0 = helmholtz_project(loaded.remove_mean(), "P")
-    else:
-        raise ValueError(f"unknown initial data kind {spec.kind!r}")
     u0 = dealias(u0)
     if spec.epsilon_cutoff:
         if params.epsilon is None:
@@ -505,19 +509,9 @@ class FrontReport:
         return "\n".join(lines) + "\n"
 
 
-def _torus_distance(grid: GridSpec, center: tuple[float, ...]) -> np.ndarray:
-    L = grid.domain_length
-    d2 = np.zeros(grid.shape)
-    for x, c in zip(grid.meshgrid(), center):
-        dx = np.abs(x - c)
-        dx = np.minimum(dx, L - dx)
-        d2 = d2 + dx * dx
-    return np.sqrt(d2)
-
-
 def support_radius(f: PhysicalField, center: tuple[float, ...], threshold: float) -> float:
     """Farthest torus distance from center where the field exceeds threshold."""
-    dist = _torus_distance(f.grid, center)
+    dist = np.sqrt(_torus_distance_sq(f.grid, center))
     mag = np.sqrt(np.sum(f.values**2, axis=0))
     above = mag > threshold
     if not np.any(above):
@@ -590,7 +584,7 @@ def finite_speed_experiment(
             raise InvalidWindowError("bump support already reaches the antipode")
         t_end = 0.8 * head / branch_speed
 
-    dist = _torus_distance(grid, center)
+    dist = np.sqrt(_torus_distance_sq(grid, center))
     antipode_shell = dist >= L / 2.0 - 2.0 * h
 
     times = np.linspace(0.0, t_end, n_samples + 1)

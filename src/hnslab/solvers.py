@@ -30,15 +30,19 @@ from .spectral import (
     GridSpec,
     InvalidFieldError,
     SpectralField,
+    _full,
+    _half,
+    _half_derivatives,
+    _irfft,
+    _rfft,
     dealias,
+    dealias_mask,
     divergence,
     gradient,
     helmholtz_project,
     k_squared,
     laplacian,
-    partial_derivative,
     sobolev_norm,
-    spectral_product,
 )
 
 __all__ = [
@@ -204,28 +208,50 @@ class StepperConfig:
 # ---------------------------------------------------------------------------
 
 
-def nonlinear_term(u: SpectralField, form: str = "identity") -> SpectralField:
+@functools.lru_cache(maxsize=2)
+def _product_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols) of the products u_i u_j with i <= j, and pair[i, j], the position of u_i u_j."""
+    rows, cols = np.triu_indices(dim)
+    pair = np.empty((dim, dim), dtype=int)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+    return rows, cols, pair
+
+
+def nonlinear_term(u: SpectralField) -> SpectralField:
     """Forcing f(u) = -(u.grad)u, pseudo-spectral and dealiased.
 
-    The default conservative identity sum_i d_i(u_i u) - (div u) u is valid for
-    fields with nonzero divergence; the direct convective form is kept for the
-    dual-formulation cross-check (they agree when div u = 0).
+    Built from the conservative identity (u.grad)u = sum_i d_i(u_i u) - (div u) u,
+    which holds for fields with nonzero divergence, with two batched
+    transforms: one inverse of (u, div u) and one forward of the d(d+1)/2
+    products u_i u_j and the d products (div u) u_j.  u is read as the real
+    field to_physical(u), through the half spectrum of its Hermitian part, so
+    the result depends on nothing else.  The mean of (div u) u is kept.
     """
     grid = u.grid
-    if u.ncomp != grid.dim:
+    dim = grid.dim
+    if u.ncomp != dim:
         raise InvalidFieldError("nonlinear term expects a full velocity field")
-    if form == "identity":
-        out = SpectralField.zeros(grid, grid.dim)
-        for i in range(grid.dim):
-            out = out + partial_derivative(spectral_product(u.component(i), u), i)
-        out = out - spectral_product(divergence(u), u)
-        return -1.0 * out
-    if form == "convective":
-        out = SpectralField.zeros(grid, grid.dim)
-        for i in range(grid.dim):
-            out = out + spectral_product(u.component(i), partial_derivative(u, i))
-        return -1.0 * out
-    raise ValueError(f"unknown form {form!r}")
+    h = grid.n_per_axis // 2 + 1
+    ik = _half_derivatives(grid)
+    half = _half(u.coeffs)
+    stack = np.empty((dim + 1, *half.shape[1:]), dtype=np.complex128)
+    stack[:dim] = half
+    np.multiply(ik[0], half[0], out=stack[dim])
+    for i in range(1, dim):
+        stack[dim] += ik[i] * half[i]
+    phys = _irfft(stack)
+    rows, cols, pair = _product_pairs(dim)
+    npairs = rows.size
+    prods = np.empty((npairs + dim, *phys.shape[1:]))
+    np.multiply(phys[rows], phys[cols], out=prods[:npairs])
+    np.multiply(phys[dim], phys[:dim], out=prods[npairs:])
+    prods = _rfft(prods)
+    out = prods[npairs:]  # (div u) u_j
+    for j in range(dim):
+        for i in range(dim):
+            out[j] -= ik[i] * prods[pair[i, j]]
+    out *= dealias_mask(grid)[..., :h]
+    return SpectralField(grid, _full(out))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ the coefficient at wavevector k is the amplitude of exp(i k.x), so single-mode
 examples have analytic coefficients.  All differential operators are exact
 diagonal multipliers in this basis.
 
+Every transform of the package is one of two real-to-complex helpers,
+`_rfft` and `_irfft`, on the rfftn half spectrum (last axis j = 0..n/2).
+`_full` completes a half spectrum to the exactly Hermitian full array;
+`_half` takes the half spectrum of an array's Hermitian part, which is what
+the real field ifftn(X).real of any coefficient array X depends on.
+
 Conventions baked in here and relied on everywhere else:
 
 * wavenumber along an axis is (2*pi/L) * j with integer j in [-n/2, n/2)
@@ -18,6 +24,7 @@ Conventions baked in here and relied on everywhere else:
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -284,29 +291,100 @@ class PhysicalField:
         return self.values.shape[0]
 
 
-def _hermitianize(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """Project onto Hermitian-symmetric coefficients (real physical field)."""
-    rev = coeffs
-    for ax in range(1, dim + 1):
-        rev = np.flip(rev, axis=ax)
-        rev = np.roll(rev, 1, axis=ax)
-    return 0.5 * (coeffs + np.conj(rev))
+# ---------------------------------------------------------------------------
+# transforms: every FFT of the package is one of _rfft and _irfft
+# ---------------------------------------------------------------------------
+
+
+def _rfft(values: np.ndarray) -> np.ndarray:
+    """rfftn half spectrum (last axis j = 0..n/2) of real samples (ncomp, n, ...)."""
+    return np.fft.rfftn(values, axes=tuple(range(1, values.ndim)), norm="forward")
+
+
+def _irfft(half: np.ndarray) -> np.ndarray:
+    """Real samples of the Hermitian coefficients whose rfftn half spectrum is `half`."""
+    n = half.shape[1]
+    axes = tuple(range(1, half.ndim))
+    return np.fft.irfftn(half, s=(n,) * len(axes), axes=axes, norm="forward")
+
+
+@lru_cache(maxsize=32)
+def _mirror(n: int) -> np.ndarray:
+    """Position of mode -j for each position j along one axis."""
+    return -np.arange(n) % n
+
+
+def _negate_leading(a: np.ndarray) -> np.ndarray:
+    """Copy of a with mode j moved to -j along every spatial axis but the last."""
+    neg = _mirror(a.shape[1])
+    for ax in range(1, a.ndim - 1):
+        a = a.take(neg, axis=ax)
+    return a
+
+
+def _half(coeffs: np.ndarray) -> np.ndarray:
+    """rfftn half spectrum of the Hermitian part (X(k) + conj X(-k))/2 of full coefficients.
+
+    The Hermitian part is the real field ifftn(X).real that X stands for.  A
+    derivative along any axis but the last of a field with Nyquist content is
+    not Hermitian, and the plain slice X[..., :n/2+1] would misread it.
+    """
+    n = coeffs.shape[-1]
+    h = n // 2 + 1
+    out = np.empty((*coeffs.shape[:-1], h), dtype=np.complex128)
+    # conj X(-k), block by block: along each axis position 0 is its own
+    # mirror, and positions 1, 2, ... mirror n-1, n-2, ...
+    zero = (slice(0, 1), slice(0, 1))
+    lead = (zero, (slice(1, None), slice(None, 0, -1)))
+    last = (zero, (slice(1, None), slice(n - 1, n // 2 - 1, -1)))
+    for blocks in itertools.product(*[lead] * (coeffs.ndim - 2), last):
+        dst, src = zip(*blocks)
+        np.conjugate(coeffs[(Ellipsis, *src)], out=out[(Ellipsis, *dst)])
+    out += coeffs[..., :h]
+    out *= 0.5
+    return out
+
+
+def _full(half: np.ndarray) -> np.ndarray:
+    """Exactly Hermitian full coefficient array completing an rfftn half spectrum."""
+    h = half.shape[-1]
+    n = 2 * (h - 1)
+    out = np.empty((*half.shape[:-1], n), dtype=np.complex128)
+    out[..., :h] = half
+    np.conjugate(_negate_leading(half[..., h - 2 : 0 : -1]), out=out[..., h:])
+    # the planes j = 0 and j = n/2 of the last axis are their own mirror images
+    planes = out[..., :: n // 2]
+    planes[...] = 0.5 * (planes + _negate_leading(planes).conj())
+    return out
+
+
+@lru_cache(maxsize=32)
+def _half_derivatives(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Multipliers i k_axis on the half spectrum, broadcastable per axis.
+
+    The odd multiplier is zero at the Nyquist index, where modes j and -j
+    share one coefficient: there i k X of a real field's X has no Hermitian
+    part, so ifftn(i k X).real drops it too.
+    """
+    h = grid.n_per_axis // 2 + 1
+    out = []
+    for k in wavenumbers(grid):
+        ik = 1j * k[..., :h]  # only the last axis is longer than h
+        ik.flat[h - 1] = 0.0  # the Nyquist index n/2
+        out.append(ik)
+    return tuple(out)
 
 
 def to_spectral(f: PhysicalField) -> SpectralField:
     """Forward DFT; coefficients are mode amplitudes (forward normalization)."""
     if not np.all(np.isfinite(f.values)):
         raise InvalidFieldError("physical samples contain non-finite values")
-    axes = tuple(range(1, f.grid.dim + 1))
-    coeffs = np.fft.fftn(f.values, axes=axes, norm="forward")
-    coeffs = _hermitianize(coeffs, f.grid.dim)
-    return SpectralField(f.grid, coeffs)
+    return SpectralField(f.grid, _full(_rfft(f.values)))
 
 
 def to_physical(F: SpectralField) -> PhysicalField:
-    axes = tuple(range(1, F.grid.dim + 1))
-    vals = np.fft.ifftn(F.coeffs, axes=axes, norm="forward")
-    return PhysicalField(F.grid, np.ascontiguousarray(vals.real))
+    """Samples of the real field F stands for, ifftn(F).real."""
+    return PhysicalField(F.grid, _irfft(_half(F.coeffs)))
 
 
 def partial_derivative(F: SpectralField, axis: int) -> SpectralField:
@@ -475,19 +553,20 @@ def padded_product(F: SpectralField, G: SpectralField) -> SpectralField:
     grid = F.grid
     n = grid.n_per_axis
     m = 2 * n
-    axes = tuple(range(1, grid.dim + 1))
-    fa = np.fft.ifftn(_pad_coeffs(F.coeffs, n, m, grid.dim), axes=axes, norm="forward").real
-    fb = np.fft.ifftn(_pad_coeffs(G.coeffs, n, m, grid.dim), axes=axes, norm="forward").real
-    prod = _product_values(fa, fb)
-    big = np.fft.fftn(prod, axes=axes, norm="forward")
+    fa = _irfft(_half(_pad_coeffs(F.coeffs, n, m, grid.dim)))
+    fb = _irfft(_half(_pad_coeffs(G.coeffs, n, m, grid.dim)))
+    big = _rfft(_product_values(fa, fb))
+    # n-grid mode j sits at m-grid position keep[j]; the last axis past n/2
+    # comes from the mirrored half spectrum
     half = n // 2
-    idx = np.r_[0:half, m - half : m]
-    src = np.r_[0:half, n - half : n]
-    out = np.zeros((prod.shape[0],) + grid.shape, dtype=np.complex128)
-    sel_dst = np.ix_(range(prod.shape[0]), *([src] * grid.dim))
-    sel_src = np.ix_(range(prod.shape[0]), *([idx] * grid.dim))
-    out[sel_dst] = big[sel_src]
-    return SpectralField(grid, _hermitianize(out, grid.dim))
+    keep = np.r_[0:half, m - half : m]
+    comps = range(big.shape[0])
+    lead = [keep] * (grid.dim - 1)
+    out = np.empty((big.shape[0], *grid.shape), dtype=np.complex128)
+    out[..., :half] = big[np.ix_(comps, *lead, range(half))]
+    neg = [(-keep) % m] * (grid.dim - 1)
+    out[..., half:] = big[np.ix_(comps, *neg, range(half, 0, -1))].conj()
+    return SpectralField(grid, _full(_half(out)))
 
 
 def single_mode(
@@ -539,7 +618,7 @@ def random_band_limited(
     envelope[band] = m[band] ** (-decay)
     shape = (ncomp, *grid.shape)
     raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    coeffs = _hermitianize(raw * envelope, grid.dim)
+    coeffs = _full(_half(raw * envelope))
     F = SpectralField(grid, coeffs).remove_mean()
     if divergence_free:
         F = helmholtz_project(F, "P")
@@ -547,6 +626,17 @@ def random_band_limited(
     if peak > 0:
         F = F * (amplitude / peak)
     return F
+
+
+def _torus_distance_sq(grid: GridSpec, center: tuple[float, ...]) -> np.ndarray:
+    """Squared periodic distance from center at every grid point."""
+    L = grid.domain_length
+    d2 = np.zeros(grid.shape)
+    for x, c in zip(grid.meshgrid(), center):
+        dx = np.abs(x - c)
+        dx = np.minimum(dx, L - dx)
+        d2 = d2 + dx * dx
+    return d2
 
 
 def gaussian_bump(
@@ -558,13 +648,7 @@ def gaussian_bump(
     """Scalar periodic Gaussian bump exp(-dist(x, center)^2 / (2 sigma^2))."""
     if center is None:
         center = (grid.domain_length / 2.0,) * grid.dim
-    L = grid.domain_length
-    mesh = grid.meshgrid()
-    d2 = np.zeros(grid.shape)
-    for x, c in zip(mesh, center):
-        dx = np.abs(x - c)
-        dx = np.minimum(dx, L - dx)
-        d2 = d2 + dx * dx
+    d2 = _torus_distance_sq(grid, center)
     return PhysicalField(grid, amplitude * np.exp(-d2 / (2.0 * sigma * sigma)))
 
 

@@ -99,6 +99,62 @@ class TestExitCodes:
         assert len(list((tmp_path / "runs").iterdir())) == 1
 
 
+class TestUserMistakes:
+    """A bad config or unreadable initial data exits 2 before any run directory exists."""
+
+    def assert_rejected(self, overrides, tmp_path):
+        args = ["simulate", "seed=1", "grid.n=16", "step.t_end=0"] + overrides
+        assert run_cli(args, tmp_path) == 2
+        runs = tmp_path / "runs"
+        assert not runs.exists() or not any(runs.iterdir())
+
+    def test_hns_eps_without_epsilon(self, tmp_path):
+        self.assert_rejected(["model.kind=hns_eps"], tmp_path)
+
+    def test_penalized_model_without_alpha(self, tmp_path):
+        self.assert_rejected(["model.kind=hns_eps_alpha", "model.epsilon=0.1"], tmp_path)
+
+    def test_unknown_model_kind(self, tmp_path):
+        self.assert_rejected(["model.kind=bogus"], tmp_path)
+
+    def test_grid_not_power_of_two(self, tmp_path):
+        self.assert_rejected(["grid.n=12", "model.kind=ns"], tmp_path)
+
+    def test_truncated_snapshot_file(self, tmp_path):
+        path = tmp_path / "short.hnsf"
+        path.write_bytes(b"HNSF")
+        self.assert_rejected(["model.kind=ns", "init.kind=file", f"init.path={path}"], tmp_path)
+
+    def test_snapshot_on_other_grid(self, tmp_path):
+        from hnslab.spectral import GridSpec, SpectralField, write_snapshot
+
+        path = tmp_path / "ic.hnsf"
+        write_snapshot(path, SpectralField.zeros(GridSpec(2, 32), 2))
+        self.assert_rejected(["model.kind=ns", "init.kind=file", f"init.path={path}"], tmp_path)
+
+    def test_epsilon_cutoff_without_epsilon(self, tmp_path):
+        self.assert_rejected(["model.kind=ns", "init.epsilon_cutoff=1"], tmp_path)
+
+    def test_numpy_error_building_inputs_exits_4(self, tmp_path, monkeypatch):
+        import hnslab.experiments as experiments
+
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(experiments, "random_band_limited", broken)
+        args = ["simulate", "seed=1", "grid.n=16", "model.kind=ns", "init.kind=random"]
+        assert run_cli(args, tmp_path) == 4
+
+    def test_internal_error_still_exits_4(self, tmp_path, monkeypatch):
+        import hnslab.cli as cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver fault")
+
+        monkeypatch.setattr(cli, "run_simulation", broken)
+        assert run_cli(["simulate", "seed=1", "grid.n=16", "model.kind=ns"], tmp_path) == 4
+
+
 class TestManifest:
     def test_manifest_written_and_run_id_stable(self, tmp_path):
         args = [
