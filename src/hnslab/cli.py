@@ -347,6 +347,9 @@ def _cmd_sweep(cfg: dict):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the sweep builds its own data when it runs; build it once here so that a
+    # bad init file is rejected before the run directory exists
+    _initial_data(cfg, grid, fixed)
 
     def run(outdir: str, manifest: RunManifest) -> int:
         result = sweep_alpha(sweep_cfg) if var == "alpha" else sweep_epsilon(sweep_cfg)
@@ -399,7 +402,8 @@ def _cmd_speed_test(cfg: dict):
     params = _params_from(cfg)
     if params.model is not Model.HNS_EPS_ALPHA:
         raise ConfigError("speed-test runs the penalized model, model.kind=hns_eps_alpha")
-    spec = BumpSpec(
+    spec = _from_config(
+        BumpSpec,
         kind=cfg["speed.bump"],
         sigma=cfg["speed.sigma"] or None,
         amplitude=cfg["speed.amplitude"],

@@ -106,26 +106,20 @@ def partial_sum(D: DyadicDecomposition, p: int) -> SpectralField:
 
 
 def lp_sobolev_norm(D: DyadicDecomposition, sigma: float) -> float:
-    """Block-sum Sobolev norm with weights ((2 pi / L) 2^p)^(2 sigma).
+    """Block-sum Sobolev norm with weights ((2 pi / L) 2^p)^(2 sigma): besov_norm(D, sigma, 2, 2).
 
     Agrees with the direct Plancherel norm within [2^-|sigma|, 2^|sigma|]
     because each block's wavenumbers span one octave.
     """
-    k0 = D.source.grid.k_fundamental
-    total = 0.0
-    for p, blk in D.blocks:
-        l2 = sobolev_norm(blk, 0.0)
-        if l2 > 0:
-            total += (k0 * 2.0**p) ** (2.0 * sigma) * l2 * l2
-    return math.sqrt(total)
+    return besov_norm(D, sigma, 2, 2)
 
 
 def besov_norm(D: DyadicDecomposition, s: float, p: int = 2, r: float = 2) -> float:
     """Homogeneous Besov norm from block L^p norms: ell^r of weighted blocks.
 
     Only p = 2 is implemented (block L2 via Plancherel); r may be 1, 2, or
-    math.inf.  The weight uses physical wavenumbers like lp_sobolev_norm, so
-    Besov (2,2) coincides with it exactly.
+    math.inf.  The weights are physical wavenumbers; Besov (2,2) is
+    lp_sobolev_norm.
     """
     if p != 2 or r not in (1, 2) and not math.isinf(r):
         raise UnsupportedNormError(f"unsupported Besov combination p={p}, r={r}")

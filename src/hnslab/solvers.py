@@ -15,6 +15,11 @@ solver and the production stepper, which couples the nonlinearity with a
 second-order exponential (ETD2) rule: no stability restriction from c1, so
 alpha sweeps down to 1e-4 stay cheap.  RK4 on the full right-hand side is
 kept as a cross-check scheme with the usual CFL limits.
+
+The exact linear flow (`evolve_linear`, and the front experiment through the
+same `_linear_flow`) splits each nonzero datum into its Helmholtz parts once
+and applies the table on the rfftn half spectrum, so it reads only the real
+fields of its data.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .spectral import (
     _full,
     _half,
     _half_derivatives,
+    _inv_k_squared,
     _irfft,
     _rfft,
     dealias,
@@ -298,22 +304,66 @@ def _mode_functions(t: float, eps: float, gamma: float, c2k2: np.ndarray):
     return A, B, Ap, Bp
 
 
-def _branch_c2k2(params: ModelParams, grid: GridSpec, branch: str) -> np.ndarray:
-    """c^2 k^2 of a Helmholtz branch: speed c2 on P; on Q, c1 if penalized, else c2."""
+def _branch_c2k2(
+    params: ModelParams, grid: GridSpec, branch: str, half: bool = False
+) -> np.ndarray:
+    """c^2 k^2 of a Helmholtz branch: speed c2 on P; on Q, c1 if penalized, else c2.
+
+    half: on the rfftn half grid, the first n/2+1 entries of the last axis.
+    """
     c = params.c1 if branch == "Q" and params.model is Model.HNS_EPS_ALPHA else params.c2
-    return c * c * k_squared(grid)
+    k2 = k_squared(grid)
+    if half:
+        k2 = k2[..., : grid.n_per_axis // 2 + 1]
+    return c * c * k2
 
 
-def _propagator(params: ModelParams, grid: GridSpec, t: float, damping: bool, branch: str):
+def _propagator(
+    params: ModelParams, grid: GridSpec, t: float, damping: bool, branch: str, half: bool = False
+):
     """The per-mode propagator table (A, B, A', B') at t of one Helmholtz branch.
 
     Data (a, b) of eps l'' + gamma l' + eps c^2 k^2 l = 0 evolve to a A + b B,
     with gamma = 1 when damped and 0 for the pure wave.  k = 0 keeps
     _mode_functions' own limits (A = 1, A' = 0; undamped B = t, B' = 1).
-    One branch per call, so a caller can apply it before building the next.
+    One branch per call, so a caller can apply it before building the next;
+    half evaluates it on the rfftn half grid.
     """
     gamma = 1.0 if damping else 0.0
-    return _mode_functions(t, params.epsilon, gamma, _branch_c2k2(params, grid, branch))
+    return _mode_functions(t, params.epsilon, gamma, _branch_c2k2(params, grid, branch, half))
+
+
+def _split(F: SpectralField) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the Helmholtz parts (P F, Q F), from one projection."""
+    q = helmholtz_project(F, "Q")
+    return (F - q).coeffs, q.coeffs
+
+
+def _half_split(F: SpectralField) -> tuple[np.ndarray, np.ndarray] | None:
+    """Half spectra of the Helmholtz parts (P F, Q F) of F's real field; None if F is zero."""
+    if not F.coeffs.any():
+        return None
+    return tuple(_half(part) for part in _split(F))
+
+
+def _linear_flow(params: ModelParams, grid: GridSpec, t: float, damping: bool, x0, x1, rate: bool):
+    """Half spectra of u(t) and, if rate, u_t(t) of the linear flow from split data.
+
+    x0, x1 are the `_half_split` parts of u0 and u1 (None for zero data, which
+    costs nothing).  Without rate the u_t half is None.
+    """
+    h = grid.n_per_axis // 2 + 1
+    u = np.zeros((grid.dim, *grid.shape[:-1], h), dtype=np.complex128)
+    v = np.zeros_like(u) if rate else None
+    for i, branch in enumerate("PQ"):
+        A, B, Ap, Bp = _propagator(params, grid, t, damping, branch, half=True)
+        for x, X, Xp in ((x0, A, Ap), (x1, B, Bp)):
+            if x is None:
+                continue
+            u += X * x[i]
+            if rate:
+                v += Xp * x[i]
+    return u, v
 
 
 def evolve_linear(
@@ -327,20 +377,18 @@ def evolve_linear(
 
     With damping the per-mode characteristic roots of
     eps l'' + l' + eps c^2 k^2 l = 0 are used; without damping this reduces to
-    the pure wave propagators (used by the front-speed experiments).
+    the pure wave propagators (used by the front-speed experiments).  Each
+    datum is split into its Helmholtz parts once and propagated on the rfftn
+    half spectrum, so the result depends only on the real fields
+    to_physical(u0) and to_physical(u1).  The Helmholtz parts of full-band
+    data carry a Nyquist part that is not Hermitian (see `helmholtz_project`);
+    it is dropped with the rest of what no real field has.
     """
     grid = u0.grid
-    out_u = np.zeros_like(u0.coeffs)
-    out_v = np.zeros_like(u0.coeffs)
-    for which in "PQ":
-        pu = helmholtz_project(u0, which)
-        pv = helmholtz_project(u1, which)
-        A, B, Ap, Bp = _propagator(params, grid, t, damping, which)
-        out_u += A * pu.coeffs + B * pv.coeffs
-        out_v += Ap * pu.coeffs + Bp * pv.coeffs
+    u, v = _linear_flow(params, grid, t, damping, _half_split(u0), _half_split(u1), rate=True)
     return SolverState(
-        SpectralField(grid, out_u, is_mean_zero=True),
-        SpectralField(grid, out_v, is_mean_zero=True),
+        SpectralField(grid, _full(u), is_mean_zero=True),
+        SpectralField(grid, _full(v), is_mean_zero=True),
         t,
     )
 
@@ -403,12 +451,6 @@ def _etd2_tables(model: Model, eps: float | None, alpha: float | None, grid: Gri
     params = ModelParams(model, epsilon=eps, alpha=alpha)
     P = _etd2_branch(params, grid, dt, "P")
     return P, (_etd2_branch(params, grid, dt, "Q") if model is Model.HNS_EPS_ALPHA else P)
-
-
-def _split(F: SpectralField) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of the Helmholtz parts (P F, Q F), from one projection."""
-    q = helmholtz_project(F, "Q")
-    return (F - q).coeffs, q.coeffs
 
 
 def _by_branch(tables, kernel, *fields: SpectralField) -> tuple:
@@ -598,11 +640,7 @@ def recover_pressure(u: SpectralField) -> SpectralField:
         raise InvalidFieldError("pressure recovery expects a mean-zero field")
     conv = -1.0 * nonlinear_term(u)  # (u.grad)u
     rhs = divergence(conv)
-    k2 = k_squared(u.grid)
-    inv = np.zeros_like(k2)
-    nz = k2 > 0
-    inv[nz] = 1.0 / k2[nz]
-    return SpectralField(u.grid, rhs.coeffs * inv, is_mean_zero=True)
+    return SpectralField(u.grid, rhs.coeffs * _inv_k_squared(u.grid), is_mean_zero=True)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,17 @@ def k_squared(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def _inv_k_squared(grid: GridSpec) -> np.ndarray:
+    """1/|k|^2, with 0 at k = 0 (read-only: the array is shared)."""
+    k2 = k_squared(grid)
+    inv = np.zeros_like(k2)
+    nonzero = k2 > 0
+    inv[nonzero] = 1.0 / k2[nonzero]
+    inv.flags.writeable = False
+    return inv
+
+
+@lru_cache(maxsize=32)
 def k_abs(grid: GridSpec) -> np.ndarray:
     return grid.k_fundamental * _index_magnitude(grid)
 
@@ -428,14 +439,10 @@ def helmholtz_project(F: SpectralField, which: str) -> SpectralField:
     if which not in ("P", "Q"):
         raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
     ks = wavenumbers(F.grid)
-    k2 = k_squared(F.grid)
-    inv_k2 = np.zeros_like(k2)
-    nonzero = k2 > 0
-    inv_k2[nonzero] = 1.0 / k2[nonzero]
     kdotF = np.zeros(F.grid.shape, dtype=np.complex128)
     for i, k in enumerate(ks):
         kdotF += k * F.coeffs[i]
-    kdotF *= inv_k2
+    kdotF *= _inv_k_squared(F.grid)
     q = np.stack([k * kdotF for k in ks])
     if which == "Q":
         return SpectralField(F.grid, q, is_mean_zero=True)

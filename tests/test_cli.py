@@ -102,8 +102,8 @@ class TestExitCodes:
 class TestUserMistakes:
     """A bad config or unreadable initial data exits 2 before any run directory exists."""
 
-    def assert_rejected(self, overrides, tmp_path):
-        args = ["simulate", "seed=1", "grid.n=16", "step.t_end=0"] + overrides
+    def assert_rejected(self, overrides, tmp_path, command=("simulate", "step.t_end=0")):
+        args = [command[0], "seed=1", "grid.n=16", *command[1:]] + overrides
         assert run_cli(args, tmp_path) == 2
         runs = tmp_path / "runs"
         assert not runs.exists() or not any(runs.iterdir())
@@ -131,6 +131,19 @@ class TestUserMistakes:
         path = tmp_path / "ic.hnsf"
         write_snapshot(path, SpectralField.zeros(GridSpec(2, 32), 2))
         self.assert_rejected(["model.kind=ns", "init.kind=file", f"init.path={path}"], tmp_path)
+
+    @pytest.mark.parametrize("variable", ["alpha", "epsilon"])
+    def test_sweep_truncated_snapshot_file(self, tmp_path, variable):
+        path = tmp_path / "short.hnsf"
+        path.write_bytes(b"HNSF")
+        sweep = ("sweep", f"sweep.variable={variable}", "sweep.values=0.1,0.01,0.001")
+        overrides = ["model.epsilon=0.01", "init.kind=file", f"init.path={path}"]
+        self.assert_rejected(overrides, tmp_path, command=sweep)
+
+    def test_speed_test_unknown_bump(self, tmp_path):
+        speed_test = ("speed-test", "model.kind=hns_eps_alpha")
+        overrides = ["speed.bump=bogus", "model.epsilon=0.01", "model.alpha=0.01"]
+        self.assert_rejected(overrides, tmp_path, command=speed_test)
 
     def test_epsilon_cutoff_without_epsilon(self, tmp_path):
         self.assert_rejected(["model.kind=ns", "init.epsilon_cutoff=1"], tmp_path)

@@ -1,16 +1,21 @@
-"""Real-to-complex transforms against the complex-transform forms they replaced.
+"""Real-to-complex transforms and the half-spectrum linear flow against the forms they replaced.
 
 Each oracle is the earlier implementation: complex fftn/ifftn, a Hermitian
-projection after every forward transform, and the nonlinear term as one
-collocation product per component plus one for (div u) u.  Full-band fields
-(kmax = n) carry Nyquist content, where a derivative along any axis but the
-last is not Hermitian.
+projection after every forward transform, the nonlinear term as one
+collocation product per component plus one for (div u) u, and the exact
+linear flow as both Helmholtz projections of each datum per branch on the
+full spectrum.  Full-band fields (kmax = n) carry Nyquist content, where a
+derivative along any axis but the last is not Hermitian, and neither is a
+Helmholtz projection.
 """
 
 import numpy as np
 import pytest
 
-from hnslab.solvers import nonlinear_term
+import hnslab.experiments as experiments
+import hnslab.solvers as solvers
+from hnslab.experiments import BumpSpec, FrontReport, finite_speed_experiment, support_radius
+from hnslab.solvers import Model, ModelParams, _propagator, evolve_linear, nonlinear_term
 from hnslab.spectral import (
     GridSpec,
     PhysicalField,
@@ -98,8 +103,86 @@ def nonlinear_oracle(u):
     return -1.0 * out
 
 
+def evolve_linear_oracle(u0, u1, params, t, damping=True):
+    """(u, u_t) at t from full-spectrum tables and two projections of each datum."""
+    grid = u0.grid
+    out_u = np.zeros_like(u0.coeffs)
+    out_v = np.zeros_like(u0.coeffs)
+    for which in "PQ":
+        pu = helmholtz_project(u0, which)
+        pv = helmholtz_project(u1, which)
+        A, B, Ap, Bp = _propagator(params, grid, t, damping, which)
+        out_u += A * pu.coeffs + B * pv.coeffs
+        out_v += Ap * pu.coeffs + Bp * pv.coeffs
+    return tuple(SpectralField(grid, out, is_mean_zero=True) for out in (out_u, out_v))
+
+
+def front_oracle(params, grid, spec, damping, n_samples):
+    """The earlier front sampling loop: evolve_linear_oracle and to_physical per sample."""
+    center = spec.center or (grid.domain_length / 2.0,) * grid.dim
+    u0 = experiments._bump_data(spec, grid)
+    z = SpectralField.zeros(grid, grid.dim)
+    phys0 = to_physical(u0)
+    theta = 1e-8 * float(np.max(np.sqrt(np.sum(phys0.values**2, axis=0))))
+    R0 = support_radius(phys0, center, theta)
+    h = grid.spacing
+    speed = params.c2 if spec.kind == "solenoidal" else params.c1
+    times = np.linspace(0.0, 0.8 * (grid.domain_length / 2.0 - R0 - 4.0 * h) / speed, n_samples + 1)
+    radii = []
+    for t in times:
+        u, _ = evolve_linear_oracle(u0, z, params, float(t), damping)
+        radii.append(support_radius(to_physical(u), center, theta))
+    bounds = [R0 + params.c1 * float(t) + 2.0 * h for t in times]
+    late = len(times) // 2
+    return FrontReport(
+        times=[float(t) for t in times],
+        support_radius=radii,
+        c1=params.c1,
+        slope_bound_satisfied=all(r <= b for r, b in zip(radii, bounds)),
+        bound_radius=bounds,
+        initial_radius=R0,
+        measured_speed=float(np.polyfit(times[late:], radii[late:], 1)[0]),
+        threshold=theta,
+    )
+
+
 def full_band(grid, seed, ncomp=1):
     return random_band_limited(grid, np.random.default_rng(seed), ncomp=ncomp, kmax=grid.n_per_axis)
+
+
+def count_transforms(monkeypatch):
+    """Names of the numpy.fft calls made from now on; a transform built from another counts once."""
+    calls = []
+    depth = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            if depth[0] == 0:
+                calls.append(fn.__name__)
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for name in TRANSFORMS:
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    return calls
+
+
+def count_projections(monkeypatch):
+    """The which-arguments of helmholtz_project calls from solvers and experiments from now on."""
+    calls = []
+
+    def counting(F, which):
+        calls.append(which)
+        return helmholtz_project(F, which)
+
+    for module in (solvers, experiments):
+        monkeypatch.setattr(module, "helmholtz_project", counting)
+    return calls
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -157,22 +240,89 @@ class TestNonlinearTerm:
 
     def test_two_transforms_per_evaluation(self, grid, monkeypatch):
         u = dealias(random_band_limited(grid, np.random.default_rng(8), ncomp=grid.dim))
-        calls = []
-        depth = [0]
-
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                if depth[0] == 0:  # a transform built from another counts once
-                    calls.append(fn.__name__)
-                depth[0] += 1
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    depth[0] -= 1
-
-            return wrapper
-
-        for name in TRANSFORMS:
-            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        calls = count_transforms(monkeypatch)
         nonlinear_term(u)
         assert len(calls) == 2, calls
+
+
+LINEAR_PARAMS = [
+    ModelParams(Model.HNS_EPS_ALPHA, epsilon=0.05, alpha=0.1),
+    ModelParams(Model.HNS_EPS, epsilon=0.05),
+]
+
+
+@pytest.mark.parametrize("damping", [True, False], ids=["damped", "undamped"])
+@pytest.mark.parametrize("params", LINEAR_PARAMS, ids=["eps_alpha", "eps"])
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+class TestEvolveLinear:
+    def test_full_band_is_hermitian_part_of_oracle(self, grid, params, damping):
+        u0 = full_band(grid, 10, ncomp=grid.dim)
+        u1 = full_band(grid, 11, ncomp=grid.dim)
+        got = evolve_linear(u0, u1, params, 0.3, damping=damping)
+        oracle = evolve_linear_oracle(u0, u1, params, 0.3, damping)
+        for field, expect in zip((got.u, got.u_t), oracle):
+            real = hermitianize_oracle(expect.coeffs, grid.dim)
+            if params.model is Model.HNS_EPS_ALPHA:
+                # the branches' projections leave a Nyquist part that is not
+                # Hermitian; with equal branch tables it cancels
+                assert not np.allclose(expect.coeffs, real)
+            assert_close(field.coeffs, real)
+            assert_close(to_physical(field).values, to_physical_oracle(expect))
+
+    def test_dealiased_matches_oracle(self, grid, params, damping):
+        rng = np.random.default_rng(12)
+        u0, u1 = (dealias(random_band_limited(grid, rng, ncomp=grid.dim)) for _ in range(2))
+        got = evolve_linear(u0, u1, params, 0.3, damping=damping)
+        oracle = evolve_linear_oracle(u0, u1, params, 0.3, damping)
+        for field, expect in zip((got.u, got.u_t), oracle):
+            assert_close(field.coeffs, expect.coeffs)
+
+
+@pytest.mark.parametrize("kind, damping", [("gradient", False), ("mixed", True)])
+def test_front_report_matches_oracle(kind, damping):
+    grid = GridSpec(2, 128)
+    params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-1, alpha=1e-1)
+    spec = BumpSpec(kind, center=(2.0, 3.5))
+    got = finite_speed_experiment(params, grid, spec, damping=damping, n_samples=4)
+    assert got == front_oracle(params, grid, spec, damping, n_samples=4)
+
+
+class TestLinearFlowCounts:
+    def test_one_projection_per_nonzero_datum(self, monkeypatch):
+        grid = GridSpec(2, 16)
+        params = LINEAR_PARAMS[0]
+        u = dealias(random_band_limited(grid, np.random.default_rng(13), ncomp=2))
+        z = SpectralField.zeros(grid, 2)
+        calls = count_projections(monkeypatch)
+        for u0, u1, expect in [(u, u, 2), (u, z, 1), (z, u, 1), (z, z, 0)]:
+            del calls[:]
+            evolve_linear(u0, u1, params, 0.2)
+            assert len(calls) == expect, (calls, expect)
+
+    @pytest.mark.parametrize("n_samples", [2, 6])
+    def test_front_experiment_splits_once(self, monkeypatch, n_samples):
+        params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-1, alpha=1e-1)
+        calls = count_projections(monkeypatch)
+        finite_speed_experiment(params, GridSpec(2, 128), BumpSpec("mixed"), n_samples=n_samples)
+        assert len(calls) <= 2, calls
+
+    def test_front_experiment_one_inverse_on_half_tables_per_sample(self, monkeypatch):
+        grid = GridSpec(2, 128)
+        params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-1, alpha=1e-1)
+        shapes = []
+        mode_functions = solvers._mode_functions
+
+        def recording(t, eps, gamma, c2k2):
+            shapes.append(c2k2.shape)
+            return mode_functions(t, eps, gamma, c2k2)
+
+        monkeypatch.setattr(solvers, "_mode_functions", recording)
+        calls = count_transforms(monkeypatch)
+        counts = []
+        for n_samples in (2, 6):
+            del calls[:]
+            finite_speed_experiment(params, grid, BumpSpec("mixed"), n_samples=n_samples)
+            counts.append(calls.count("irfftn"))
+        assert counts[1] - counts[0] == 4, counts
+        half = (grid.n_per_axis, grid.n_per_axis // 2 + 1)
+        assert shapes and all(shape == half for shape in shapes), shapes

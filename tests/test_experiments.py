@@ -320,6 +320,10 @@ class TestFiniteSpeed:
             for i in range(len(rep.support_radius) - 1)
         )
 
+    def test_unknown_bump_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown bump kind"):
+            BumpSpec("bogus")
+
     def test_wraparound_detected(self):
         grid = GridSpec(2, 128)
         params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-2, alpha=1e-2)
