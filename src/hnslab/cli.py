@@ -181,6 +181,7 @@ class RunManifest:
     finished: str = ""
     status: str = "ok"
     runtime_seconds: float = 0.0
+    blowup_time: float | None = None
 
     def write(self, path: str):
         with open(path, "w") as fh:
@@ -249,6 +250,14 @@ def _write_text(path: str, text: str, manifest: RunManifest):
     manifest.outputs.append(os.path.basename(path))
 
 
+def _write_probes(outdir: str, result, manifest: RunManifest):
+    lines = ["time,probe_name,value"]
+    for name in sorted(result.probes):
+        for t, v in zip(result.times, result.probes[name]):
+            lines.append(f"{t:.17g},{name},{v:.17g}")
+    _write_text(os.path.join(outdir, "probes.csv"), "\n".join(lines) + "\n", manifest)
+
+
 def _cmd_simulate(cfg: dict):
     grid = _grid_from(cfg)
     params = _params_from(cfg)
@@ -285,14 +294,14 @@ def _cmd_simulate(cfg: dict):
         probes["E_high"] = lambda st: energy(st, params).high
 
     def run(outdir: str, manifest: RunManifest) -> int:
-        result = run_simulation(
-            u0, u1, params, scfg, probes=probes, nonlinearity=bool(cfg["step.nonlinearity"])
-        )
-        lines = ["time,probe_name,value"]
-        for name in sorted(result.probes):
-            for t, v in zip(result.times, result.probes[name]):
-                lines.append(f"{t:.17g},{name},{v:.17g}")
-        _write_text(os.path.join(outdir, "probes.csv"), "\n".join(lines) + "\n", manifest)
+        try:
+            result = run_simulation(
+                u0, u1, params, scfg, probes=probes, nonlinearity=bool(cfg["step.nonlinearity"])
+            )
+        except BlowUpError as exc:
+            _write_probes(outdir, exc.partial, manifest)  # the series up to the blow-up
+            raise
+        _write_probes(outdir, result, manifest)
         if cfg["snapshots.save"]:
             snap = os.path.join(outdir, "final.hnsf")
             write_snapshot(snap, result.final.u, result.final.time)
@@ -528,7 +537,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"blow-up: {exc}", file=sys.stderr)
         try:
             manifest.status = "blowup"
+            manifest.blowup_time = exc.time
             manifest.finished = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+            manifest.runtime_seconds = round(time.time() - started, 3)
             manifest.write(os.path.join(outdir, "manifest.json"))
         except Exception:
             pass

@@ -20,6 +20,14 @@ The exact linear flow (`evolve_linear`, and the front experiment through the
 same `_linear_flow`) splits each nonzero datum into its Helmholtz parts once
 and applies the table on the rfftn half spectrum, so it reads only the real
 fields of its data.
+
+The ETD2 stepper works on the rfftn half spectrum as well: its tables are
+built on the half grid, and one half-spectrum forcing path (`_forcing_half`:
+the core of `nonlinear_term`, a half-grid Leray projection and the mean
+removal) serves it, the public `nonlinear_term` and the RK4 scheme.  A
+`SolverState` made by the stepper holds half spectra between snapshots and
+completes u and u_t to exactly Hermitian SpectralFields once, when a probe,
+keep_states or a reader of the result first reads them.
 """
 
 from __future__ import annotations
@@ -37,12 +45,14 @@ from .spectral import (
     SpectralField,
     _full,
     _half,
+    _half_dealias_mask,
     _half_derivatives,
+    _half_inv_k_squared,
+    _half_wavenumbers,
     _inv_k_squared,
     _irfft,
     _rfft,
     dealias,
-    dealias_mask,
     divergence,
     gradient,
     helmholtz_project,
@@ -159,16 +169,50 @@ class ModelParams:
         return 1.0 / math.sqrt(self.epsilon)
 
 
-@dataclass
 class SolverState:
-    """Velocity, its time derivative (absent for NS), and the current time."""
+    """Velocity, its time derivative (absent for NS), and the current time.
 
-    u: SpectralField
-    u_t: SpectralField | None
-    time: float = 0.0
+    A state is a value: nothing mutates it.  The ETD2 stepper makes states
+    from rfftn half spectra (`_of_half`) and reads them back (`_halves`);
+    `u` and `u_t` complete a half spectrum to its exactly Hermitian
+    SpectralField once, when first read.
+    """
 
-    def copy(self) -> "SolverState":
-        return SolverState(self.u.copy(), None if self.u_t is None else self.u_t.copy(), self.time)
+    def __init__(self, u: SpectralField, u_t: SpectralField | None, time: float = 0.0):
+        self.grid = u.grid
+        self.time = time
+        self._fields = [u, u_t]
+        self._half = None
+
+    @classmethod
+    def _of_half(cls, grid: GridSpec, u: np.ndarray, u_t: np.ndarray | None, time: float):
+        state = cls.__new__(cls)
+        state.grid = grid
+        state.time = time
+        state._fields = [None, None]
+        state._half = (u, u_t)
+        return state
+
+    def _field(self, i: int) -> SpectralField | None:
+        if self._fields[i] is None and self._half is not None and self._half[i] is not None:
+            half = self._half[i]
+            mean = half[(slice(None), *(0,) * self.grid.dim)]
+            self._fields[i] = SpectralField(self.grid, _full(half), is_mean_zero=not mean.any())
+        return self._fields[i]
+
+    @property
+    def u(self) -> SpectralField:
+        return self._field(0)
+
+    @property
+    def u_t(self) -> SpectralField | None:
+        return self._field(1)
+
+    def _halves(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Half spectra of (u, u_t); for a state built from fields, of their Hermitian parts."""
+        if self._half is None:
+            self._half = tuple(None if F is None else _half(F.coeffs) for F in self._fields)
+        return self._half
 
 
 @dataclass
@@ -233,13 +277,15 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
     field to_physical(u), through the half spectrum of its Hermitian part, so
     the result depends on nothing else.  The mean of (div u) u is kept.
     """
-    grid = u.grid
-    dim = grid.dim
-    if u.ncomp != dim:
+    if u.ncomp != u.grid.dim:
         raise InvalidFieldError("nonlinear term expects a full velocity field")
-    h = grid.n_per_axis // 2 + 1
+    return SpectralField(u.grid, _full(_nonlinear_half(_half(u.coeffs), u.grid)))
+
+
+def _nonlinear_half(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Half spectrum of f(u) from the half spectrum of u: the core of `nonlinear_term`."""
+    dim = grid.dim
     ik = _half_derivatives(grid)
-    half = _half(u.coeffs)
     stack = np.empty((dim + 1, *half.shape[1:]), dtype=np.complex128)
     stack[:dim] = half
     np.multiply(ik[0], half[0], out=stack[dim])
@@ -256,8 +302,34 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
     for j in range(dim):
         for i in range(dim):
             out[j] -= ik[i] * prods[pair[i, j]]
-    out *= dealias_mask(grid)[..., :h]
-    return SpectralField(grid, _full(out))
+    out *= _half_dealias_mask(grid)
+    return out
+
+
+def _q_half(x: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Irrotational part k (k.x)/|k|^2 of a half spectrum, as `helmholtz_project`'s Q."""
+    ks = _half_wavenumbers(grid)
+    kdot = ks[0] * x[0]
+    for i in range(1, grid.dim):
+        kdot += ks[i] * x[i]
+    kdot *= _half_inv_k_squared(grid)
+    return np.stack([k * kdot for k in ks])
+
+
+def _forcing_half(u: np.ndarray, grid: GridSpec, params: ModelParams, nonlinearity: bool):
+    """Model forcing on the half spectrum: f(u), Leray-projected for the constrained models.
+
+    The mean of f is discarded: evolved fields are kept mean-zero, so the
+    small net force the compressible nonlinearity would exert on the torus
+    (absent on the whole space) is not allowed to drive a mean flow.
+    """
+    if not nonlinearity:
+        return np.zeros_like(u)
+    f = _nonlinear_half(u, grid)
+    if params.model in (Model.NS, Model.HNS_EPS):
+        f -= _q_half(f, grid)
+    f[(slice(None), *(0,) * grid.dim)] = 0.0
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +337,19 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
 # ---------------------------------------------------------------------------
 
 
-def _mode_functions(t: float, eps: float, gamma: float, c2k2: np.ndarray):
+def _mode_functions(t: float, eps: float, gamma: float, c2k2: np.ndarray, a_only: bool = False):
     """Initial-value propagators of  l'' + (gamma/eps) l' + c2k2 l = 0.
 
     Returns (A, B, A', B') evaluated at t as arrays over modes, where the
     solution with data (a, b) is a A + b B.  Stable for overdamped, critically
     damped, and oscillatory modes alike: everything is expressed through
     exp((mu - b) t) and exp(-(mu + b) t) with Re mu <= b, so no overflow.
+    a_only returns (A, None, None, None); A = Ec + b B then needs B only when
+    damped (b > 0).
     """
     b = gamma / (2.0 * eps) if gamma else 0.0
+    need_b = not a_only or b != 0.0
     disc = np.asarray(b * b - c2k2, dtype=float)
-    A = np.empty_like(disc)
     B = np.empty_like(disc)
     Ec = np.empty_like(disc)
 
@@ -284,21 +358,29 @@ def _mode_functions(t: float, eps: float, gamma: float, c2k2: np.ndarray):
         om = np.sqrt(-disc[osc])
         damp = math.exp(-b * t)
         Ec[osc] = damp * np.cos(om * t)
-        with np.errstate(invalid="ignore"):
-            B[osc] = damp * np.where(om * t > 1e-12, np.sin(om * t) / np.where(om > 0, om, 1.0), t)
+        if need_b:
+            with np.errstate(invalid="ignore"):
+                B[osc] = damp * np.where(
+                    om * t > 1e-12, np.sin(om * t) / np.where(om > 0, om, 1.0), t
+                )
     mono = ~osc
     if np.any(mono):
         mu = np.sqrt(disc[mono])
         ep = np.exp((mu - b) * t)
         em = np.exp(-(mu + b) * t)
         Ec[mono] = 0.5 * (ep + em)
-        small = mu * t < 1e-6
-        Bm = np.empty_like(mu)
-        Bm[small] = t * np.exp(-b * t) * (1.0 + (mu[small] * t) ** 2 / 6.0)
-        big = ~small
-        Bm[big] = (ep[big] - em[big]) / (2.0 * mu[big])
-        B[mono] = Bm
+        if need_b:
+            small = mu * t < 1e-6
+            Bm = np.empty_like(mu)
+            Bm[small] = t * np.exp(-b * t) * (1.0 + (mu[small] * t) ** 2 / 6.0)
+            big = ~small
+            Bm[big] = (ep[big] - em[big]) / (2.0 * mu[big])
+            B[mono] = Bm
+    if not need_b:
+        return Ec, None, None, None  # A = Ec + 0 B
     A = Ec + b * B
+    if a_only:
+        return A, None, None, None
     Ap = -c2k2 * B
     Bp = Ec - b * B
     return A, B, Ap, Bp
@@ -319,7 +401,13 @@ def _branch_c2k2(
 
 
 def _propagator(
-    params: ModelParams, grid: GridSpec, t: float, damping: bool, branch: str, half: bool = False
+    params: ModelParams,
+    grid: GridSpec,
+    t: float,
+    damping: bool,
+    branch: str,
+    half: bool = False,
+    a_only: bool = False,
 ):
     """The per-mode propagator table (A, B, A', B') at t of one Helmholtz branch.
 
@@ -327,10 +415,11 @@ def _propagator(
     with gamma = 1 when damped and 0 for the pure wave.  k = 0 keeps
     _mode_functions' own limits (A = 1, A' = 0; undamped B = t, B' = 1).
     One branch per call, so a caller can apply it before building the next;
-    half evaluates it on the rfftn half grid.
+    half evaluates it on the rfftn half grid, a_only forms A alone.
     """
     gamma = 1.0 if damping else 0.0
-    return _mode_functions(t, params.epsilon, gamma, _branch_c2k2(params, grid, branch, half))
+    c2k2 = _branch_c2k2(params, grid, branch, half)
+    return _mode_functions(t, params.epsilon, gamma, c2k2, a_only)
 
 
 def _split(F: SpectralField) -> tuple[np.ndarray, np.ndarray]:
@@ -350,13 +439,15 @@ def _linear_flow(params: ModelParams, grid: GridSpec, t: float, damping: bool, x
     """Half spectra of u(t) and, if rate, u_t(t) of the linear flow from split data.
 
     x0, x1 are the `_half_split` parts of u0 and u1 (None for zero data, which
-    costs nothing).  Without rate the u_t half is None.
+    costs nothing).  Without rate the u_t half is None, and without rate and
+    u1 only the table's A is formed.
     """
     h = grid.n_per_axis // 2 + 1
     u = np.zeros((grid.dim, *grid.shape[:-1], h), dtype=np.complex128)
     v = np.zeros_like(u) if rate else None
+    a_only = not rate and x1 is None
     for i, branch in enumerate("PQ"):
-        A, B, Ap, Bp = _propagator(params, grid, t, damping, branch, half=True)
+        A, B, Ap, Bp = _propagator(params, grid, t, damping, branch, half=True, a_only=a_only)
         for x, X, Xp in ((x0, A, Ap), (x1, B, Bp)):
             if x is None:
                 continue
@@ -410,7 +501,7 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 
 def _etd2_branch(params: ModelParams, grid: GridSpec, dt: float, branch: str) -> tuple:
-    """ETD2 table of one Helmholtz branch: (A, B, A', B', J0u, J0v, Ku, Kv).
+    """ETD2 table of one Helmholtz branch on the half grid: (A, B, A', B', J0u, J0v, Ku, Kv).
 
     For y' = L y + (0, g)^T with L = [[0, 1], [-c^2 k^2, -1/eps]] the update is
 
@@ -423,8 +514,8 @@ def _etd2_branch(params: ModelParams, grid: GridSpec, dt: float, branch: str) ->
     on the propagator entries, so the kernel integration is exact and the
     oscillatory branch costs nothing in stability.
     """
-    A, B, Ap, Bp = _propagator(params, grid, dt, True, branch)
-    c2k2 = _branch_c2k2(params, grid, branch)
+    A, B, Ap, Bp = _propagator(params, grid, dt, True, branch, half=True)
+    c2k2 = _branch_c2k2(params, grid, branch, half=True)
     ge = 1.0 / params.epsilon
     safe = np.where(c2k2 > 0, c2k2, 1.0)  # k = 0 multiplies only zero
     j0u = (1.0 - Bp - ge * B) / safe
@@ -437,14 +528,14 @@ def _etd2_branch(params: ModelParams, grid: GridSpec, dt: float, branch: str) ->
 
 @functools.lru_cache(maxsize=16)
 def _etd2_tables(model: Model, eps: float | None, alpha: float | None, grid: GridSpec, dt: float):
-    """ETD2 tables of one (model, grid, dt).
+    """ETD2 tables of one (model, grid, dt), on the rfftn half grid.
 
     NS, u' = -k^2 u + g per mode: (E, J0, K).  The hyperbolic models: the
     (P, Q) pair of `_etd2_branch` tables; Q is the P table object unless the
     model is penalized, since the branch speeds are then equal.
     """
     if model is Model.NS:
-        k2 = k_squared(grid)
+        k2 = k_squared(grid)[..., : grid.n_per_axis // 2 + 1]
         z = -k2 * dt
         J0 = -np.expm1(z) / np.where(k2 > 0, k2, 1.0)
         return np.exp(z), J0, dt * _phi2(z)
@@ -453,17 +544,17 @@ def _etd2_tables(model: Model, eps: float | None, alpha: float | None, grid: Gri
     return P, (_etd2_branch(params, grid, dt, "Q") if model is Model.HNS_EPS_ALPHA else P)
 
 
-def _by_branch(tables, kernel, *fields: SpectralField) -> tuple:
-    """kernel(branch table, *coefficient arrays), summed over the Helmholtz branches.
+def _by_branch(tables, grid: GridSpec, kernel, *halves: np.ndarray) -> tuple:
+    """kernel(branch table, *half spectra), summed over the Helmholtz branches.
 
-    The fields are split into their P and Q parts only when the tables differ.
+    The spectra are split into their P and Q parts only when the tables differ.
     """
     P, Q = tables
     if Q is P:
-        return kernel(P, *(F.coeffs for F in fields))
-    parts = [_split(F) for F in fields]
-    out_p = kernel(P, *(p for p, _ in parts))
-    out_q = kernel(Q, *(q for _, q in parts))
+        return kernel(P, *halves)
+    qs = [_q_half(x, grid) for x in halves]
+    out_p = kernel(P, *(x - q for x, q in zip(halves, qs)))
+    out_q = kernel(Q, *qs)
     return tuple(a + b for a, b in zip(out_p, out_q))
 
 
@@ -479,21 +570,6 @@ def _etd2_correct(tab, dg):
     return ku * dg, kv * dg
 
 
-def _forcing(u: SpectralField, params: ModelParams, nonlinearity: bool) -> SpectralField:
-    """Model forcing: f(u), Leray-projected for the constrained models.
-
-    The mean of f is discarded: evolved fields are kept mean-zero, so the
-    small net force the compressible nonlinearity would exert on the torus
-    (absent on the whole space) is not allowed to drive a mean flow.
-    """
-    if not nonlinearity:
-        return SpectralField.zeros(u.grid, u.grid.dim)
-    f = nonlinear_term(u)
-    if params.model in (Model.NS, Model.HNS_EPS):
-        f = helmholtz_project(f, "P")
-    return f.remove_mean()
-
-
 def _penalty_gradient(u: SpectralField, alpha: float) -> SpectralField:
     return (1.0 / alpha) * gradient(divergence(u))
 
@@ -501,18 +577,25 @@ def _penalty_gradient(u: SpectralField, alpha: float) -> SpectralField:
 def _rhs_full(state: SolverState, params: ModelParams, nonlinearity: bool):
     """Right-hand side for RK4_FULL as a first-order system."""
     u = state.u
+    f = _forcing_half(_half(u.coeffs), u.grid, params, nonlinearity)
+    f = SpectralField(u.grid, _full(f), is_mean_zero=True)
     if params.model is Model.NS:
-        du = laplacian(u) + _forcing(u, params, nonlinearity)
-        return du, None
+        return laplacian(u) + f, None
     v = state.u_t
-    acc = laplacian(u) - v + _forcing(u, params, nonlinearity)
+    acc = laplacian(u) - v + f
     if params.model is Model.HNS_EPS_ALPHA:
         acc = acc + _penalty_gradient(u, params.alpha)
     return v, (1.0 / params.epsilon) * acc
 
 
-def _check_blowup(u: SpectralField, initial_max: float, time: float, partial=None):
-    m = float(np.max(np.abs(u.coeffs)))
+def _check_blowup(u, initial_max: float, time: float, partial=None):
+    """Raise BlowUpError when max |c| of u leaves 1e12 times its initial value.
+
+    u is a SpectralField or a half spectrum: an exactly Hermitian full array
+    has the same max |c| as its half spectrum.
+    """
+    c = u.coeffs if isinstance(u, SpectralField) else u
+    m = float(np.max(np.abs(c)))
     if not np.isfinite(m) or m > BLOWUP_FACTOR * max(initial_max, 1e-30):
         raise BlowUpError(time, partial=partial)
 
@@ -523,28 +606,39 @@ def step(
     cfg: StepperConfig,
     nonlinearity: bool = True,
 ) -> SolverState:
-    """Advance one dt with the configured scheme."""
-    grid = state.u.grid
-    dt = cfg.dt
+    """Advance one dt with the configured scheme.
+
+    ETD2 runs on the rfftn half spectra of the state and returns a state
+    holding half spectra, completed to fields only when read.
+    """
     if cfg.scheme is Scheme.RK4_FULL:
         return _step_rk4(state, params, cfg, nonlinearity)
+    grid = state.grid
+    dt = cfg.dt
     tables = _etd2_tables(params.model, params.epsilon, params.alpha, grid, dt)
+    u, v = state._halves()
+    mean = (slice(None), *(0,) * grid.dim)
+
+    def forcing(x):
+        return _forcing_half(x, grid, params, nonlinearity)
+
     if params.model is Model.NS:
         E, J0, K = tables
-        g0 = _forcing(state.u, params, nonlinearity)
-        a = SpectralField(grid, E * state.u.coeffs + J0 * g0.coeffs, is_mean_zero=True)
-        g1 = _forcing(a, params, nonlinearity)
-        unew = SpectralField(grid, a.coeffs + K * (g1.coeffs - g0.coeffs), is_mean_zero=True)
-        return SolverState(unew, None, state.time + dt)
+        g0 = forcing(u)
+        a = E * u + J0 * g0
+        a[mean] = 0.0
+        unew = a + K * (forcing(a) - g0)
+        unew[mean] = 0.0
+        return SolverState._of_half(grid, unew, None, state.time + dt)
     scale = 1.0 / params.epsilon
-    g0 = scale * _forcing(state.u, params, nonlinearity)
-    au, av = _by_branch(tables, _etd2_predict, state.u, state.u_t, g0)
-    au = SpectralField(grid, au, is_mean_zero=True)
-    g1 = scale * _forcing(au, params, nonlinearity)
-    du, dv = _by_branch(tables, _etd2_correct, g1 - g0)
-    unew = SpectralField(grid, au.coeffs + du, is_mean_zero=True)
-    vnew = SpectralField(grid, av + dv, is_mean_zero=True)
-    return SolverState(unew, vnew, state.time + dt)
+    g0 = scale * forcing(u)
+    au, av = _by_branch(tables, grid, _etd2_predict, u, v, g0)
+    au[mean] = 0.0
+    du, dv = _by_branch(tables, grid, _etd2_correct, scale * forcing(au) - g0)
+    unew = au + du
+    vnew = av + dv
+    unew[mean] = vnew[mean] = 0.0
+    return SolverState._of_half(grid, unew, vnew, state.time + dt)
 
 
 def _step_rk4(state, params, cfg, nonlinearity):
@@ -591,7 +685,10 @@ def run_simulation(
     """Step to t_end, evaluating probes every snapshot_every steps.
 
     Probes are pure functions state -> float.  Deterministic given inputs.
-    A blow-up raises BlowUpError with the partial series attached.
+    The state is held as the rfftn half spectra of the data's real fields
+    and completed to SpectralFields only where a probe, keep_states or a
+    reader of the result reads it.  A blow-up raises BlowUpError with the
+    partial series attached; its `final` is the state that blew up.
     """
     grid = u0.grid
     cfg.check_stability(params, grid)
@@ -605,8 +702,9 @@ def run_simulation(
         u0 = helmholtz_project(u0, "P")
         if u1 is not None:
             u1 = helmholtz_project(u1, "P")
-    state = SolverState(u0, u1, 0.0)
-    initial_max = float(np.max(np.abs(state.u.coeffs)))
+    half1 = None if u1 is None else _half(u1.coeffs)
+    state = SolverState._of_half(grid, _half(u0.coeffs), half1, 0.0)
+    initial_max = float(np.max(np.abs(state._halves()[0])))
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(cfg.t_end, cfg.dt):
         raise ValueError("t_end must be an integer multiple of dt")
@@ -618,19 +716,15 @@ def run_simulation(
         for name, fn in probes.items():
             result.probes[name].append(float(fn(st)))
         if keep_states:
-            result.states.append(st.copy())
+            result.states.append(SolverState(st.u, st.u_t, st.time))
 
     record(state)
     for i in range(n_steps):
         state = step(state, params, cfg, nonlinearity=nonlinearity)
-        try:
-            _check_blowup(state.u, initial_max, state.time, partial=result)
-        except BlowUpError:
-            result.final = state
-            raise
+        result.final = state
+        _check_blowup(state._halves()[0], initial_max, state.time, partial=result)
         if (i + 1) % cfg.snapshot_every == 0 or i + 1 == n_steps:
             record(state)
-    result.final = state
     return result
 
 

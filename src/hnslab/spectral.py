@@ -369,6 +369,31 @@ def _full(half: np.ndarray) -> np.ndarray:
     return out
 
 
+def _on_half(a: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Contiguous copy of a full-grid multiplier on the rfftn half grid (last axis j = 0..n/2)."""
+    return np.ascontiguousarray(a[..., : grid.n_per_axis // 2 + 1])
+
+
+@lru_cache(maxsize=32)
+def _half_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """`wavenumbers` on the half grid: only the last axis is cut to its n/2+1 entries."""
+    return tuple(_on_half(k, grid) for k in wavenumbers(grid))
+
+
+@lru_cache(maxsize=32)
+def _half_inv_k_squared(grid: GridSpec) -> np.ndarray:
+    """`_inv_k_squared` on the half grid (read-only: the array is shared)."""
+    inv = _on_half(_inv_k_squared(grid), grid)
+    inv.flags.writeable = False
+    return inv
+
+
+@lru_cache(maxsize=32)
+def _half_dealias_mask(grid: GridSpec) -> np.ndarray:
+    """`dealias_mask` on the half grid."""
+    return _on_half(dealias_mask(grid), grid)
+
+
 @lru_cache(maxsize=32)
 def _half_derivatives(grid: GridSpec) -> tuple[np.ndarray, ...]:
     """Multipliers i k_axis on the half spectrum, broadcastable per axis.
@@ -379,8 +404,8 @@ def _half_derivatives(grid: GridSpec) -> tuple[np.ndarray, ...]:
     """
     h = grid.n_per_axis // 2 + 1
     out = []
-    for k in wavenumbers(grid):
-        ik = 1j * k[..., :h]  # only the last axis is longer than h
+    for k in _half_wavenumbers(grid):
+        ik = 1j * k
         ik.flat[h - 1] = 0.0  # the Nyquist index n/2
         out.append(ik)
     return tuple(out)

@@ -187,6 +187,30 @@ class TestManifest:
         assert m["run_id"] == dir_a.name
         assert "probes.csv" in m["outputs"]
 
+    def test_blowup_leaves_partial_probes(self, tmp_path):
+        args = [
+            "simulate",
+            "seed=1",
+            "grid.n=16",
+            "model.kind=ns",
+            "init.kind=random",
+            "init.amplitude=1000",
+            "step.dt=0.05",
+            "step.t_end=2.5",
+        ]
+        assert run_cli(args, tmp_path) == 3
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        m = json.loads((run_dir / "manifest.json").read_text())
+        assert m["status"] == "blowup"
+        assert m["outputs"] == ["probes.csv"]
+        assert m["blowup_time"] == pytest.approx(0.1)
+        assert m["runtime_seconds"] > 0
+        rows = (run_dir / "probes.csv").read_text().splitlines()
+        assert rows[0] == "time,probe_name,value"
+        times = sorted({float(row.split(",")[0]) for row in rows[1:]})
+        assert times == [0.0, 0.05]  # every snapshot before the blow-up, all probes
+        assert len(rows) == 1 + 2 * 3
+
     def test_env_var_out_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HNS_OUT_DIR", str(tmp_path / "env_runs"))
         code = main(["simulate", "seed=4", "grid.n=32", "model.kind=ns", "step.t_end=0"])

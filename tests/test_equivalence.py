@@ -1,10 +1,12 @@
-"""Real-to-complex transforms and the half-spectrum linear flow against the forms they replaced.
+"""Real-to-complex transforms, the half-spectrum linear flow and the half-spectrum stepper
+against the forms they replaced.
 
 Each oracle is the earlier implementation: complex fftn/ifftn, a Hermitian
 projection after every forward transform, the nonlinear term as one
-collocation product per component plus one for (div u) u, and the exact
+collocation product per component plus one for (div u) u, the exact
 linear flow as both Helmholtz projections of each datum per branch on the
-full spectrum.  Full-band fields (kmax = n) carry Nyquist content, where a
+full spectrum, and the ETD2 and RK4 steps on full-spectrum fields with
+full-grid tables.  Full-band fields (kmax = n) carry Nyquist content, where a
 derivative along any axis but the last is not Hermitian, and neither is a
 Helmholtz projection.
 """
@@ -14,19 +16,34 @@ import pytest
 
 import hnslab.experiments as experiments
 import hnslab.solvers as solvers
+import hnslab.spectral as spectral
 from hnslab.experiments import BumpSpec, FrontReport, finite_speed_experiment, support_radius
-from hnslab.solvers import Model, ModelParams, _propagator, evolve_linear, nonlinear_term
+from hnslab.solvers import (
+    Model,
+    ModelParams,
+    Scheme,
+    SolverState,
+    StepperConfig,
+    _propagator,
+    evolve_linear,
+    nonlinear_term,
+)
 from hnslab.spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
+    _full,
+    _half,
     dealias,
     divergence,
     gradient,
     helmholtz_project,
+    k_squared,
+    laplacian,
     padded_product,
     partial_derivative,
     random_band_limited,
+    sobolev_norm,
     to_physical,
     to_spectral,
 )
@@ -312,9 +329,9 @@ class TestLinearFlowCounts:
         shapes = []
         mode_functions = solvers._mode_functions
 
-        def recording(t, eps, gamma, c2k2):
+        def recording(t, eps, gamma, c2k2, *args):
             shapes.append(c2k2.shape)
-            return mode_functions(t, eps, gamma, c2k2)
+            return mode_functions(t, eps, gamma, c2k2, *args)
 
         monkeypatch.setattr(solvers, "_mode_functions", recording)
         calls = count_transforms(monkeypatch)
@@ -326,3 +343,193 @@ class TestLinearFlowCounts:
         assert counts[1] - counts[0] == 4, counts
         half = (grid.n_per_axis, grid.n_per_axis // 2 + 1)
         assert shapes and all(shape == half for shape in shapes), shapes
+
+
+def forcing_oracle(u, params, nonlinearity):
+    """Full-spectrum forcing: f(u), Leray-projected for the constrained models, mean removed."""
+    if not nonlinearity:
+        return SpectralField.zeros(u.grid, u.grid.dim)
+    f = nonlinear_term(u)
+    if params.model in (Model.NS, Model.HNS_EPS):
+        f = helmholtz_project(f, "P")
+    return f.remove_mean()
+
+
+def etd2_tables_oracle(params, grid, dt):
+    """The ETD2 tables on the full grid: (E, J0, K) for NS, else one 8-tuple per branch."""
+    if params.model is Model.NS:
+        k2 = k_squared(grid)
+        z = -k2 * dt
+        return np.exp(z), -np.expm1(z) / np.where(k2 > 0, k2, 1.0), dt * solvers._phi2(z)
+    tabs = []
+    for branch in "PQ":
+        A, B, Ap, Bp = _propagator(params, grid, dt, True, branch)
+        c2k2 = solvers._branch_c2k2(params, grid, branch)
+        ge = 1.0 / params.epsilon
+        safe = np.where(c2k2 > 0, c2k2, 1.0)
+        j0u = (1.0 - Bp - ge * B) / safe
+        j1u = dt * (-ge * B - Bp) / safe - (-ge * j0u - B) / safe
+        j1v = dt * B - j0u
+        tabs.append((A, B, Ap, Bp, j0u, B, j0u - j1u / dt, B - j1v / dt))
+    return tabs
+
+
+def step_oracle(state, params, cfg, nonlinearity=True):
+    """One step on full-spectrum SpectralFields, splitting both Helmholtz branches each stage."""
+    grid, dt = state.u.grid, cfg.dt
+    if cfg.scheme is Scheme.RK4_FULL:
+
+        def rhs(u, v):
+            f = forcing_oracle(u, params, nonlinearity)
+            if params.model is Model.NS:
+                return laplacian(u) + f, None
+            acc = laplacian(u) - v + f
+            if params.model is Model.HNS_EPS_ALPHA:
+                acc = acc + (1.0 / params.alpha) * gradient(divergence(u))
+            return v, (1.0 / params.epsilon) * acc
+
+        def advance(k, factor):
+            return (
+                state.u + factor * k[0],
+                None if k[1] is None else state.u_t + factor * k[1],
+            )
+
+        k1 = rhs(state.u, state.u_t)
+        k2 = rhs(*advance(k1, dt / 2))
+        k3 = rhs(*advance(k2, dt / 2))
+        k4 = rhs(*advance(k3, dt))
+        u = state.u + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        v = None
+        if k1[1] is not None:
+            v = state.u_t + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        return SolverState(u, v, state.time + dt)
+    tables = etd2_tables_oracle(params, grid, dt)
+    if params.model is Model.NS:
+        E, J0, K = tables
+        g0 = forcing_oracle(state.u, params, nonlinearity)
+        a = SpectralField(grid, E * state.u.coeffs + J0 * g0.coeffs, is_mean_zero=True)
+        g1 = forcing_oracle(a, params, nonlinearity)
+        return SolverState(
+            SpectralField(grid, a.coeffs + K * (g1.coeffs - g0.coeffs), is_mean_zero=True),
+            None,
+            state.time + dt,
+        )
+
+    def by_branch(kernel, *fields):
+        out = None
+        for tab, which in zip(tables, "PQ"):
+            part = kernel(tab, *(helmholtz_project(F, which).coeffs for F in fields))
+            out = part if out is None else tuple(a + b for a, b in zip(out, part))
+        return out
+
+    def predict(tab, u, v, g):
+        A, B, Ap, Bp, j0u, j0v, _, _ = tab
+        return A * u + B * v + j0u * g, Ap * u + Bp * v + j0v * g
+
+    def correct(tab, dg):
+        return tab[6] * dg, tab[7] * dg
+
+    scale = 1.0 / params.epsilon
+    g0 = scale * forcing_oracle(state.u, params, nonlinearity)
+    au, av = by_branch(predict, state.u, state.u_t, g0)
+    au = SpectralField(grid, au, is_mean_zero=True)
+    g1 = scale * forcing_oracle(au, params, nonlinearity)
+    du, dv = by_branch(correct, g1 - g0)
+    return SolverState(
+        SpectralField(grid, au.coeffs + du, is_mean_zero=True),
+        SpectralField(grid, av + dv, is_mean_zero=True),
+        state.time + dt,
+    )
+
+
+STEP_PARAMS = [
+    ModelParams(Model.NS),
+    ModelParams(Model.HNS_EPS, epsilon=0.05),
+    ModelParams(Model.HNS_EPS_ALPHA, epsilon=0.05, alpha=0.1),
+]
+STEP_IDS = ["ns", "eps", "eps_alpha"]
+
+
+def stepper_data(grid, params, seed):
+    """(u0, u1) as run_simulation prepares them: dealiased, projected for the constrained models."""
+    rng = np.random.default_rng(seed)
+    u0, u1 = (dealias(random_band_limited(grid, rng, ncomp=grid.dim)) for _ in range(2))
+    if params.model is Model.NS:
+        return helmholtz_project(u0, "P"), None
+    if params.model is Model.HNS_EPS:
+        return helmholtz_project(u0, "P"), helmholtz_project(u1, "P")
+    return u0, u1
+
+
+def is_hermitian(F):
+    return np.array_equal(_full(_half(F.coeffs)), F.coeffs)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.EXP_LINEAR_RK2, Scheme.RK4_FULL], ids=["etd2", "rk4"])
+@pytest.mark.parametrize("params", STEP_PARAMS, ids=STEP_IDS)
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+class TestStepper:
+    def test_five_steps_match_oracle(self, grid, params, scheme):
+        u0, u1 = stepper_data(grid, params, 14)
+        cfg = StepperConfig(dt=0.01, t_end=0.05, scheme=scheme)
+        expect = SolverState(u0, u1, 0.0)
+        got = SolverState(u0, u1, 0.0)
+        for _ in range(5):
+            expect = step_oracle(expect, params, cfg)
+            got = solvers.step(got, params, cfg)
+        res = solvers.run_simulation(u0, u1, params, cfg)
+        for state in (got, res.final):
+            assert state.time == pytest.approx(0.05)
+            assert_close(state.u.coeffs, expect.u.coeffs)
+            if params.is_hyperbolic:
+                assert_close(state.u_t.coeffs, expect.u_t.coeffs)
+            else:
+                assert state.u_t is None
+
+
+@pytest.mark.parametrize("params", STEP_PARAMS, ids=STEP_IDS)
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+class TestStepperCounts:
+    def test_four_transforms_per_etd2_step(self, grid, params, monkeypatch):
+        u0, u1 = stepper_data(grid, params, 15)
+        cfg = StepperConfig(dt=0.01, t_end=0.03)
+        state = SolverState(u0, u1, 0.0)
+        calls = count_transforms(monkeypatch)
+        for _ in range(3):
+            state = solvers.step(state, params, cfg)
+        assert calls == ["irfftn", "rfftn"] * 6, calls
+
+    def test_no_completion_between_snapshots(self, grid, params, monkeypatch):
+        u0, u1 = stepper_data(grid, params, 16)
+        cfg = StepperConfig(dt=0.01, t_end=0.09, snapshot_every=3)
+        calls = []
+
+        def counting(half):
+            calls.append(half.shape)
+            return _full(half)
+
+        monkeypatch.setattr(solvers, "_full", counting)
+        monkeypatch.setattr(spectral, "_full", counting)
+        # a probe that does not read the state completes nothing; one that reads u completes it once
+        quiet = solvers.run_simulation(u0, u1, params, cfg, probes={"n": lambda st: len(calls)})
+        assert quiet.probes["n"] == [0, 0, 0, 0]
+        del calls[:]
+        reads = {"n": lambda st: len(calls), "l2": lambda st: sobolev_norm(st.u, 0.0)}
+        loud = solvers.run_simulation(u0, u1, params, cfg, probes=reads)
+        assert loud.probes["n"] == [0, 1, 2, 3]
+        assert len(calls) == 4
+
+
+@pytest.mark.parametrize("params", STEP_PARAMS, ids=STEP_IDS)
+def test_state_exactly_hermitian_without_dealiasing(params):
+    # with dealias_fraction = 1 the Leray projection leaves Nyquist content that
+    # is not Hermitian; the stepper keeps the half spectrum of the real field
+    grid = GridSpec(2, 16, dealias_fraction=1.0)
+    u0 = full_band(grid, 17, ncomp=2)
+    u1 = full_band(grid, 18, ncomp=2) if params.is_hyperbolic else None
+    cfg = StepperConfig(dt=1e-3, t_end=5e-3)
+    res = solvers.run_simulation(u0, u1, params, cfg, keep_states=True)
+    assert len(res.states) == 6
+    for state in (*res.states, res.final):
+        assert is_hermitian(state.u)
+        assert state.u_t is None or is_hermitian(state.u_t)

@@ -300,6 +300,38 @@ class TestRunSimulation:
         assert res.times == [0.0]
         assert len(res.probes["l2"]) == 1
 
+    def test_etd2_blowup_partial_series_and_full_final(self, monkeypatch):
+        import hnslab.solvers as solvers
+        from hnslab.spectral import _full, _half
+
+        grid = GridSpec(2, 16)
+        u0 = random_band_limited(grid, np.random.default_rng(1), ncomp=2, amplitude=50.0,
+                                 divergence_free=True)
+        cfg = StepperConfig(dt=0.2, t_end=5.0)
+        calls = []
+
+        def counting(half):
+            calls.append(half.shape)
+            return _full(half)
+
+        monkeypatch.setattr(solvers, "_full", counting)
+        probes = {"l2": lambda st: sobolev_norm(st.u, 0.0)}
+        with pytest.raises(BlowUpError) as exc_info:
+            run_simulation(u0, None, ModelParams(Model.NS), cfg, probes=probes)
+        exc = exc_info.value
+        assert exc.time == pytest.approx(0.6)
+        partial = exc.partial
+        assert partial.times == pytest.approx([0.0, 0.2, 0.4])
+        assert len(partial.probes["l2"]) == 3
+        # the loop read only half spectra: one completion per recorded snapshot
+        assert len(calls) == 3
+        final = partial.final
+        assert final.time == exc.time
+        assert final.u.coeffs.shape == (2, 16, 16)
+        assert len(calls) == 4
+        assert np.array_equal(_full(_half(final.u.coeffs)), final.u.coeffs)
+        assert np.max(np.abs(final.u.coeffs)) > 1e12 * np.max(np.abs(dealias(u0).coeffs))
+
     def test_blowup_carries_partial_series(self, grid2d):
         params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-4, alpha=1e-4)
         u0 = dealias(single_mode(grid2d, (5, 0), component=0, ncomp=2))
