@@ -28,6 +28,13 @@ removal) serves it, the public `nonlinear_term` and the RK4 scheme.  A
 `SolverState` made by the stepper holds half spectra between snapshots and
 completes u and u_t to exactly Hermitian SpectralFields once, when a probe,
 keep_states or a reader of the result first reads them.
+
+The forcing takes its form from the model and the grid.  NS and HNS_EPS
+evolve Leray-projected, hence divergence-free, states, so on a grid whose
+dealias mask removes the Nyquist modes they use the divergence form
+(u.grad)u = sum_i d_i(u_i u): d inverse and d(d+1)/2 forward transforms.
+The penalized model, and every model with `grid.dealias=1`, keep the
+general form of `nonlinear_term`, which adds (div u) u.
 """
 
 from __future__ import annotations
@@ -54,7 +61,6 @@ from .spectral import (
     _rfft,
     dealias,
     divergence,
-    gradient,
     helmholtz_project,
     k_squared,
     laplacian,
@@ -282,23 +288,34 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, _full(_nonlinear_half(_half(u.coeffs), u.grid)))
 
 
-def _nonlinear_half(half: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Half spectrum of f(u) from the half spectrum of u: the core of `nonlinear_term`."""
+def _nonlinear_half(half: np.ndarray, grid: GridSpec, solenoidal: bool = False) -> np.ndarray:
+    """Half spectrum of f(u) from the half spectrum of u: the core of `nonlinear_term`.
+
+    solenoidal drops the (div u) u products and the div u inverse, leaving the
+    divergence form -sum_i d_i(u_i u), which equals f(u) only for div u = 0.
+    """
     dim = grid.dim
     ik = _half_derivatives(grid)
-    stack = np.empty((dim + 1, *half.shape[1:]), dtype=np.complex128)
-    stack[:dim] = half
-    np.multiply(ik[0], half[0], out=stack[dim])
-    for i in range(1, dim):
-        stack[dim] += ik[i] * half[i]
-    phys = _irfft(stack)
     rows, cols, pair = _product_pairs(dim)
     npairs = rows.size
-    prods = np.empty((npairs + dim, *phys.shape[1:]))
+    if solenoidal:
+        phys = _irfft(half)
+        prods = np.empty((npairs, *phys.shape[1:]))
+    else:
+        stack = np.empty((dim + 1, *half.shape[1:]), dtype=np.complex128)
+        stack[:dim] = half
+        np.multiply(ik[0], half[0], out=stack[dim])
+        for i in range(1, dim):
+            stack[dim] += ik[i] * half[i]
+        phys = _irfft(stack)
+        prods = np.empty((npairs + dim, *phys.shape[1:]))
+        np.multiply(phys[dim], phys[:dim], out=prods[npairs:])
     np.multiply(phys[rows], phys[cols], out=prods[:npairs])
-    np.multiply(phys[dim], phys[:dim], out=prods[npairs:])
     prods = _rfft(prods)
-    out = prods[npairs:]  # (div u) u_j
+    if solenoidal:
+        out = np.zeros((dim, *prods.shape[1:]), dtype=np.complex128)
+    else:
+        out = prods[npairs:]  # (div u) u_j
     for j in range(dim):
         for i in range(dim):
             out[j] -= ik[i] * prods[pair[i, j]]
@@ -319,14 +336,21 @@ def _q_half(x: np.ndarray, grid: GridSpec) -> np.ndarray:
 def _forcing_half(u: np.ndarray, grid: GridSpec, params: ModelParams, nonlinearity: bool):
     """Model forcing on the half spectrum: f(u), Leray-projected for the constrained models.
 
+    The constrained models evolve divergence-free fields, so they take the
+    divergence form of f (`_nonlinear_half(solenoidal=True)`: d inverse and
+    d(d+1)/2 forward transforms instead of d+1 and d(d+1)/2 + d), but only
+    when the dealias mask removes every Nyquist mode.  With `grid.dealias=1`
+    the Nyquist-zeroed derivative leaves a projected state a discrete
+    divergence that is not rounding, and the general form is kept.
     The mean of f is discarded: evolved fields are kept mean-zero, so the
     small net force the compressible nonlinearity would exert on the torus
     (absent on the whole space) is not allowed to drive a mean flow.
     """
     if not nonlinearity:
         return np.zeros_like(u)
-    f = _nonlinear_half(u, grid)
-    if params.model in (Model.NS, Model.HNS_EPS):
+    constrained = params.model in (Model.NS, Model.HNS_EPS)
+    f = _nonlinear_half(u, grid, solenoidal=constrained and grid.k_max_dealiased < grid.k_max)
+    if constrained:
         f -= _q_half(f, grid)
     f[(slice(None), *(0,) * grid.dim)] = 0.0
     return f
@@ -571,7 +595,18 @@ def _etd2_correct(tab, dg):
 
 
 def _penalty_gradient(u: SpectralField, alpha: float) -> SpectralField:
-    return (1.0 / alpha) * gradient(divergence(u))
+    """(1/alpha) grad(div u) of u's real field, formed on the half spectrum as the forcing is.
+
+    The Nyquist-zeroed derivatives keep the result exactly Hermitian, so RK4
+    stays on real fields with `grid.dealias=1`.
+    """
+    ik = _half_derivatives(u.grid)
+    half = _half(u.coeffs)
+    div = ik[0] * half[0]
+    for i in range(1, u.grid.dim):
+        div += ik[i] * half[i]
+    div *= 1.0 / alpha
+    return SpectralField(u.grid, _full(np.stack([k * div for k in ik])), is_mean_zero=True)
 
 
 def _rhs_full(state: SolverState, params: ModelParams, nonlinearity: bool):
@@ -609,7 +644,9 @@ def step(
     """Advance one dt with the configured scheme.
 
     ETD2 runs on the rfftn half spectra of the state and returns a state
-    holding half spectra, completed to fields only when read.
+    holding half spectra, completed to fields only when read.  For NS and
+    HNS_EPS the state must be divergence-free, as `run_simulation` makes it:
+    their forcing is then the divergence form (see `_forcing_half`).
     """
     if cfg.scheme is Scheme.RK4_FULL:
         return _step_rk4(state, params, cfg, nonlinearity)

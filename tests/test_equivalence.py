@@ -6,9 +6,10 @@ projection after every forward transform, the nonlinear term as one
 collocation product per component plus one for (div u) u, the exact
 linear flow as both Helmholtz projections of each datum per branch on the
 full spectrum, and the ETD2 and RK4 steps on full-spectrum fields with
-full-grid tables.  Full-band fields (kmax = n) carry Nyquist content, where a
-derivative along any axis but the last is not Hermitian, and neither is a
-Helmholtz projection.
+full-grid tables.  The general form of the nonlinear term is the oracle of
+the divergence form the constrained models' forcing takes.  Full-band fields
+(kmax = n) carry Nyquist content, where a derivative along any axis but the
+last is not Hermitian, and neither is a Helmholtz projection.
 """
 
 import numpy as np
@@ -520,16 +521,112 @@ class TestStepperCounts:
         assert len(calls) == 4
 
 
-@pytest.mark.parametrize("params", STEP_PARAMS, ids=STEP_IDS)
-def test_state_exactly_hermitian_without_dealiasing(params):
+@pytest.mark.parametrize(
+    "params, scheme",
+    [(p, Scheme.EXP_LINEAR_RK2) for p in STEP_PARAMS] + [(p, Scheme.RK4_FULL) for p in STEP_PARAMS],
+    ids=STEP_IDS + [f"{i}-rk4" for i in STEP_IDS],
+)
+def test_state_exactly_hermitian_without_dealiasing(params, scheme):
     # with dealias_fraction = 1 the Leray projection leaves Nyquist content that
-    # is not Hermitian; the stepper keeps the half spectrum of the real field
+    # is not Hermitian, and so would the penalty's grad(div u) on the full
+    # spectrum; both schemes keep the half spectrum of the real field
     grid = GridSpec(2, 16, dealias_fraction=1.0)
     u0 = full_band(grid, 17, ncomp=2)
     u1 = full_band(grid, 18, ncomp=2) if params.is_hyperbolic else None
-    cfg = StepperConfig(dt=1e-3, t_end=5e-3)
+    cfg = StepperConfig(dt=1e-3, t_end=5e-3, scheme=scheme)
     res = solvers.run_simulation(u0, u1, params, cfg, keep_states=True)
     assert len(res.states) == 6
     for state in (*res.states, res.final):
         assert is_hermitian(state.u)
         assert state.u_t is None or is_hermitian(state.u_t)
+
+
+CONSTRAINED_PARAMS = STEP_PARAMS[:2]
+CONSTRAINED_IDS = STEP_IDS[:2]
+
+
+def general_forcing(half, grid):
+    """`_forcing_half` of the constrained models with the general form of the nonlinear term."""
+    f = solvers._nonlinear_half(half, grid)
+    f -= solvers._q_half(f, grid)
+    f[(slice(None), *(0,) * grid.dim)] = 0.0
+    return f
+
+
+def force_general_form(monkeypatch):
+    """Make every forcing evaluation take the general form, whatever the model and grid."""
+    nonlinear_half = solvers._nonlinear_half
+    monkeypatch.setattr(
+        solvers, "_nonlinear_half", lambda half, grid, solenoidal=False: nonlinear_half(half, grid)
+    )
+
+
+def record_batches(monkeypatch):
+    """(name, input shape) of every rfftn and irfftn call from now on."""
+    calls = []
+
+    def recording(fn):
+        def wrapper(a, *args, **kwargs):
+            calls.append((fn.__name__, a.shape))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+    return calls
+
+
+@pytest.mark.parametrize("params", CONSTRAINED_PARAMS, ids=CONSTRAINED_IDS)
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+class TestDivergenceForm:
+    def test_forcing_matches_general_form(self, grid, params):
+        u0, u1 = stepper_data(grid, params, 19)
+        state = SolverState(u0, u1, 0.0)
+        cfg = StepperConfig(dt=0.01, t_end=0.03)
+        for _ in range(4):
+            half = state._halves()[0]
+            got = solvers._forcing_half(half, grid, params, True)
+            assert_close(got, general_forcing(half, grid))
+            state = solvers.step(state, params, cfg)
+
+    def test_no_dealiasing_steps_are_general_form(self, grid, params, monkeypatch):
+        # a projected full-band state has a discrete divergence that is not rounding
+        g = GridSpec(grid.dim, grid.n_per_axis, dealias_fraction=1.0)
+        u0 = full_band(g, 20, ncomp=g.dim)
+        u1 = full_band(g, 21, ncomp=g.dim) if params.is_hyperbolic else None
+        cfg = StepperConfig(dt=1e-3, t_end=3e-3)
+        got = solvers.run_simulation(u0, u1, params, cfg).final._halves()
+        force_general_form(monkeypatch)
+        expect = solvers.run_simulation(u0, u1, params, cfg).final._halves()
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+
+FORM_CASES = [
+    (STEP_PARAMS[0], 2.0 / 3.0, True),
+    (STEP_PARAMS[1], 2.0 / 3.0, True),
+    (STEP_PARAMS[2], 2.0 / 3.0, False),
+    (STEP_PARAMS[0], 1.0, False),
+    (STEP_PARAMS[1], 1.0, False),
+]
+FORM_IDS = ["ns", "eps", "eps_alpha", "ns-nodealias", "eps-nodealias"]
+
+
+@pytest.mark.parametrize("params, fraction, solenoidal", FORM_CASES, ids=FORM_IDS)
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_forcing_transform_batches(grid, params, fraction, solenoidal, monkeypatch):
+    # the divergence form transforms u inverse and the products u_i u_j forward;
+    # the general form adds div u and the products (div u) u_j
+    g = GridSpec(grid.dim, grid.n_per_axis, dealias_fraction=fraction)
+    d = g.dim
+    u0, u1 = stepper_data(g, params, 22)
+    state = SolverState(u0, u1, 0.0)
+    cfg = StepperConfig(dt=0.01, t_end=0.02)
+    calls = record_batches(monkeypatch)
+    for _ in range(2):
+        state = solvers.step(state, params, cfg)
+    n_inverse = d if solenoidal else d + 1
+    n_forward = d * (d + 1) // 2 + (0 if solenoidal else d)
+    half = (*g.shape[:-1], g.n_per_axis // 2 + 1)
+    expect = [("irfftn", (n_inverse, *half)), ("rfftn", (n_forward, *g.shape))] * 4
+    assert calls == expect, calls
