@@ -290,8 +290,15 @@ def _cmd_simulate(cfg: dict):
         "div_l2": lambda st: sobolev_norm(divergence(st.u), 0.0),
     }
     if params.is_hyperbolic:
-        probes["E_base"] = lambda st: energy(st, params).base
-        probes["E_high"] = lambda st: energy(st, params).high
+        last = {"state": None, "report": None}  # one energy report per recorded state
+
+        def report(st):
+            if last["state"] is not st:
+                last.update(state=st, report=energy(st, params))
+            return last["report"]
+
+        probes["E_base"] = lambda st: report(st).base
+        probes["E_high"] = lambda st: report(st).high
 
     def run(outdir: str, manifest: RunManifest) -> int:
         try:

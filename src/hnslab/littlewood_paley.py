@@ -8,7 +8,11 @@ the classical theory are deliberately not emulated.
 
 The inequality verifiers measure empirical max/mean LHS/RHS ratios over seeded
 samples of band-limited fields.  They certify boundedness and record working
-constants; they cannot certify sharp analytic constants.
+constants; they cannot certify sharp analytic constants.  The sampler, the
+ratio generators and the C3 loop of `estimate_constants` work on rfftn half
+spectra: a sample is drawn by `_random_half`, its products are `_padded_half`
+and its norms `_half_norm` or quadratures of one inverse transform, and no
+`SpectralField` is built per sample.
 """
 
 from __future__ import annotations
@@ -22,19 +26,20 @@ import numpy as np
 from .spectral import (
     GridSpec,
     SpectralField,
+    _half_dealias_mask,
+    _half_derivatives,
+    _half_linf,
+    _half_norm,
     _index_magnitude,
-    dealias,
-    divergence,
+    _irfft,
+    _on_half,
+    _padded_half,
+    _random_half,
+    _rfft,
+    _sample_norm,
     gaussian_bump,
-    gradient,
-    linf_norm,
-    lp_norm,
     padded_product,
-    partial_derivative,
-    random_band_limited,
-    single_mode,
     sobolev_norm,
-    to_spectral,
 )
 
 __all__ = [
@@ -43,7 +48,6 @@ __all__ = [
     "UnsupportedNormError",
     "InconclusiveReportError",
     "decompose",
-    "partial_sum",
     "lp_sobolev_norm",
     "besov_norm",
     "paraproduct_split",
@@ -77,7 +81,10 @@ class DyadicDecomposition:
 
 
 @lru_cache(maxsize=64)
-def _annulus_masks(grid: GridSpec) -> tuple[np.ndarray, ...]:
+def _annulus_masks(grid: GridSpec, half: bool = False) -> tuple[np.ndarray, ...]:
+    """Sharp block masks on the full grid, or on the rfftn half grid if half."""
+    if half:
+        return tuple(_on_half(mask, grid) for mask in _annulus_masks(grid))
     m = _index_magnitude(grid)
     p_max = int(np.floor(np.log2(np.max(m))))
     masks = []
@@ -94,15 +101,6 @@ def decompose(F: SpectralField) -> DyadicDecomposition:
         for p, mask in enumerate(masks)
     ]
     return DyadicDecomposition(source=F, blocks=blocks, p_min=0, p_max=len(masks) - 1)
-
-
-def partial_sum(D: DyadicDecomposition, p: int) -> SpectralField:
-    """Low-pass field holding all blocks q < p (mean mode excluded)."""
-    out = SpectralField.zeros(D.source.grid, D.source.ncomp)
-    for q, blk in D.blocks:
-        if q < p:
-            out = out + blk
-    return out
 
 
 def lp_sobolev_norm(D: DyadicDecomposition, sigma: float) -> float:
@@ -226,58 +224,63 @@ class InequalityReport:
         return "name,trials,max_ratio,mean_ratio,seed,dim,n,L"
 
 
-def _probe_fields(grid: GridSpec, ncomp: int) -> list[SpectralField]:
-    """Deterministic near-extremal probes mixed into every sampler stream.
+def _probe_fields(grid: GridSpec, ncomp: int) -> list[np.ndarray]:
+    """Deterministic near-extremal probes mixed into every sampler stream, as half spectra.
 
     Gaussians of a few widths are near-optimizers of the Gagliardo-Nirenberg
     family; including them pins the empirical maxima so reported constants are
-    reproducible across seeds.
+    reproducible across seeds.  The two single modes sin(k x_0) sit on the
+    plane j = 0 of the last axis, where the half spectrum holds both k and -k.
     """
     L = grid.domain_length
+    n = grid.n_per_axis
+    mean = (slice(None), *(0,) * grid.dim)
     probes = []
     for frac in (8.0, 16.0, 32.0):
-        bump = to_spectral(gaussian_bump(grid, sigma=L / frac)).remove_mean()
-        bump = dealias(bump)
-        if ncomp == 1:
-            probes.append(bump)
-        else:
-            coeffs = np.concatenate([bump.coeffs] * ncomp)
-            probes.append(SpectralField(grid, coeffs, is_mean_zero=True))
+        bump = _rfft(gaussian_bump(grid, sigma=L / frac).values)
+        bump[mean] = 0.0
+        bump *= _half_dealias_mask(grid)
+        probes.append(np.concatenate([bump] * ncomp))
     for kidx in (1, 2):
-        idx = (kidx,) + (0,) * (grid.dim - 1)
-        probes.append(single_mode(grid, idx, component=0, ncomp=ncomp))
+        mode = np.zeros((ncomp, *grid.shape[1:], n // 2 + 1), dtype=np.complex128)
+        rest = (0,) * (grid.dim - 1)
+        mode[(0, kidx, *rest)] = 1.0 / 2j
+        mode[(0, n - kidx, *rest)] = -1.0 / 2j
+        probes.append(mode)
     return probes
 
 
 def _sample_stream(grid, rng, trials, ncomp=1, divergence_free=False):
+    """Half spectra of the probes, then of dealiased `random_band_limited` draws."""
     probes = [] if divergence_free else _probe_fields(grid, ncomp)
     for t in range(trials):
         if t < len(probes):
             yield probes[t]
         else:
             decay = rng.uniform(0.6, 3.0)
-            yield dealias(
-                random_band_limited(
-                    grid, rng, ncomp=ncomp, decay=decay, divergence_free=divergence_free
-                )
-            )
+            f = _random_half(grid, rng, ncomp=ncomp, decay=decay, divergence_free=divergence_free)
+            yield f * _half_dealias_mask(grid)
 
 
 def _ratio_div_lp(grid, rng, trials, delta, divergence_free=False, **_):
     sigma_hi = grid.dim / 2.0 + delta
     sigma_lo = sigma_hi - 1.0
+    ik = _half_derivatives(grid)
     for u in _sample_stream(grid, rng, trials, ncomp=grid.dim, divergence_free=divergence_free):
-        div_u = divergence(u)
-        prod = padded_product(div_u, u)
-        lhs = sobolev_norm(prod, sigma_lo)
-        rhs = sobolev_norm(u, sigma_hi) * linf_norm(u)
+        div_u = ik[0] * u[0]
+        for i in range(1, grid.dim):
+            div_u += ik[i] * u[i]
+        prod = _padded_half(div_u[np.newaxis], u, grid)
+        lhs = _half_norm(prod, grid, sigma_lo)
+        rhs = _half_norm(u, grid, sigma_hi) * _half_linf(u, grid)
         yield lhs, rhs
 
 
 def _ratio_ladyzhenskaya(grid, rng, trials, **_):
     for f in _sample_stream(grid, rng, trials, ncomp=1):
-        lhs = lp_norm(f, 4) ** 2
-        rhs = lp_norm(f, 2) * sobolev_norm(f, 1.0)
+        samples = _irfft(f)
+        lhs = _sample_norm(samples, grid, 4) ** 2
+        rhs = _sample_norm(samples, grid, 2) * _half_norm(f, grid, 1.0)
         yield lhs, rhs
 
 
@@ -285,39 +288,54 @@ def _ratio_besov_interp(grid, rng, trials, delta=0.5, **_):
     sigma_lo = grid.dim / 2.0 - 1.0 + delta
     sigma_hi = grid.dim / 2.0 + delta
     for f in _sample_stream(grid, rng, trials, ncomp=1):
-        lhs = linf_norm(f)
-        rhs = sobolev_norm(f, sigma_lo) ** delta * sobolev_norm(f, sigma_hi) ** (1.0 - delta)
+        lhs = _half_linf(f, grid)
+        rhs = _half_norm(f, grid, sigma_lo) ** delta
+        rhs *= _half_norm(f, grid, sigma_hi) ** (1.0 - delta)
         yield lhs, rhs
 
 
 def _ratio_tame(grid, rng, trials, s=1.5, **_):
+    mask = _half_dealias_mask(grid)
     for f in _sample_stream(grid, rng, trials, ncomp=1):
-        g = dealias(random_band_limited(grid, rng, ncomp=1, decay=rng.uniform(0.6, 3.0)))
-        prod = padded_product(f, g)
-        lhs = sobolev_norm(prod, s)
-        rhs = linf_norm(f) * sobolev_norm(g, s) + sobolev_norm(f, s) * linf_norm(g)
+        g = _random_half(grid, rng, ncomp=1, decay=rng.uniform(0.6, 3.0)) * mask
+        lhs = _half_norm(_padded_half(f, g, grid), grid, s)
+        rhs = _half_linf(f, grid) * _half_norm(g, grid, s)
+        rhs += _half_norm(f, grid, s) * _half_linf(g, grid)
         yield lhs, rhs
 
 
 def _ratio_bernstein(grid, rng, trials, **_):
     k0 = grid.k_fundamental
+    masks = _annulus_masks(grid, half=True)
     for f in _sample_stream(grid, rng, trials, ncomp=1):
-        D = decompose(f)
         best = 0.0
-        for q, blk in D.blocks:
-            l2 = sobolev_norm(blk, 0.0)
+        for q, mask in enumerate(masks):
+            blk = f * mask
+            l2 = _half_norm(blk, grid, 0.0)
             if l2 <= _RHS_FLOOR:
                 continue
-            grad_l2 = sobolev_norm(gradient(blk), 0.0)
-            ratio = grad_l2 / (k0 * 2.0**q * l2)
+            # |grad blk|_2 = |blk|_{H^1}
+            ratio = _half_norm(blk, grid, 1.0) / (k0 * 2.0**q * l2)
             best = max(best, ratio)
         yield best, 1.0
 
 
 def _ratio_l3_embedding(grid, rng, trials, **_):
     for f in _sample_stream(grid, rng, trials, ncomp=1):
-        lhs = lp_norm(f, 3)
-        rhs = sobolev_norm(f, 0.5)
+        lhs = _sample_norm(_irfft(f), grid, 3)
+        rhs = _half_norm(f, grid, 0.5)
+        yield lhs, rhs
+
+
+def _ratio_nonlinear(grid, rng, trials, delta=0.5, **_):
+    """2D nonlinearity bound |(u.grad)u|_{H^delta} <= C3 |u|_inf |u|_{H^(1+delta)}."""
+    ik = _half_derivatives(grid)
+    for u in _sample_stream(grid, rng, trials, ncomp=grid.dim):
+        conv = _padded_half(u[:1], ik[0] * u, grid)
+        for i in range(1, grid.dim):
+            conv += _padded_half(u[i : i + 1], ik[i] * u, grid)
+        lhs = _half_norm(conv, grid, delta)
+        rhs = _half_linf(u, grid) * _half_norm(u, grid, 1.0 + delta)
         yield lhs, rhs
 
 
@@ -419,16 +437,10 @@ def estimate_constants(
     ).max_ratio
     consts["C0_bernstein"] = verify_inequality("bernstein", trials, seed + 5, grid2d).max_ratio
 
-    # full 2D nonlinearity bound |(u.grad)u|_{H^delta} <= C3 |u|_inf |u|_{H^(1+delta)}
-    rng = np.random.default_rng(seed + 6)
     best = 0.0
-    for u in _sample_stream(grid2d, rng, trials, ncomp=2):
-        conv = SpectralField.zeros(grid2d, 2)
-        for i in range(2):
-            conv = conv + padded_product(u.component(i), partial_derivative(u, i))
-        rhs = linf_norm(u) * sobolev_norm(u, 1.0 + delta)
+    for lhs, rhs in _ratio_nonlinear(grid2d, np.random.default_rng(seed + 6), trials, delta):
         if rhs > _RHS_FLOOR:
-            best = max(best, sobolev_norm(conv, delta) / rhs)
+            best = max(best, lhs / rhs)
     consts["C3_nonlinear"] = best
     consts["smallness_threshold_3d"] = 1.0 / (36.0 * consts["K2"] ** 3)
     return consts

@@ -54,10 +54,9 @@ from .spectral import (
     _half,
     _half_dealias_mask,
     _half_derivatives,
-    _half_inv_k_squared,
-    _half_wavenumbers,
     _inv_k_squared,
     _irfft,
+    _q_half,
     _rfft,
     dealias,
     divergence,
@@ -321,16 +320,6 @@ def _nonlinear_half(half: np.ndarray, grid: GridSpec, solenoidal: bool = False) 
             out[j] -= ik[i] * prods[pair[i, j]]
     out *= _half_dealias_mask(grid)
     return out
-
-
-def _q_half(x: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Irrotational part k (k.x)/|k|^2 of a half spectrum, as `helmholtz_project`'s Q."""
-    ks = _half_wavenumbers(grid)
-    kdot = ks[0] * x[0]
-    for i in range(1, grid.dim):
-        kdot += ks[i] * x[i]
-    kdot *= _half_inv_k_squared(grid)
-    return np.stack([k * kdot for k in ks])
 
 
 def _forcing_half(u: np.ndarray, grid: GridSpec, params: ModelParams, nonlinearity: bool):

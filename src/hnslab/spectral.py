@@ -13,6 +13,15 @@ Every transform of the package is one of two real-to-complex helpers,
 `_half` takes the half spectrum of an array's Hermitian part, which is what
 the real field ifftn(X).real of any coefficient array X depends on.
 
+The private half-spectrum helpers carry the hot paths that never need a
+full array: `_random_half` draws `random_band_limited`'s samples,
+`_padded_half` forms `padded_product` from one padded inverse transform per
+factor and one forward transform of the product, `_q_half` is the
+irrotational projection and `_half_norm` is `sobolev_norm`, weighting each
+half-spectrum mode by its Hermitian multiplicity (1 on the planes j = 0 and
+j = n/2 of the last axis, 2 elsewhere).  The public functions are these
+helpers wrapped in `_full` and `SpectralField`.
+
 Conventions baked in here and relied on everywhere else:
 
 * wavenumber along an axis is (2*pi/L) * j with integer j in [-n/2, n/2)
@@ -46,7 +55,6 @@ __all__ = [
     "helmholtz_project",
     "lambda_power",
     "sobolev_norm",
-    "sobolev_inner",
     "lp_norm",
     "linf_norm",
     "dealias",
@@ -333,6 +341,21 @@ def _negate_leading(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _conj_mirror(coeffs: np.ndarray) -> np.ndarray:
+    """conj X(-k) of full coefficients X on the rfftn half grid (last axis j = 0..n/2)."""
+    n = coeffs.shape[-1]
+    out = np.empty((*coeffs.shape[:-1], n // 2 + 1), dtype=np.complex128)
+    # block by block: along each axis position 0 is its own mirror, and
+    # positions 1, 2, ... mirror n-1, n-2, ...
+    zero = (slice(0, 1), slice(0, 1))
+    lead = (zero, (slice(1, None), slice(None, 0, -1)))
+    last = (zero, (slice(1, None), slice(n - 1, n // 2 - 1, -1)))
+    for blocks in itertools.product(*[lead] * (coeffs.ndim - 2), last):
+        dst, src = zip(*blocks)
+        np.conjugate(coeffs[(Ellipsis, *src)], out=out[(Ellipsis, *dst)])
+    return out
+
+
 def _half(coeffs: np.ndarray) -> np.ndarray:
     """rfftn half spectrum of the Hermitian part (X(k) + conj X(-k))/2 of full coefficients.
 
@@ -340,18 +363,8 @@ def _half(coeffs: np.ndarray) -> np.ndarray:
     derivative along any axis but the last of a field with Nyquist content is
     not Hermitian, and the plain slice X[..., :n/2+1] would misread it.
     """
-    n = coeffs.shape[-1]
-    h = n // 2 + 1
-    out = np.empty((*coeffs.shape[:-1], h), dtype=np.complex128)
-    # conj X(-k), block by block: along each axis position 0 is its own
-    # mirror, and positions 1, 2, ... mirror n-1, n-2, ...
-    zero = (slice(0, 1), slice(0, 1))
-    lead = (zero, (slice(1, None), slice(None, 0, -1)))
-    last = (zero, (slice(1, None), slice(n - 1, n // 2 - 1, -1)))
-    for blocks in itertools.product(*[lead] * (coeffs.ndim - 2), last):
-        dst, src = zip(*blocks)
-        np.conjugate(coeffs[(Ellipsis, *src)], out=out[(Ellipsis, *dst)])
-    out += coeffs[..., :h]
+    out = _conj_mirror(coeffs)
+    out += coeffs[..., : out.shape[-1]]
     out *= 0.5
     return out
 
@@ -409,6 +422,16 @@ def _half_derivatives(grid: GridSpec) -> tuple[np.ndarray, ...]:
         ik.flat[h - 1] = 0.0  # the Nyquist index n/2
         out.append(ik)
     return tuple(out)
+
+
+def _q_half(x: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Irrotational part k (k.x)/|k|^2 of a half spectrum, as `helmholtz_project`'s Q."""
+    ks = _half_wavenumbers(grid)
+    kdot = ks[0] * x[0]
+    for i in range(1, grid.dim):
+        kdot += ks[i] * x[i]
+    kdot *= _half_inv_k_squared(grid)
+    return np.stack([k * kdot for k in ks])
 
 
 def to_spectral(f: PhysicalField) -> SpectralField:
@@ -489,13 +512,33 @@ def lambda_power(F: SpectralField, sigma: float) -> SpectralField:
     return SpectralField(F.grid, F.coeffs * mult, is_mean_zero=True)
 
 
+@lru_cache(maxsize=32)
 def _sobolev_weight(grid: GridSpec, sigma: float) -> np.ndarray:
+    """|k|^(2 sigma), with 0 at k = 0 unless sigma = 0 (read-only: the array is shared)."""
     ka = k_abs(grid)
     if sigma == 0:
-        return np.ones_like(ka)
-    w = np.zeros_like(ka)
-    nonzero = ka > 0
-    w[nonzero] = ka[nonzero] ** (2.0 * sigma)
+        w = np.ones_like(ka)
+    else:
+        w = np.zeros_like(ka)
+        nonzero = ka > 0
+        w[nonzero] = ka[nonzero] ** (2.0 * sigma)
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=32)
+def _half_sobolev_weight(grid: GridSpec, sigma: float) -> np.ndarray:
+    """`_sobolev_weight` on the half grid times each mode's Hermitian multiplicity.
+
+    A half-spectrum coefficient off the self-conjugate planes j = 0 and
+    j = n/2 of the last axis stands for itself and its mirror image -k, so
+    it counts twice in the full Plancherel sum (read-only: the array is shared).
+    """
+    n = grid.n_per_axis
+    multiplicity = np.full(n // 2 + 1, 2.0)
+    multiplicity[[0, n // 2]] = 1.0
+    w = _on_half(_sobolev_weight(grid, sigma), grid) * multiplicity
+    w.flags.writeable = False
     return w
 
 
@@ -507,32 +550,38 @@ def sobolev_norm(F: SpectralField, sigma: float) -> float:
     """
     if sigma < 0 and not F.is_mean_zero:
         raise SingularMultiplierError("negative-order norm requires a mean-zero field")
-    w = _sobolev_weight(F.grid, sigma)
-    total = float(np.sum(w * np.sum(np.abs(F.coeffs) ** 2, axis=0)))
+    power = np.sum(np.abs(F.coeffs) ** 2, axis=0)
+    if sigma != 0:
+        power *= _sobolev_weight(F.grid, sigma)
+    total = float(np.sum(power))
     return float(np.sqrt(F.grid.domain_length**F.grid.dim * total))
 
 
-def sobolev_inner(F: SpectralField, G: SpectralField, sigma: float = 0.0) -> float:
-    """Real L2-type inner product with |k|^(2 sigma) weight."""
-    F._check_same_grid(G)
-    w = _sobolev_weight(F.grid, sigma)
-    total = float(np.sum(w * np.sum((np.conj(F.coeffs) * G.coeffs).real, axis=0)))
-    return F.grid.domain_length**F.grid.dim * total
+def _half_norm(half: np.ndarray, grid: GridSpec, sigma: float) -> float:
+    """`sobolev_norm` of the real field whose rfftn half spectrum is `half`."""
+    total = float(np.sum(_half_sobolev_weight(grid, sigma) * np.sum(np.abs(half) ** 2, axis=0)))
+    return float(np.sqrt(grid.domain_length**grid.dim * total))
 
 
-def _pointwise_magnitude(f: PhysicalField) -> np.ndarray:
-    return np.sqrt(np.sum(f.values**2, axis=0))
+def _sample_norm(values: np.ndarray, grid: GridSpec, p: float) -> float:
+    """L^p norm of real samples (ncomp, n, ...) by grid quadrature of the pointwise magnitude."""
+    mag = np.sqrt(np.sum(values**2, axis=0))
+    if np.isinf(p):
+        return float(np.max(mag))
+    cell = grid.spacing**grid.dim
+    return float((np.sum(mag**p) * cell) ** (1.0 / p))
+
+
+def _half_linf(half: np.ndarray, grid: GridSpec) -> float:
+    """`linf_norm` of the real field whose rfftn half spectrum is `half`."""
+    return _sample_norm(_irfft(half), grid, np.inf)
 
 
 def lp_norm(f: PhysicalField | SpectralField, p: float) -> float:
     """L^p norm by grid quadrature of the pointwise Euclidean magnitude."""
     if isinstance(f, SpectralField):
         f = to_physical(f)
-    mag = _pointwise_magnitude(f)
-    if np.isinf(p):
-        return float(np.max(mag))
-    cell = f.grid.spacing**f.grid.dim
-    return float((np.sum(mag**p) * cell) ** (1.0 / p))
+    return _sample_norm(f.values, f.grid, p)
 
 
 def linf_norm(f: PhysicalField | SpectralField) -> float:
@@ -562,15 +611,63 @@ def spectral_product(F: SpectralField, G: SpectralField) -> SpectralField:
     return dealias(to_spectral(PhysicalField(F.grid, vals)))
 
 
-def _pad_coeffs(coeffs: np.ndarray, n: int, m: int, dim: int) -> np.ndarray:
-    big = np.zeros((coeffs.shape[0],) + (m,) * dim, dtype=np.complex128)
-    half = n // 2
-    idx = np.r_[0:half, m - half : m]
-    src = np.r_[0:half, n - half : n]
-    sel_dst = np.ix_(range(coeffs.shape[0]), *([idx] * dim))
-    sel_src = np.ix_(range(coeffs.shape[0]), *([src] * dim))
-    big[sel_dst] = coeffs[sel_src]
-    return big
+def _lead_blocks(grid: GridSpec, up: int) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
+    """(n-grid, 2n-grid) slices of the leading axes placing n-grid modes on the 2n grid.
+
+    Every mode j with |j| < n/2 keeps its index; the Nyquist index n/2 goes to
+    -n/2 when up is 0 and to +n/2 when up is 1.
+    """
+    n = grid.n_per_axis
+    c = n // 2 + up
+    axis = ((slice(0, c), slice(0, c)), (slice(c, n), slice(n + c, 2 * n)))
+    return [tuple(zip(*blocks)) for blocks in itertools.product(axis, repeat=grid.dim - 1)]
+
+
+def _padded_samples(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Samples on the 2n grid of the real field ifftn(P).real of the zero-padded coefficients P.
+
+    P holds each n-grid mode at the same index and the Nyquist index n/2 at
+    -n/2.  Its Hermitian part (P(K) + conj P(-K))/2 therefore keeps every
+    mode |j| < n/2 and halves each Nyquist mode between -n/2 (from P) and
+    +n/2 (from conj P(-K)) on the leading axes; the last axis stores only
+    +n/2.  `c` is a half spectrum, or full coefficients X, which a
+    derivative can leave non-Hermitian on a Nyquist plane: P is then read
+    through X itself and conj X(-k), as the full-grid padding does.
+    """
+    n = grid.n_per_axis
+    h = n // 2 + 1
+    x, y = (c, c) if c.shape[-1] == h else (c[..., :h], _conj_mirror(c))
+    big = np.zeros((c.shape[0], *(2 * n,) * (grid.dim - 1), n + 1), dtype=np.complex128)
+    for up, src, last in ((0, x, slice(0, h - 1)), (1, y, slice(0, h))):
+        for small, large in _lead_blocks(grid, up):
+            big[(slice(None), *large, last)] += src[(slice(None), *small, last)]
+    big *= 0.5
+    return _irfft(big)
+
+
+def _padded_half(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Half spectrum of the alias-free truncated product of two factors.
+
+    The factors are zero-padded to the 2n grid (`_padded_samples`: each a
+    half spectrum, or full coefficients), multiplied there and transformed
+    once.  The truncation T reads each n-grid mode at the same 2n-grid index
+    and the Nyquist index n/2 at -n/2; the result is the half spectrum of
+    T's Hermitian part (T(k) + conj T(-k))/2, as `_half` takes it.
+    """
+    big = _rfft(_product_values(_padded_samples(a, grid), _padded_samples(b, grid)))
+    h = grid.n_per_axis // 2 + 1
+    lo, hi = (np.empty((big.shape[0], *grid.shape[1:], h), dtype=np.complex128) for _ in range(2))
+    for up, out in ((0, lo), (1, hi)):
+        for small, large in _lead_blocks(grid, up):
+            out[(slice(None), *small)] = big[(slice(None), *large, slice(0, h))]
+    # lo reads a leading Nyquist index at -n/2 and hi at +n/2, so conj T(-k)
+    # is hi for 0 < j < n/2; on the planes j = 0 and j = n/2, which hold
+    # both k and -k, it is a conjugated mirror entry
+    out = lo + hi
+    out[..., :1] = lo[..., :1] + np.conj(_negate_leading(lo[..., :1]))
+    out[..., -1:] = np.conj(_negate_leading(hi[..., -1:])) + hi[..., -1:]
+    out *= 0.5
+    return out
 
 
 def padded_product(F: SpectralField, G: SpectralField) -> SpectralField:
@@ -582,23 +679,7 @@ def padded_product(F: SpectralField, G: SpectralField) -> SpectralField:
     against which dealiased collocation products are checked.
     """
     F._check_same_grid(G)
-    grid = F.grid
-    n = grid.n_per_axis
-    m = 2 * n
-    fa = _irfft(_half(_pad_coeffs(F.coeffs, n, m, grid.dim)))
-    fb = _irfft(_half(_pad_coeffs(G.coeffs, n, m, grid.dim)))
-    big = _rfft(_product_values(fa, fb))
-    # n-grid mode j sits at m-grid position keep[j]; the last axis past n/2
-    # comes from the mirrored half spectrum
-    half = n // 2
-    keep = np.r_[0:half, m - half : m]
-    comps = range(big.shape[0])
-    lead = [keep] * (grid.dim - 1)
-    out = np.empty((big.shape[0], *grid.shape), dtype=np.complex128)
-    out[..., :half] = big[np.ix_(comps, *lead, range(half))]
-    neg = [(-keep) % m] * (grid.dim - 1)
-    out[..., half:] = big[np.ix_(comps, *neg, range(half, 0, -1))].conj()
-    return SpectralField(grid, _full(_half(out)))
+    return SpectralField(F.grid, _full(_padded_half(F.coeffs, G.coeffs, F.grid)))
 
 
 def single_mode(
@@ -642,6 +723,21 @@ def random_band_limited(
     Hermitian-symmetrized, optionally Leray-projected, and rescaled so the
     max pointwise magnitude equals `amplitude`.
     """
+    half = _random_half(grid, rng, ncomp, kmin, kmax, decay, amplitude, divergence_free)
+    return SpectralField(grid, _full(half), is_mean_zero=True)
+
+
+def _random_half(
+    grid: GridSpec,
+    rng: np.random.Generator,
+    ncomp: int = 1,
+    kmin: int = 1,
+    kmax: int | None = None,
+    decay: float = 2.0,
+    amplitude: float = 1.0,
+    divergence_free: bool = False,
+) -> np.ndarray:
+    """rfftn half spectrum of `random_band_limited`: the same draws, projected on the half grid."""
     if kmax is None:
         kmax = int(np.floor(grid.dealias_fraction * (grid.n_per_axis // 2)))
     m = _index_magnitude(grid)
@@ -649,15 +745,17 @@ def random_band_limited(
     envelope = np.zeros_like(m)
     envelope[band] = m[band] ** (-decay)
     shape = (ncomp, *grid.shape)
-    raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    coeffs = _full(_half(raw * envelope))
-    F = SpectralField(grid, coeffs).remove_mean()
+    raw = np.empty(shape, dtype=np.complex128)
+    raw.real = rng.normal(size=shape)
+    raw.imag = rng.normal(size=shape)
+    half = _half(raw * envelope)
+    half[(slice(None), *(0,) * grid.dim)] = 0.0
     if divergence_free:
-        F = helmholtz_project(F, "P")
-    peak = linf_norm(F)
+        half -= _q_half(half, grid)
+    peak = _half_linf(half, grid)
     if peak > 0:
-        F = F * (amplitude / peak)
-    return F
+        half *= amplitude / peak
+    return half
 
 
 def _torus_distance_sq(grid: GridSpec, center: tuple[float, ...]) -> np.ndarray:

@@ -7,7 +7,10 @@ collocation product per component plus one for (div u) u, the exact
 linear flow as both Helmholtz projections of each datum per branch on the
 full spectrum, and the ETD2 and RK4 steps on full-spectrum fields with
 full-grid tables.  The general form of the nonlinear term is the oracle of
-the divergence form the constrained models' forcing takes.  Full-band fields
+the divergence form the constrained models' forcing takes.  The
+Littlewood-Paley sampler, its ratio generators and the C3 loop of
+`estimate_constants` are checked against their full-spectrum forms, built on
+`SpectralField`s and the complex padded product.  Full-band fields
 (kmax = n) carry Nyquist content, where a derivative along any axis but the
 last is not Hermitian, and neither is a Helmholtz projection.
 """
@@ -16,9 +19,11 @@ import numpy as np
 import pytest
 
 import hnslab.experiments as experiments
+import hnslab.littlewood_paley as littlewood_paley
 import hnslab.solvers as solvers
 import hnslab.spectral as spectral
 from hnslab.experiments import BumpSpec, FrontReport, finite_speed_experiment, support_radius
+from hnslab.littlewood_paley import INEQUALITY_NAMES, decompose, verify_inequality
 from hnslab.solvers import (
     Model,
     ModelParams,
@@ -35,15 +40,21 @@ from hnslab.spectral import (
     SpectralField,
     _full,
     _half,
+    _index_magnitude,
+    _padded_half,
     dealias,
     divergence,
+    gaussian_bump,
     gradient,
     helmholtz_project,
     k_squared,
     laplacian,
+    linf_norm,
+    lp_norm,
     padded_product,
     partial_derivative,
     random_band_limited,
+    single_mode,
     sobolev_norm,
     to_physical,
     to_spectral,
@@ -548,7 +559,7 @@ CONSTRAINED_IDS = STEP_IDS[:2]
 def general_forcing(half, grid):
     """`_forcing_half` of the constrained models with the general form of the nonlinear term."""
     f = solvers._nonlinear_half(half, grid)
-    f -= solvers._q_half(f, grid)
+    f -= spectral._q_half(f, grid)
     f[(slice(None), *(0,) * grid.dim)] = 0.0
     return f
 
@@ -630,3 +641,200 @@ def test_forcing_transform_batches(grid, params, fraction, solenoidal, monkeypat
     half = (*g.shape[:-1], g.n_per_axis // 2 + 1)
     expect = [("irfftn", (n_inverse, *half)), ("rfftn", (n_forward, *g.shape))] * 4
     assert calls == expect, calls
+
+
+# ---------------------------------------------------------------------------
+# Littlewood-Paley samples on the half spectrum
+# ---------------------------------------------------------------------------
+
+
+def random_band_limited_oracle(
+    grid, rng, ncomp=1, kmin=1, kmax=None, decay=2.0, amplitude=1.0, divergence_free=False
+):
+    """The full-spectrum sampler: completion, full-grid projection, peak of the completed field."""
+    if kmax is None:
+        kmax = int(np.floor(grid.dealias_fraction * (grid.n_per_axis // 2)))
+    m = _index_magnitude(grid)
+    band = (m >= kmin) & (m <= kmax)
+    envelope = np.zeros_like(m)
+    envelope[band] = m[band] ** (-decay)
+    shape = (ncomp, *grid.shape)
+    raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    F = SpectralField(grid, _full(_half(raw * envelope))).remove_mean()
+    if divergence_free:
+        F = helmholtz_project(F, "P")
+    peak = linf_norm(F)
+    return F * (amplitude / peak) if peak > 0 else F
+
+
+def padded_oracle(F, G):
+    return SpectralField(F.grid, padded_product_oracle(F, G))
+
+
+def probe_fields_oracle(grid, ncomp):
+    L = grid.domain_length
+    probes = []
+    for frac in (8.0, 16.0, 32.0):
+        bump = dealias(to_spectral(gaussian_bump(grid, sigma=L / frac)).remove_mean())
+        probes.append(SpectralField(grid, np.concatenate([bump.coeffs] * ncomp), is_mean_zero=True))
+    for kidx in (1, 2):
+        probes.append(single_mode(grid, (kidx,) + (0,) * (grid.dim - 1), component=0, ncomp=ncomp))
+    return probes
+
+
+def sample_stream_oracle(grid, rng, trials, ncomp=1, divergence_free=False):
+    probes = [] if divergence_free else probe_fields_oracle(grid, ncomp)
+    for t in range(trials):
+        if t < len(probes):
+            yield probes[t]
+        else:
+            decay = rng.uniform(0.6, 3.0)
+            yield dealias(
+                random_band_limited_oracle(
+                    grid, rng, ncomp=ncomp, decay=decay, divergence_free=divergence_free
+                )
+            )
+
+
+def div_lp_oracle(grid, rng, trials, delta, divergence_free=False, **_):
+    sigma_hi = grid.dim / 2.0 + delta
+    for u in sample_stream_oracle(grid, rng, trials, grid.dim, divergence_free):
+        prod = padded_oracle(divergence(u), u)
+        yield sobolev_norm(prod, sigma_hi - 1.0), sobolev_norm(u, sigma_hi) * linf_norm(u)
+
+
+def ladyzhenskaya_oracle(grid, rng, trials, **_):
+    for f in sample_stream_oracle(grid, rng, trials):
+        yield lp_norm(f, 4) ** 2, lp_norm(f, 2) * sobolev_norm(f, 1.0)
+
+
+def besov_interp_oracle(grid, rng, trials, delta=0.5, **_):
+    sigma_lo = grid.dim / 2.0 - 1.0 + delta
+    for f in sample_stream_oracle(grid, rng, trials):
+        rhs = sobolev_norm(f, sigma_lo) ** delta * sobolev_norm(f, sigma_lo + 1.0) ** (1.0 - delta)
+        yield linf_norm(f), rhs
+
+
+def tame_oracle(grid, rng, trials, s=1.5, **_):
+    for f in sample_stream_oracle(grid, rng, trials):
+        g = dealias(random_band_limited_oracle(grid, rng, ncomp=1, decay=rng.uniform(0.6, 3.0)))
+        lhs = sobolev_norm(padded_oracle(f, g), s)
+        yield lhs, linf_norm(f) * sobolev_norm(g, s) + sobolev_norm(f, s) * linf_norm(g)
+
+
+def bernstein_oracle(grid, rng, trials, **_):
+    for f in sample_stream_oracle(grid, rng, trials):
+        best = 0.0
+        for q, blk in decompose(f).blocks:
+            l2 = sobolev_norm(blk, 0.0)
+            if l2 > 1e-300:
+                ratio = sobolev_norm(gradient(blk), 0.0) / (grid.k_fundamental * 2.0**q * l2)
+                best = max(best, ratio)
+        yield best, 1.0
+
+
+def l3_embedding_oracle(grid, rng, trials, **_):
+    for f in sample_stream_oracle(grid, rng, trials):
+        yield lp_norm(f, 3), sobolev_norm(f, 0.5)
+
+
+def nonlinear_oracle_ratio(grid, rng, trials, delta=0.5, **_):
+    """The C3 loop of `estimate_constants`: (u.grad)u from one padded product per component."""
+    for u in sample_stream_oracle(grid, rng, trials, grid.dim):
+        conv = SpectralField.zeros(grid, grid.dim)
+        for i in range(grid.dim):
+            conv = conv + padded_oracle(u.component(i), partial_derivative(u, i))
+        yield sobolev_norm(conv, delta), linf_norm(u) * sobolev_norm(u, 1.0 + delta)
+
+
+RATIO_CASES = [
+    ("div_lp", div_lp_oracle, {"delta": 0.5}),
+    ("div_lp", div_lp_oracle, {"delta": 0.5, "divergence_free": True}),
+    ("ladyzhenskaya", ladyzhenskaya_oracle, {}),
+    ("besov_interp", besov_interp_oracle, {"delta": 0.5}),
+    ("tame", tame_oracle, {"s": 1.5}),
+    ("bernstein", bernstein_oracle, {}),
+    ("l3_embedding", l3_embedding_oracle, {}),
+    ("nonlinear", nonlinear_oracle_ratio, {"delta": 0.5}),
+]
+RATIO_IDS = ["div_lp", "div_lp-div_free", "ladyzhenskaya", "besov_interp", "tame", "bernstein",
+             "l3_embedding", "nonlinear"]  # fmt: skip
+LP_GRIDS = [GridSpec(2, 32), GridSpec(3, 16)]
+LP_TRIALS = 15
+
+
+def ratio_generator(name):
+    if name == "nonlinear":
+        return littlewood_paley._ratio_nonlinear
+    return littlewood_paley._RATIO_GENERATORS[name]
+
+
+@pytest.mark.parametrize("name, oracle, params", RATIO_CASES, ids=RATIO_IDS)
+@pytest.mark.parametrize("grid", LP_GRIDS, ids=["2d32", "3d16"])
+def test_ratio_pairs_match_full_spectrum(grid, name, oracle, params):
+    # 5 probes (none with divergence_free) and 10 or more random samples
+    got = list(ratio_generator(name)(grid, np.random.default_rng(31), LP_TRIALS, **params))
+    want = list(oracle(grid, np.random.default_rng(31), LP_TRIALS, **params))
+    assert len(got) == len(want) == LP_TRIALS
+    for pair, expect in zip(got, want):
+        for g, w in zip(pair, expect):
+            assert abs(g - w) <= RTOL * abs(w), (pair, expect)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"divergence_free": True}, {"decay": 0.7, "amplitude": 0.3}, {"kmin": 3}, {"kmax": 16}],
+    ids=["default", "div_free", "decay", "kmin", "full_band"],
+)
+def test_random_band_limited_matches_full_spectrum(grid, kwargs):
+    rng, rng_oracle = np.random.default_rng(8), np.random.default_rng(8)
+    got = random_band_limited(grid, rng, ncomp=grid.dim, **kwargs)
+    want = random_band_limited_oracle(grid, rng_oracle, ncomp=grid.dim, **kwargs)
+    assert_close(got.coeffs, want.coeffs)
+    assert rng.random() == rng_oracle.random()  # the same draws
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_projected_full_band_sample_is_hermitian(grid):
+    # a full-grid Leray projection breaks the Hermitian symmetry on the
+    # Nyquist planes; the sampler projects its half spectrum instead
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        F = random_band_limited(grid, rng, ncomp=grid.dim, kmax=grid.n_per_axis, divergence_free=True)
+        c = F.coeffs
+        assert np.array_equal(_full(_half(c)), c)
+        assert np.max(np.abs(c[:, grid.n_per_axis // 2])) > 0  # it has Nyquist content
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_padded_half_of_hermitian_full_band(grid):
+    # half spectra with Nyquist content are padded as their completed full arrays are
+    f = full_band(grid, 4)
+    v = full_band(grid, 5, ncomp=grid.dim)
+    for F, G in [(f, v), (v, v), (f, f)]:
+        got = _full(_padded_half(_half(F.coeffs), _half(G.coeffs), grid))
+        assert_close(got, padded_product_oracle(F, G))
+
+
+@pytest.mark.parametrize("name", INEQUALITY_NAMES)
+def test_verify_inequality_builds_no_field(name, monkeypatch):
+    grid = GridSpec(3, 8) if name == "l3_embedding" else GridSpec(2, 16)
+    fields, completions = [], []
+    init = SpectralField.__init__
+
+    def counting_init(self, *args, **kwargs):
+        fields.append(type(self))
+        init(self, *args, **kwargs)
+
+    def counting_full(half):
+        completions.append(half.shape)
+        return _full(half)
+
+    monkeypatch.setattr(SpectralField, "__init__", counting_init)
+    for module in (spectral, littlewood_paley):
+        monkeypatch.setattr(module, "_full", counting_full, raising=False)
+    report = verify_inequality(name, 8, 3, grid)
+    assert report.samples + report.skipped == 8
+    assert fields == []
+    assert completions == []

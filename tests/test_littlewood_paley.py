@@ -13,20 +13,35 @@ from hnslab.littlewood_paley import (
     estimate_constants,
     lp_sobolev_norm,
     paraproduct_split,
-    partial_sum,
     verify_inequality,
 )
 from hnslab.spectral import (
     GridSpec,
     SpectralField,
     _index_magnitude,
+    _sobolev_weight,
     dealias,
     padded_product,
     random_band_limited,
     single_mode,
-    sobolev_inner,
     sobolev_norm,
 )
+
+
+def partial_sum(D, p):
+    """Low-pass field holding all blocks q < p (mean mode excluded)."""
+    out = SpectralField.zeros(D.source.grid, D.source.ncomp)
+    for q, blk in D.blocks:
+        if q < p:
+            out = out + blk
+    return out
+
+
+def sobolev_inner(F, G, sigma=0.0):
+    """Real L2-type inner product with |k|^(2 sigma) weight."""
+    w = _sobolev_weight(F.grid, sigma)
+    total = float(np.sum(w * np.sum((np.conj(F.coeffs) * G.coeffs).real, axis=0)))
+    return F.grid.domain_length**F.grid.dim * total
 
 
 class TestDecompose:
