@@ -31,10 +31,9 @@ from .energies import modulated_energy
 from .solvers import (
     Model,
     ModelParams,
-    SolverState,
     StepperConfig,
-    _half_split,
     _linear_flow,
+    _split,
     run_simulation,
 )
 from .spectral import (
@@ -49,6 +48,8 @@ from .spectral import (
     gaussian_bump,
     gradient,
     helmholtz_project,
+    k_abs,
+    linf_norm,
     random_band_limited,
     read_snapshot,
     sobolev_norm,
@@ -133,8 +134,6 @@ def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
 
 
 def _epsilon_cutoff(F: SpectralField, epsilon: float) -> SpectralField:
-    from .spectral import k_abs
-
     keep = np.sqrt(epsilon) * k_abs(F.grid) < 1.0
     return SpectralField(F.grid, F.coeffs * keep, is_mean_zero=True)
 
@@ -345,10 +344,6 @@ def _aligned_dt(cfg: SweepConfig, params: ModelParams) -> tuple[float, int]:
     return dt, cad
 
 
-def _ref_table(result) -> dict[int, SolverState]:
-    return {i: st for i, st in enumerate(result.states)}
-
-
 def _run_alpha_point(cfg: SweepConfig, value: float, data, ref_states, dt: float, cad: int):
     u0, u1 = data
     params = _model_for(cfg, value)
@@ -390,9 +385,8 @@ def sweep_alpha(cfg: SweepConfig) -> SweepResult:
     dt, cad = _aligned_dt(cfg, ref_params)
     scfg = StepperConfig(dt=dt, t_end=cfg.T_final, snapshot_every=cad)
     ref = run_simulation(data[0], data[1], ref_params, scfg, keep_states=True)
-    ref_states = _ref_table(ref)
 
-    args = [(cfg, v, data, ref_states, dt, cad) for v in cfg.values]
+    args = [(cfg, v, data, ref.states, dt, cad) for v in cfg.values]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             points = list(pool.map(_alpha_point_star, args))
@@ -462,9 +456,8 @@ def sweep_epsilon(cfg: SweepConfig) -> SweepResult:
     dt_ref = cfg.snapshot_every_t / cad_ref
     ref_cfg = StepperConfig(dt=dt_ref, t_end=cfg.T_final, snapshot_every=cad_ref)
     ref = run_simulation(v0, None, ns, ref_cfg, keep_states=True)
-    ref_states = _ref_table(ref)
 
-    args = [(cfg, v, v0, ref_states) for v in cfg.values]
+    args = [(cfg, v, v0, ref.states) for v in cfg.values]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             points = list(pool.map(_epsilon_point_star, args))
@@ -525,7 +518,8 @@ def support_radius(f: PhysicalField, center: tuple[float, ...], threshold: float
     return float(np.max(dist[above]))
 
 
-def _bump_data(spec: BumpSpec, grid: GridSpec) -> SpectralField:
+def _bump_data(spec: BumpSpec, grid: GridSpec) -> tuple[SpectralField, PhysicalField]:
+    """The bump's coefficients and samples, scaled to peak magnitude spec.amplitude."""
     sigma = spec.sigma if spec.sigma is not None else grid.domain_length / 40.0
     center = spec.center or (grid.domain_length / 2.0,) * grid.dim
     phi = to_spectral(gaussian_bump(grid, sigma, center)).remove_mean()
@@ -544,10 +538,12 @@ def _bump_data(spec: BumpSpec, grid: GridSpec) -> SpectralField:
     else:  # mixed
         u0 = grad_phi + sol
     u0 = dealias(u0)
-    from .spectral import linf_norm
-
-    peak = linf_norm(u0)
-    return u0 * (spec.amplitude / peak) if peak > 0 else u0
+    phys = to_physical(u0)
+    peak = linf_norm(phys)
+    if peak == 0:
+        return u0, phys
+    scale = spec.amplitude / peak
+    return u0 * scale, PhysicalField(grid, phys.values * scale)
 
 
 def finite_speed_experiment(
@@ -571,13 +567,12 @@ def finite_speed_experiment(
     if params.model is not Model.HNS_EPS_ALPHA:
         raise ValueError("the front experiment runs the penalized model")
     center = bump_spec.center or (grid.domain_length / 2.0,) * grid.dim
-    u0 = _bump_data(bump_spec, grid)
+    u0, phys0 = _bump_data(bump_spec, grid)
     c1 = params.c1
     branch_speed = c1 if bump_spec.kind == "gradient" else params.c2
     if bump_spec.kind == "mixed":
         branch_speed = c1
 
-    phys0 = to_physical(u0)
     theta = threshold_factor * float(np.max(np.sqrt(np.sum(phys0.values**2, axis=0))))
     R0 = support_radius(phys0, center, theta)
     L = grid.domain_length
@@ -594,7 +589,7 @@ def finite_speed_experiment(
     times = np.linspace(0.0, t_end, n_samples + 1)
     radii: list[float] = []
     bounds: list[float] = []
-    parts = _half_split(u0)  # u1 = 0: no split, no multiply
+    parts = _split(u0)  # u1 = 0: no split, no multiply
     for t in times:
         u, _ = _linear_flow(params, grid, float(t), damping, parts, None, rate=False)
         mag = np.sqrt(np.sum(_irfft(u) ** 2, axis=0))

@@ -9,9 +9,9 @@ the classical theory are deliberately not emulated.
 The inequality verifiers measure empirical max/mean LHS/RHS ratios over seeded
 samples of band-limited fields.  They certify boundedness and record working
 constants; they cannot certify sharp analytic constants.  The sampler, the
-ratio generators and the C3 loop of `estimate_constants` work on rfftn half
-spectra: a sample is drawn by `_random_half`, its products are `_padded_half`
-and its norms `_half_norm` or quadratures of one inverse transform, and no
+ratio generators and the C3 loop of `estimate_constants` work on coefficient
+arrays: a sample is drawn by `_random_half`, its products are `_padded_half`
+and its norms `_norm` or quadratures of one inverse transform, and no
 `SpectralField` is built per sample.
 """
 
@@ -26,17 +26,16 @@ import numpy as np
 from .spectral import (
     GridSpec,
     SpectralField,
-    _half_dealias_mask,
-    _half_derivatives,
-    _half_linf,
-    _half_norm,
+    _derivatives,
     _index_magnitude,
     _irfft,
-    _on_half,
+    _linf,
+    _norm,
     _padded_half,
     _random_half,
     _rfft,
     _sample_norm,
+    dealias_mask,
     gaussian_bump,
     padded_product,
     sobolev_norm,
@@ -81,10 +80,8 @@ class DyadicDecomposition:
 
 
 @lru_cache(maxsize=64)
-def _annulus_masks(grid: GridSpec, half: bool = False) -> tuple[np.ndarray, ...]:
-    """Sharp block masks on the full grid, or on the rfftn half grid if half."""
-    if half:
-        return tuple(_on_half(mask, grid) for mask in _annulus_masks(grid))
+def _annulus_masks(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Sharp block masks, one per dyadic block."""
     m = _index_magnitude(grid)
     p_max = int(np.floor(np.log2(np.max(m))))
     masks = []
@@ -177,7 +174,7 @@ def paraproduct_split(u: SpectralField, v: SpectralField) -> tuple[SpectralField
         if np.any(blk.coeffs) and np.any(low.coeffs):
             half2 = half2 + padded_product(blk, low)
     # mean-times-mean has no block home; add it to half1
-    mm = np.zeros((ncomp, *grid.shape), dtype=np.complex128)
+    mm = np.zeros((ncomp, *grid.spectral_shape), dtype=np.complex128)
     zero = (slice(None),) + (0,) * grid.dim
     mm[zero] = (mean_u.coeffs * mean_v.coeffs)[zero]
     half1 = half1 + SpectralField(grid, mm)
@@ -225,7 +222,7 @@ class InequalityReport:
 
 
 def _probe_fields(grid: GridSpec, ncomp: int) -> list[np.ndarray]:
-    """Deterministic near-extremal probes mixed into every sampler stream, as half spectra.
+    """Deterministic near-extremal probes mixed into every sampler stream, as coefficients.
 
     Gaussians of a few widths are near-optimizers of the Gagliardo-Nirenberg
     family; including them pins the empirical maxima so reported constants are
@@ -239,10 +236,10 @@ def _probe_fields(grid: GridSpec, ncomp: int) -> list[np.ndarray]:
     for frac in (8.0, 16.0, 32.0):
         bump = _rfft(gaussian_bump(grid, sigma=L / frac).values)
         bump[mean] = 0.0
-        bump *= _half_dealias_mask(grid)
+        bump *= dealias_mask(grid)
         probes.append(np.concatenate([bump] * ncomp))
     for kidx in (1, 2):
-        mode = np.zeros((ncomp, *grid.shape[1:], n // 2 + 1), dtype=np.complex128)
+        mode = np.zeros((ncomp, *grid.spectral_shape), dtype=np.complex128)
         rest = (0,) * (grid.dim - 1)
         mode[(0, kidx, *rest)] = 1.0 / 2j
         mode[(0, n - kidx, *rest)] = -1.0 / 2j
@@ -251,7 +248,7 @@ def _probe_fields(grid: GridSpec, ncomp: int) -> list[np.ndarray]:
 
 
 def _sample_stream(grid, rng, trials, ncomp=1, divergence_free=False):
-    """Half spectra of the probes, then of dealiased `random_band_limited` draws."""
+    """Coefficients of the probes, then of dealiased `random_band_limited` draws."""
     probes = [] if divergence_free else _probe_fields(grid, ncomp)
     for t in range(trials):
         if t < len(probes):
@@ -259,20 +256,20 @@ def _sample_stream(grid, rng, trials, ncomp=1, divergence_free=False):
         else:
             decay = rng.uniform(0.6, 3.0)
             f = _random_half(grid, rng, ncomp=ncomp, decay=decay, divergence_free=divergence_free)
-            yield f * _half_dealias_mask(grid)
+            yield f * dealias_mask(grid)
 
 
 def _ratio_div_lp(grid, rng, trials, delta, divergence_free=False, **_):
     sigma_hi = grid.dim / 2.0 + delta
     sigma_lo = sigma_hi - 1.0
-    ik = _half_derivatives(grid)
+    ik = _derivatives(grid)
     for u in _sample_stream(grid, rng, trials, ncomp=grid.dim, divergence_free=divergence_free):
         div_u = ik[0] * u[0]
         for i in range(1, grid.dim):
             div_u += ik[i] * u[i]
         prod = _padded_half(div_u[np.newaxis], u, grid)
-        lhs = _half_norm(prod, grid, sigma_lo)
-        rhs = _half_norm(u, grid, sigma_hi) * _half_linf(u, grid)
+        lhs = _norm(prod, grid, sigma_lo)
+        rhs = _norm(u, grid, sigma_hi) * _linf(u, grid)
         yield lhs, rhs
 
 
@@ -280,7 +277,7 @@ def _ratio_ladyzhenskaya(grid, rng, trials, **_):
     for f in _sample_stream(grid, rng, trials, ncomp=1):
         samples = _irfft(f)
         lhs = _sample_norm(samples, grid, 4) ** 2
-        rhs = _sample_norm(samples, grid, 2) * _half_norm(f, grid, 1.0)
+        rhs = _sample_norm(samples, grid, 2) * _norm(f, grid, 1.0)
         yield lhs, rhs
 
 
@@ -288,34 +285,34 @@ def _ratio_besov_interp(grid, rng, trials, delta=0.5, **_):
     sigma_lo = grid.dim / 2.0 - 1.0 + delta
     sigma_hi = grid.dim / 2.0 + delta
     for f in _sample_stream(grid, rng, trials, ncomp=1):
-        lhs = _half_linf(f, grid)
-        rhs = _half_norm(f, grid, sigma_lo) ** delta
-        rhs *= _half_norm(f, grid, sigma_hi) ** (1.0 - delta)
+        lhs = _linf(f, grid)
+        rhs = _norm(f, grid, sigma_lo) ** delta
+        rhs *= _norm(f, grid, sigma_hi) ** (1.0 - delta)
         yield lhs, rhs
 
 
 def _ratio_tame(grid, rng, trials, s=1.5, **_):
-    mask = _half_dealias_mask(grid)
+    mask = dealias_mask(grid)
     for f in _sample_stream(grid, rng, trials, ncomp=1):
         g = _random_half(grid, rng, ncomp=1, decay=rng.uniform(0.6, 3.0)) * mask
-        lhs = _half_norm(_padded_half(f, g, grid), grid, s)
-        rhs = _half_linf(f, grid) * _half_norm(g, grid, s)
-        rhs += _half_norm(f, grid, s) * _half_linf(g, grid)
+        lhs = _norm(_padded_half(f, g, grid), grid, s)
+        rhs = _linf(f, grid) * _norm(g, grid, s)
+        rhs += _norm(f, grid, s) * _linf(g, grid)
         yield lhs, rhs
 
 
 def _ratio_bernstein(grid, rng, trials, **_):
     k0 = grid.k_fundamental
-    masks = _annulus_masks(grid, half=True)
+    masks = _annulus_masks(grid)
     for f in _sample_stream(grid, rng, trials, ncomp=1):
         best = 0.0
         for q, mask in enumerate(masks):
             blk = f * mask
-            l2 = _half_norm(blk, grid, 0.0)
+            l2 = _norm(blk, grid, 0.0)
             if l2 <= _RHS_FLOOR:
                 continue
             # |grad blk|_2 = |blk|_{H^1}
-            ratio = _half_norm(blk, grid, 1.0) / (k0 * 2.0**q * l2)
+            ratio = _norm(blk, grid, 1.0) / (k0 * 2.0**q * l2)
             best = max(best, ratio)
         yield best, 1.0
 
@@ -323,19 +320,19 @@ def _ratio_bernstein(grid, rng, trials, **_):
 def _ratio_l3_embedding(grid, rng, trials, **_):
     for f in _sample_stream(grid, rng, trials, ncomp=1):
         lhs = _sample_norm(_irfft(f), grid, 3)
-        rhs = _half_norm(f, grid, 0.5)
+        rhs = _norm(f, grid, 0.5)
         yield lhs, rhs
 
 
 def _ratio_nonlinear(grid, rng, trials, delta=0.5, **_):
     """2D nonlinearity bound |(u.grad)u|_{H^delta} <= C3 |u|_inf |u|_{H^(1+delta)}."""
-    ik = _half_derivatives(grid)
+    ik = _derivatives(grid)
     for u in _sample_stream(grid, rng, trials, ncomp=grid.dim):
         conv = _padded_half(u[:1], ik[0] * u, grid)
         for i in range(1, grid.dim):
             conv += _padded_half(u[i : i + 1], ik[i] * u, grid)
-        lhs = _half_norm(conv, grid, delta)
-        rhs = _half_linf(u, grid) * _half_norm(u, grid, 1.0 + delta)
+        lhs = _norm(conv, grid, delta)
+        rhs = _linf(u, grid) * _norm(u, grid, 1.0 + delta)
         yield lhs, rhs
 
 

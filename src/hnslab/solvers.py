@@ -16,18 +16,14 @@ second-order exponential (ETD2) rule: no stability restriction from c1, so
 alpha sweeps down to 1e-4 stay cheap.  RK4 on the full right-hand side is
 kept as a cross-check scheme with the usual CFL limits.
 
-The exact linear flow (`evolve_linear`, and the front experiment through the
-same `_linear_flow`) splits each nonzero datum into its Helmholtz parts once
-and applies the table on the rfftn half spectrum, so it reads only the real
-fields of its data.
-
-The ETD2 stepper works on the rfftn half spectrum as well: its tables are
-built on the half grid, and one half-spectrum forcing path (`_forcing_half`:
-the core of `nonlinear_term`, a half-grid Leray projection and the mean
-removal) serves it, the public `nonlinear_term` and the RK4 scheme.  A
-`SolverState` made by the stepper holds half spectra between snapshots and
-completes u and u_t to exactly Hermitian SpectralFields once, when a probe,
-keep_states or a reader of the result first reads them.
+Every field here is a SpectralField, the rfftn half spectrum of a real
+field, and every table is built on the half grid.  The exact linear flow
+(`evolve_linear`, and the front experiment through the same `_linear_flow`)
+splits each nonzero datum into its Helmholtz parts once and applies the
+table.  One forcing path (`_forcing`: the core of `nonlinear_term`, the
+Leray projection and the mean removal) serves the ETD2 stepper, the public
+`nonlinear_term` and the RK4 scheme.  A `SolverState` is the plain value
+(u, u_t, time); the stepper wraps its arrays in fields without copying them.
 
 The forcing takes its form from the model and the grid.  NS and HNS_EPS
 evolve Leray-projected, hence divergence-free, states, so on a grid whose
@@ -50,16 +46,14 @@ from .spectral import (
     GridSpec,
     InvalidFieldError,
     SpectralField,
-    _full,
-    _half,
-    _half_dealias_mask,
-    _half_derivatives,
-    _inv_k_squared,
+    _derivatives,
     _irfft,
-    _q_half,
+    _irrotational,
     _rfft,
     dealias,
+    dealias_mask,
     divergence,
+    gradient,
     helmholtz_project,
     k_squared,
     laplacian,
@@ -81,7 +75,6 @@ __all__ = [
     "step",
     "run_simulation",
     "SimulationResult",
-    "recover_pressure",
     "picard_local_solve",
     "picard_time_bound",
     "PicardResult",
@@ -174,50 +167,13 @@ class ModelParams:
         return 1.0 / math.sqrt(self.epsilon)
 
 
+@dataclass(frozen=True)
 class SolverState:
-    """Velocity, its time derivative (absent for NS), and the current time.
+    """Velocity, its time derivative (absent for NS), and the current time."""
 
-    A state is a value: nothing mutates it.  The ETD2 stepper makes states
-    from rfftn half spectra (`_of_half`) and reads them back (`_halves`);
-    `u` and `u_t` complete a half spectrum to its exactly Hermitian
-    SpectralField once, when first read.
-    """
-
-    def __init__(self, u: SpectralField, u_t: SpectralField | None, time: float = 0.0):
-        self.grid = u.grid
-        self.time = time
-        self._fields = [u, u_t]
-        self._half = None
-
-    @classmethod
-    def _of_half(cls, grid: GridSpec, u: np.ndarray, u_t: np.ndarray | None, time: float):
-        state = cls.__new__(cls)
-        state.grid = grid
-        state.time = time
-        state._fields = [None, None]
-        state._half = (u, u_t)
-        return state
-
-    def _field(self, i: int) -> SpectralField | None:
-        if self._fields[i] is None and self._half is not None and self._half[i] is not None:
-            half = self._half[i]
-            mean = half[(slice(None), *(0,) * self.grid.dim)]
-            self._fields[i] = SpectralField(self.grid, _full(half), is_mean_zero=not mean.any())
-        return self._fields[i]
-
-    @property
-    def u(self) -> SpectralField:
-        return self._field(0)
-
-    @property
-    def u_t(self) -> SpectralField | None:
-        return self._field(1)
-
-    def _halves(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Half spectra of (u, u_t); for a state built from fields, of their Hermitian parts."""
-        if self._half is None:
-            self._half = tuple(None if F is None else _half(F.coeffs) for F in self._fields)
-        return self._half
+    u: SpectralField
+    u_t: SpectralField | None
+    time: float = 0.0
 
 
 @dataclass
@@ -278,34 +234,33 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
     Built from the conservative identity (u.grad)u = sum_i d_i(u_i u) - (div u) u,
     which holds for fields with nonzero divergence, with two batched
     transforms: one inverse of (u, div u) and one forward of the d(d+1)/2
-    products u_i u_j and the d products (div u) u_j.  u is read as the real
-    field to_physical(u), through the half spectrum of its Hermitian part, so
-    the result depends on nothing else.  The mean of (div u) u is kept.
+    products u_i u_j and the d products (div u) u_j.  The mean of (div u) u
+    is kept.
     """
     if u.ncomp != u.grid.dim:
         raise InvalidFieldError("nonlinear term expects a full velocity field")
-    return SpectralField(u.grid, _full(_nonlinear_half(_half(u.coeffs), u.grid)))
+    return SpectralField(u.grid, _nonlinear(u.coeffs, u.grid))
 
 
-def _nonlinear_half(half: np.ndarray, grid: GridSpec, solenoidal: bool = False) -> np.ndarray:
-    """Half spectrum of f(u) from the half spectrum of u: the core of `nonlinear_term`.
+def _nonlinear(u: np.ndarray, grid: GridSpec, solenoidal: bool = False) -> np.ndarray:
+    """Coefficients of f(u) from those of u: the core of `nonlinear_term`.
 
     solenoidal drops the (div u) u products and the div u inverse, leaving the
     divergence form -sum_i d_i(u_i u), which equals f(u) only for div u = 0.
     """
     dim = grid.dim
-    ik = _half_derivatives(grid)
+    ik = _derivatives(grid)
     rows, cols, pair = _product_pairs(dim)
     npairs = rows.size
     if solenoidal:
-        phys = _irfft(half)
+        phys = _irfft(u)
         prods = np.empty((npairs, *phys.shape[1:]))
     else:
-        stack = np.empty((dim + 1, *half.shape[1:]), dtype=np.complex128)
-        stack[:dim] = half
-        np.multiply(ik[0], half[0], out=stack[dim])
+        stack = np.empty((dim + 1, *u.shape[1:]), dtype=np.complex128)
+        stack[:dim] = u
+        np.multiply(ik[0], u[0], out=stack[dim])
         for i in range(1, dim):
-            stack[dim] += ik[i] * half[i]
+            stack[dim] += ik[i] * u[i]
         phys = _irfft(stack)
         prods = np.empty((npairs + dim, *phys.shape[1:]))
         np.multiply(phys[dim], phys[:dim], out=prods[npairs:])
@@ -318,19 +273,18 @@ def _nonlinear_half(half: np.ndarray, grid: GridSpec, solenoidal: bool = False) 
     for j in range(dim):
         for i in range(dim):
             out[j] -= ik[i] * prods[pair[i, j]]
-    out *= _half_dealias_mask(grid)
+    out *= dealias_mask(grid)
     return out
 
 
-def _forcing_half(u: np.ndarray, grid: GridSpec, params: ModelParams, nonlinearity: bool):
-    """Model forcing on the half spectrum: f(u), Leray-projected for the constrained models.
+def _forcing(u: np.ndarray, grid: GridSpec, params: ModelParams, nonlinearity: bool):
+    """Coefficients of the model forcing: f(u), Leray-projected for the constrained models.
 
     The constrained models evolve divergence-free fields, so they take the
-    divergence form of f (`_nonlinear_half(solenoidal=True)`: d inverse and
+    divergence form of f (`_nonlinear(solenoidal=True)`: d inverse and
     d(d+1)/2 forward transforms instead of d+1 and d(d+1)/2 + d), but only
-    when the dealias mask removes every Nyquist mode.  With `grid.dealias=1`
-    the Nyquist-zeroed derivative leaves a projected state a discrete
-    divergence that is not rounding, and the general form is kept.
+    when the dealias mask removes every Nyquist mode; with `grid.dealias=1`
+    the general form is kept.
     The mean of f is discarded: evolved fields are kept mean-zero, so the
     small net force the compressible nonlinearity would exert on the torus
     (absent on the whole space) is not allowed to drive a mean flow.
@@ -338,9 +292,9 @@ def _forcing_half(u: np.ndarray, grid: GridSpec, params: ModelParams, nonlineari
     if not nonlinearity:
         return np.zeros_like(u)
     constrained = params.model in (Model.NS, Model.HNS_EPS)
-    f = _nonlinear_half(u, grid, solenoidal=constrained and grid.k_max_dealiased < grid.k_max)
+    f = _nonlinear(u, grid, solenoidal=constrained and grid.k_max_dealiased < grid.k_max)
     if constrained:
-        f -= _q_half(f, grid)
+        f -= _irrotational(f, grid)
     f[(slice(None), *(0,) * grid.dim)] = 0.0
     return f
 
@@ -399,28 +353,14 @@ def _mode_functions(t: float, eps: float, gamma: float, c2k2: np.ndarray, a_only
     return A, B, Ap, Bp
 
 
-def _branch_c2k2(
-    params: ModelParams, grid: GridSpec, branch: str, half: bool = False
-) -> np.ndarray:
-    """c^2 k^2 of a Helmholtz branch: speed c2 on P; on Q, c1 if penalized, else c2.
-
-    half: on the rfftn half grid, the first n/2+1 entries of the last axis.
-    """
+def _branch_c2k2(params: ModelParams, grid: GridSpec, branch: str) -> np.ndarray:
+    """c^2 k^2 of a Helmholtz branch: speed c2 on P; on Q, c1 if penalized, else c2."""
     c = params.c1 if branch == "Q" and params.model is Model.HNS_EPS_ALPHA else params.c2
-    k2 = k_squared(grid)
-    if half:
-        k2 = k2[..., : grid.n_per_axis // 2 + 1]
-    return c * c * k2
+    return c * c * k_squared(grid)
 
 
 def _propagator(
-    params: ModelParams,
-    grid: GridSpec,
-    t: float,
-    damping: bool,
-    branch: str,
-    half: bool = False,
-    a_only: bool = False,
+    params: ModelParams, grid: GridSpec, t: float, damping: bool, branch: str, a_only: bool = False
 ):
     """The per-mode propagator table (A, B, A', B') at t of one Helmholtz branch.
 
@@ -428,39 +368,31 @@ def _propagator(
     with gamma = 1 when damped and 0 for the pure wave.  k = 0 keeps
     _mode_functions' own limits (A = 1, A' = 0; undamped B = t, B' = 1).
     One branch per call, so a caller can apply it before building the next;
-    half evaluates it on the rfftn half grid, a_only forms A alone.
+    a_only forms A alone.
     """
     gamma = 1.0 if damping else 0.0
-    c2k2 = _branch_c2k2(params, grid, branch, half)
+    c2k2 = _branch_c2k2(params, grid, branch)
     return _mode_functions(t, params.epsilon, gamma, c2k2, a_only)
 
 
-def _split(F: SpectralField) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of the Helmholtz parts (P F, Q F), from one projection."""
+def _split(F: SpectralField) -> np.ndarray:
+    """Coefficients of the Helmholtz parts stacked as (P F, Q F), from one projection."""
     q = helmholtz_project(F, "Q")
-    return (F - q).coeffs, q.coeffs
-
-
-def _half_split(F: SpectralField) -> tuple[np.ndarray, np.ndarray] | None:
-    """Half spectra of the Helmholtz parts (P F, Q F) of F's real field; None if F is zero."""
-    if not F.coeffs.any():
-        return None
-    return tuple(_half(part) for part in _split(F))
+    return np.stack([(F - q).coeffs, q.coeffs])
 
 
 def _linear_flow(params: ModelParams, grid: GridSpec, t: float, damping: bool, x0, x1, rate: bool):
-    """Half spectra of u(t) and, if rate, u_t(t) of the linear flow from split data.
+    """Coefficients of u(t) and, if rate, u_t(t) of the linear flow from split data.
 
-    x0, x1 are the `_half_split` parts of u0 and u1 (None for zero data, which
-    costs nothing).  Without rate the u_t half is None, and without rate and
-    u1 only the table's A is formed.
+    x0, x1 are the `_split` parts of u0 and u1 (None for zero data, which
+    costs nothing).  Without rate u_t is None, and without rate and u1 only
+    the table's A is formed.
     """
-    h = grid.n_per_axis // 2 + 1
-    u = np.zeros((grid.dim, *grid.shape[:-1], h), dtype=np.complex128)
+    u = np.zeros((grid.dim, *grid.spectral_shape), dtype=np.complex128)
     v = np.zeros_like(u) if rate else None
     a_only = not rate and x1 is None
     for i, branch in enumerate("PQ"):
-        A, B, Ap, Bp = _propagator(params, grid, t, damping, branch, half=True, a_only=a_only)
+        A, B, Ap, Bp = _propagator(params, grid, t, damping, branch, a_only=a_only)
         for x, X, Xp in ((x0, A, Ap), (x1, B, Bp)):
             if x is None:
                 continue
@@ -482,18 +414,13 @@ def evolve_linear(
     With damping the per-mode characteristic roots of
     eps l'' + l' + eps c^2 k^2 l = 0 are used; without damping this reduces to
     the pure wave propagators (used by the front-speed experiments).  Each
-    datum is split into its Helmholtz parts once and propagated on the rfftn
-    half spectrum, so the result depends only on the real fields
-    to_physical(u0) and to_physical(u1).  The Helmholtz parts of full-band
-    data carry a Nyquist part that is not Hermitian (see `helmholtz_project`);
-    it is dropped with the rest of what no real field has.
+    nonzero datum is split into its Helmholtz parts once.
     """
     grid = u0.grid
-    u, v = _linear_flow(params, grid, t, damping, _half_split(u0), _half_split(u1), rate=True)
+    x0, x1 = (_split(F) if F.coeffs.any() else None for F in (u0, u1))
+    u, v = _linear_flow(params, grid, t, damping, x0, x1, rate=True)
     return SolverState(
-        SpectralField(grid, _full(u), is_mean_zero=True),
-        SpectralField(grid, _full(v), is_mean_zero=True),
-        t,
+        SpectralField(grid, u, is_mean_zero=True), SpectralField(grid, v, is_mean_zero=True), t
     )
 
 
@@ -527,8 +454,8 @@ def _etd2_branch(params: ModelParams, grid: GridSpec, dt: float, branch: str) ->
     on the propagator entries, so the kernel integration is exact and the
     oscillatory branch costs nothing in stability.
     """
-    A, B, Ap, Bp = _propagator(params, grid, dt, True, branch, half=True)
-    c2k2 = _branch_c2k2(params, grid, branch, half=True)
+    A, B, Ap, Bp = _propagator(params, grid, dt, True, branch)
+    c2k2 = _branch_c2k2(params, grid, branch)
     ge = 1.0 / params.epsilon
     safe = np.where(c2k2 > 0, c2k2, 1.0)  # k = 0 multiplies only zero
     j0u = (1.0 - Bp - ge * B) / safe
@@ -548,7 +475,7 @@ def _etd2_tables(model: Model, eps: float | None, alpha: float | None, grid: Gri
     model is penalized, since the branch speeds are then equal.
     """
     if model is Model.NS:
-        k2 = k_squared(grid)[..., : grid.n_per_axis // 2 + 1]
+        k2 = k_squared(grid)
         z = -k2 * dt
         J0 = -np.expm1(z) / np.where(k2 > 0, k2, 1.0)
         return np.exp(z), J0, dt * _phi2(z)
@@ -557,16 +484,16 @@ def _etd2_tables(model: Model, eps: float | None, alpha: float | None, grid: Gri
     return P, (_etd2_branch(params, grid, dt, "Q") if model is Model.HNS_EPS_ALPHA else P)
 
 
-def _by_branch(tables, grid: GridSpec, kernel, *halves: np.ndarray) -> tuple:
-    """kernel(branch table, *half spectra), summed over the Helmholtz branches.
+def _by_branch(tables, grid: GridSpec, kernel, *arrays: np.ndarray) -> tuple:
+    """kernel(branch table, *coefficient arrays), summed over the Helmholtz branches.
 
     The spectra are split into their P and Q parts only when the tables differ.
     """
     P, Q = tables
     if Q is P:
-        return kernel(P, *halves)
-    qs = [_q_half(x, grid) for x in halves]
-    out_p = kernel(P, *(x - q for x, q in zip(halves, qs)))
+        return kernel(P, *arrays)
+    qs = [_irrotational(x, grid) for x in arrays]
+    out_p = kernel(P, *(x - q for x, q in zip(arrays, qs)))
     out_q = kernel(Q, *qs)
     return tuple(a + b for a, b in zip(out_p, out_q))
 
@@ -583,43 +510,22 @@ def _etd2_correct(tab, dg):
     return ku * dg, kv * dg
 
 
-def _penalty_gradient(u: SpectralField, alpha: float) -> SpectralField:
-    """(1/alpha) grad(div u) of u's real field, formed on the half spectrum as the forcing is.
-
-    The Nyquist-zeroed derivatives keep the result exactly Hermitian, so RK4
-    stays on real fields with `grid.dealias=1`.
-    """
-    ik = _half_derivatives(u.grid)
-    half = _half(u.coeffs)
-    div = ik[0] * half[0]
-    for i in range(1, u.grid.dim):
-        div += ik[i] * half[i]
-    div *= 1.0 / alpha
-    return SpectralField(u.grid, _full(np.stack([k * div for k in ik])), is_mean_zero=True)
-
-
-def _rhs_full(state: SolverState, params: ModelParams, nonlinearity: bool):
+def _rhs(state: SolverState, params: ModelParams, nonlinearity: bool):
     """Right-hand side for RK4_FULL as a first-order system."""
     u = state.u
-    f = _forcing_half(_half(u.coeffs), u.grid, params, nonlinearity)
-    f = SpectralField(u.grid, _full(f), is_mean_zero=True)
+    f = SpectralField(u.grid, _forcing(u.coeffs, u.grid, params, nonlinearity), is_mean_zero=True)
     if params.model is Model.NS:
         return laplacian(u) + f, None
     v = state.u_t
     acc = laplacian(u) - v + f
     if params.model is Model.HNS_EPS_ALPHA:
-        acc = acc + _penalty_gradient(u, params.alpha)
+        acc = acc + (1.0 / params.alpha) * gradient(divergence(u))
     return v, (1.0 / params.epsilon) * acc
 
 
-def _check_blowup(u, initial_max: float, time: float, partial=None):
-    """Raise BlowUpError when max |c| of u leaves 1e12 times its initial value.
-
-    u is a SpectralField or a half spectrum: an exactly Hermitian full array
-    has the same max |c| as its half spectrum.
-    """
-    c = u.coeffs if isinstance(u, SpectralField) else u
-    m = float(np.max(np.abs(c)))
+def _check_blowup(u: SpectralField, initial_max: float, time: float, partial=None):
+    """Raise BlowUpError when max |c| of u leaves 1e12 times its initial value."""
+    m = float(np.max(np.abs(u.coeffs)))
     if not np.isfinite(m) or m > BLOWUP_FACTOR * max(initial_max, 1e-30):
         raise BlowUpError(time, partial=partial)
 
@@ -632,21 +538,24 @@ def step(
 ) -> SolverState:
     """Advance one dt with the configured scheme.
 
-    ETD2 runs on the rfftn half spectra of the state and returns a state
-    holding half spectra, completed to fields only when read.  For NS and
-    HNS_EPS the state must be divergence-free, as `run_simulation` makes it:
-    their forcing is then the divergence form (see `_forcing_half`).
+    For NS and HNS_EPS the state must be divergence-free, as `run_simulation`
+    makes it: their forcing is then the divergence form (see `_forcing`).
+    The new state's fields wrap the stepper's arrays, whose mean is zero.
     """
     if cfg.scheme is Scheme.RK4_FULL:
         return _step_rk4(state, params, cfg, nonlinearity)
-    grid = state.grid
+    grid = state.u.grid
     dt = cfg.dt
     tables = _etd2_tables(params.model, params.epsilon, params.alpha, grid, dt)
-    u, v = state._halves()
+    u = state.u.coeffs
+    v = None if state.u_t is None else state.u_t.coeffs
     mean = (slice(None), *(0,) * grid.dim)
 
     def forcing(x):
-        return _forcing_half(x, grid, params, nonlinearity)
+        return _forcing(x, grid, params, nonlinearity)
+
+    def wrap(x):
+        return SpectralField(grid, x, is_mean_zero=True)
 
     if params.model is Model.NS:
         E, J0, K = tables
@@ -655,7 +564,7 @@ def step(
         a[mean] = 0.0
         unew = a + K * (forcing(a) - g0)
         unew[mean] = 0.0
-        return SolverState._of_half(grid, unew, None, state.time + dt)
+        return SolverState(wrap(unew), None, state.time + dt)
     scale = 1.0 / params.epsilon
     g0 = scale * forcing(u)
     au, av = _by_branch(tables, grid, _etd2_predict, u, v, g0)
@@ -664,14 +573,14 @@ def step(
     unew = au + du
     vnew = av + dv
     unew[mean] = vnew[mean] = 0.0
-    return SolverState._of_half(grid, unew, vnew, state.time + dt)
+    return SolverState(wrap(unew), wrap(vnew), state.time + dt)
 
 
 def _step_rk4(state, params, cfg, nonlinearity):
     dt = cfg.dt
 
     def rhs(st):
-        return _rhs_full(st, params, nonlinearity)
+        return _rhs(st, params, nonlinearity)
 
     def advance(st, k, factor):
         du, dv = k
@@ -711,10 +620,8 @@ def run_simulation(
     """Step to t_end, evaluating probes every snapshot_every steps.
 
     Probes are pure functions state -> float.  Deterministic given inputs.
-    The state is held as the rfftn half spectra of the data's real fields
-    and completed to SpectralFields only where a probe, keep_states or a
-    reader of the result reads it.  A blow-up raises BlowUpError with the
-    partial series attached; its `final` is the state that blew up.
+    A blow-up raises BlowUpError with the partial series attached; its
+    `final` is the state that blew up.
     """
     grid = u0.grid
     cfg.check_stability(params, grid)
@@ -728,9 +635,8 @@ def run_simulation(
         u0 = helmholtz_project(u0, "P")
         if u1 is not None:
             u1 = helmholtz_project(u1, "P")
-    half1 = None if u1 is None else _half(u1.coeffs)
-    state = SolverState._of_half(grid, _half(u0.coeffs), half1, 0.0)
-    initial_max = float(np.max(np.abs(state._halves()[0])))
+    state = SolverState(u0, u1, 0.0)
+    initial_max = float(np.max(np.abs(u0.coeffs)))
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(cfg.t_end, cfg.dt):
         raise ValueError("t_end must be an integer multiple of dt")
@@ -742,25 +648,16 @@ def run_simulation(
         for name, fn in probes.items():
             result.probes[name].append(float(fn(st)))
         if keep_states:
-            result.states.append(SolverState(st.u, st.u_t, st.time))
+            result.states.append(st)
 
     record(state)
     for i in range(n_steps):
         state = step(state, params, cfg, nonlinearity=nonlinearity)
         result.final = state
-        _check_blowup(state._halves()[0], initial_max, state.time, partial=result)
+        _check_blowup(state.u, initial_max, state.time, partial=result)
         if (i + 1) % cfg.snapshot_every == 0 or i + 1 == n_steps:
             record(state)
     return result
-
-
-def recover_pressure(u: SpectralField) -> SpectralField:
-    """p = -Lap^{-1} div((u.grad)u), zero-mean; grad p = Q f(u) for div-free u."""
-    if not u.is_mean_zero:
-        raise InvalidFieldError("pressure recovery expects a mean-zero field")
-    conv = -1.0 * nonlinear_term(u)  # (u.grad)u
-    rhs = divergence(conv)
-    return SpectralField(u.grid, rhs.coeffs * _inv_k_squared(u.grid), is_mean_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -838,9 +735,9 @@ def picard_local_solve(
     sig = grid.dim / 2.0 + params.delta
     times = np.linspace(0.0, T, n_mesh + 1)
     tabs = [[_propagator(params, grid, float(t), False, b) for t in times] for b in "PQ"]
-    # A, B, A', B' as (branch P/Q, lag t_0..t_M, *grid.shape); data as (branch, component, ...)
+    # A, B, A', B' as (branch P/Q, lag t_0..t_M, *modes); data as (branch, component, *modes)
     A, B, Ap, Bp = (np.array([[tab[i] for tab in branch] for branch in tabs]) for i in range(4))
-    x0, x1 = np.array(_split(u0)), np.array(_split(u1))
+    x0, x1 = _split(u0), _split(u1)
     branch_sum = functools.partial(np.einsum, "bm...,bc...->mc...")
     base_u = branch_sum(A, x0) + branch_sum(B, x1)
     base_v = branch_sum(Ap, x0) + branch_sum(Bp, x1)

@@ -1,26 +1,36 @@
 """Spectral representation of periodic vector fields and Fourier-multiplier operators.
 
 Fields live on a d-dimensional torus [0, L)^d (d = 2 or 3) sampled on a uniform
-grid with the same resolution per axis.  The spectral representation stores the
-full complex FFT coefficient array per component with *forward* normalization:
-the coefficient at wavevector k is the amplitude of exp(i k.x), so single-mode
-examples have analytic coefficients.  All differential operators are exact
-diagonal multipliers in this basis.
+grid with the same resolution per axis.  A `SpectralField` stores, per
+component, the rfftn half spectrum of a real field with *forward*
+normalization: the coefficient at wavevector k is the amplitude of exp(i k.x),
+kept for the last-axis indices j = 0..n/2 only.  The modes j = n/2+1..n-1 are
+the complex conjugates of their mirror images -k and are not stored, so a
+field always stands for a real field.  All differential operators are exact
+diagonal multipliers in this basis, and every operator, multiplier table and
+norm exists once, on this half grid.
 
 Every transform of the package is one of two real-to-complex helpers,
-`_rfft` and `_irfft`, on the rfftn half spectrum (last axis j = 0..n/2).
-`_full` completes a half spectrum to the exactly Hermitian full array;
-`_half` takes the half spectrum of an array's Hermitian part, which is what
-the real field ifftn(X).real of any coefficient array X depends on.
+`_rfft` and `_irfft`.  Sobolev norms weight each stored mode by its Hermitian
+multiplicity: 1 on the self-conjugate planes j = 0 and j = n/2 of the last
+axis, which hold both k and -k, and 2 elsewhere.  Odd multipliers (the
+derivatives and the Helmholtz projection) use the wavevector that is zero at
+each axis's Nyquist index n/2, where the modes j and -j share one coefficient:
+an odd multiplier has no Hermitian part there, and zeroing it keeps every
+result a real field.
 
-The private half-spectrum helpers carry the hot paths that never need a
-full array: `_random_half` draws `random_band_limited`'s samples,
-`_padded_half` forms `padded_product` from one padded inverse transform per
-factor and one forward transform of the product, `_q_half` is the
-irrotational projection and `_half_norm` is `sobolev_norm`, weighting each
-half-spectrum mode by its Hermitian multiplicity (1 on the planes j = 0 and
-j = n/2 of the last axis, 2 elsewhere).  The public functions are these
-helpers wrapped in `_full` and `SpectralField`.
+Full coefficient arrays appear only at the edges: `_full` completes a half
+spectrum to its exactly Hermitian full array and `_half` takes the half
+spectrum of a full array's Hermitian part.  `write_snapshot` writes the full
+array and `read_snapshot` keeps the half spectrum of it, so the HNSF layout
+(version 1) is unchanged; `random_band_limited` draws its normals on the full
+grid, so every seeded sample is what it was.
+
+The private array helpers carry the hot paths that build no field:
+`_random_half` draws `random_band_limited`'s samples, `_padded_half` forms
+`padded_product` from one padded inverse transform per factor and one forward
+transform of the product, `_irrotational` is the Q projection and `_norm` is
+`sobolev_norm`.
 
 Conventions baked in here and relied on everywhere else:
 
@@ -58,7 +68,6 @@ __all__ = [
     "lp_norm",
     "linf_norm",
     "dealias",
-    "spectral_product",
     "padded_product",
     "single_mode",
     "random_band_limited",
@@ -107,6 +116,11 @@ class GridSpec:
         return (self.n_per_axis,) * self.dim
 
     @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Shape of one component's half spectrum: the last axis keeps j = 0..n/2."""
+        return (*self.shape[:-1], self.n_per_axis // 2 + 1)
+
+    @property
     def npoints(self) -> int:
         return self.n_per_axis**self.dim
 
@@ -139,25 +153,33 @@ class GridSpec:
         return np.meshgrid(*self.axes(), indexing="ij")
 
 
+# ---------------------------------------------------------------------------
+# multiplier tables, all on the half grid
+# ---------------------------------------------------------------------------
+
+
 @lru_cache(maxsize=32)
 def _index_vectors(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Integer mode indices j per axis, broadcastable to grid.shape."""
+    """Integer mode indices j per axis, broadcastable to grid.spectral_shape.
+
+    The leading axes hold 0, 1, ..., n/2-1, -n/2, ..., -1; the last axis
+    holds their first n/2+1 entries, -n/2 at its Nyquist index n/2.
+    """
     n = grid.n_per_axis
-    j = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
+    j = np.fft.fftfreq(n, d=1.0 / n)
     out = []
-    for ax in range(grid.dim):
+    for ax, size in enumerate(grid.spectral_shape):
         shape = [1] * grid.dim
-        shape[ax] = n
-        out.append(j.reshape(shape))
+        shape[ax] = size
+        out.append(j[:size].reshape(shape))
     return tuple(out)
 
 
 @lru_cache(maxsize=32)
 def _index_magnitude(grid: GridSpec) -> np.ndarray:
-    """|j| = Euclidean norm of the integer index vector, full grid shape."""
-    js = _index_vectors(grid)
-    m2 = np.zeros(grid.shape)
-    for j in js:
+    """|j| = Euclidean norm of the integer index vector."""
+    m2 = np.zeros(grid.spectral_shape)
+    for j in _index_vectors(grid):
         m2 = m2 + j * j
     return np.sqrt(m2)
 
@@ -168,17 +190,41 @@ def wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=32)
+def _odd_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """`wavenumbers` with 0 at each axis's Nyquist index: the wavevector of the odd multipliers."""
+    ks = wavenumbers(grid)
+    for k in ks:
+        k.flat[grid.n_per_axis // 2] = 0.0
+    return ks
+
+
+@lru_cache(maxsize=32)
+def _derivatives(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Multipliers i k_axis of d/dx_axis, broadcastable per axis, zero at the Nyquist index.
+
+    There the modes j and -j share one coefficient, so i k X of a real
+    field's X has no Hermitian part and the real field ifftn(i k X).real
+    drops it; the multiplier drops it too.
+    """
+    return tuple(1j * k for k in _odd_wavenumbers(grid))
+
+
+@lru_cache(maxsize=32)
 def k_squared(grid: GridSpec) -> np.ndarray:
     return (grid.k_fundamental * _index_magnitude(grid)) ** 2
 
 
 @lru_cache(maxsize=32)
 def _inv_k_squared(grid: GridSpec) -> np.ndarray:
-    """1/|k|^2, with 0 at k = 0 (read-only: the array is shared)."""
-    k2 = k_squared(grid)
-    inv = np.zeros_like(k2)
-    nonzero = k2 > 0
-    inv[nonzero] = 1.0 / k2[nonzero]
+    """1/|k|^2 of the odd multipliers' wavevector, 0 where it vanishes (read-only: shared).
+
+    Built from the integer indices as `k_squared` is, so off the Nyquist
+    modes it is exactly 1/k_squared.
+    """
+    nyquist = -(grid.n_per_axis // 2)
+    m2 = sum(np.where(j == nyquist, 0.0, j) ** 2 for j in _index_vectors(grid))
+    k2 = (grid.k_fundamental * np.sqrt(m2)) ** 2
+    inv = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
     inv.flags.writeable = False
     return inv
 
@@ -192,18 +238,41 @@ def k_abs(grid: GridSpec) -> np.ndarray:
 def dealias_mask(grid: GridSpec) -> np.ndarray:
     """Boolean mask keeping modes with |k_j| <= dealias_fraction * k_max on every axis."""
     cut = np.floor(grid.dealias_fraction * (grid.n_per_axis // 2))
-    mask = np.ones(grid.shape, dtype=bool)
+    mask = np.ones(grid.spectral_shape, dtype=bool)
     for j in _index_vectors(grid):
         mask &= np.abs(j) <= cut
     return mask
 
 
-class SpectralField:
-    """Complex Fourier coefficients of a real field on the torus.
+@lru_cache(maxsize=32)
+def _sobolev_weight(grid: GridSpec, sigma: float) -> np.ndarray:
+    """|k|^(2 sigma) times each stored mode's Hermitian multiplicity (read-only: shared).
 
-    `coeffs` has shape (ncomp, n, n[, n]) with ncomp 1 (scalar) or dim
-    (vector).  Instances are treated as immutable values: operations return
-    new fields and never mutate their inputs.
+    |k|^(2 sigma) is 0 at k = 0 unless sigma = 0.  A coefficient off the
+    self-conjugate planes j = 0 and j = n/2 of the last axis stands for
+    itself and its mirror image -k, so it counts twice in the Plancherel sum.
+    """
+    ka = k_abs(grid)
+    if sigma == 0:
+        w = np.ones_like(ka)
+    else:
+        w = np.zeros_like(ka)
+        nonzero = ka > 0
+        w[nonzero] = ka[nonzero] ** (2.0 * sigma)
+    n = grid.n_per_axis
+    multiplicity = np.full(n // 2 + 1, 2.0)
+    multiplicity[[0, n // 2]] = 1.0
+    w = w * multiplicity
+    w.flags.writeable = False
+    return w
+
+
+class SpectralField:
+    """rfftn half spectrum of a real field on the torus.
+
+    `coeffs` has shape (ncomp, *grid.spectral_shape) with ncomp 1 (scalar) or
+    dim (vector).  Instances are treated as immutable values: operations
+    return new fields and never mutate their inputs.
     """
 
     __slots__ = ("grid", "coeffs", "is_mean_zero")
@@ -212,19 +281,19 @@ class SpectralField:
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim == grid.dim:
             coeffs = coeffs[np.newaxis]
-        if coeffs.shape[1:] != grid.shape or coeffs.shape[0] not in (1, grid.dim):
+        if coeffs.shape[1:] != grid.spectral_shape or coeffs.shape[0] not in (1, grid.dim):
             raise InvalidFieldError(
-                f"coefficient shape {coeffs.shape} incompatible with grid {grid.shape}"
+                f"coefficient shape {coeffs.shape} incompatible with grid half spectrum "
+                f"{grid.spectral_shape}"
             )
         self.grid = grid
         self.coeffs = coeffs
+        zero = (slice(None), *(0,) * grid.dim)
         if is_mean_zero is None:
-            zero = (0,) * grid.dim
             scale = np.max(np.abs(coeffs)) or 1.0
-            is_mean_zero = bool(np.all(np.abs(coeffs[(slice(None), *zero)]) <= _MEAN_TOL * scale))
+            is_mean_zero = bool(np.all(np.abs(coeffs[zero]) <= _MEAN_TOL * scale))
         if is_mean_zero:
-            zero = (0,) * grid.dim
-            coeffs[(slice(None), *zero)] = 0.0
+            coeffs[zero] = 0.0
         self.is_mean_zero = is_mean_zero
 
     @property
@@ -237,7 +306,7 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: GridSpec, ncomp: int = 1) -> "SpectralField":
-        return cls(grid, np.zeros((ncomp, *grid.shape), dtype=np.complex128), is_mean_zero=True)
+        return cls(grid, np.zeros((ncomp, *grid.spectral_shape), dtype=np.complex128), True)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy(), self.is_mean_zero)
@@ -245,16 +314,8 @@ class SpectralField:
     def component(self, i: int) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs[i : i + 1].copy(), self.is_mean_zero)
 
-    def mean_values(self) -> np.ndarray:
-        """Per-component mean of the physical field (k = 0 coefficients)."""
-        zero = (0,) * self.grid.dim
-        return self.coeffs[(slice(None), *zero)].copy()
-
     def remove_mean(self) -> "SpectralField":
-        out = self.coeffs.copy()
-        zero = (0,) * self.grid.dim
-        out[(slice(None), *zero)] = 0.0
-        return SpectralField(self.grid, out, is_mean_zero=True)
+        return SpectralField(self.grid, self.coeffs.copy(), is_mean_zero=True)
 
     def _check_same_grid(self, other: "SpectralField"):
         if self.grid != other.grid:
@@ -283,10 +344,6 @@ class SpectralField:
 
     def __neg__(self) -> "SpectralField":
         return SpectralField(self.grid, -self.coeffs, self.is_mean_zero)
-
-    def multiplied(self, multiplier: np.ndarray, is_mean_zero: bool | None = None) -> "SpectralField":
-        """Apply a real diagonal Fourier multiplier to every component."""
-        return SpectralField(self.grid, self.coeffs * multiplier, is_mean_zero)
 
 
 @dataclass
@@ -321,7 +378,7 @@ def _rfft(values: np.ndarray) -> np.ndarray:
 
 
 def _irfft(half: np.ndarray) -> np.ndarray:
-    """Real samples of the Hermitian coefficients whose rfftn half spectrum is `half`."""
+    """Real samples of the field whose rfftn half spectrum is `half`."""
     n = half.shape[1]
     axes = tuple(range(1, half.ndim))
     return np.fft.irfftn(half, s=(n,) * len(axes), axes=axes, norm="forward")
@@ -341,29 +398,21 @@ def _negate_leading(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _conj_mirror(coeffs: np.ndarray) -> np.ndarray:
-    """conj X(-k) of full coefficients X on the rfftn half grid (last axis j = 0..n/2)."""
+def _half(coeffs: np.ndarray) -> np.ndarray:
+    """rfftn half spectrum of the Hermitian part (X(k) + conj X(-k))/2 of full coefficients X.
+
+    The Hermitian part is the real field ifftn(X).real that X stands for.
+    """
     n = coeffs.shape[-1]
     out = np.empty((*coeffs.shape[:-1], n // 2 + 1), dtype=np.complex128)
-    # block by block: along each axis position 0 is its own mirror, and
-    # positions 1, 2, ... mirror n-1, n-2, ...
+    # conj X(-k) block by block: along each axis position 0 is its own
+    # mirror, and positions 1, 2, ... mirror n-1, n-2, ...
     zero = (slice(0, 1), slice(0, 1))
     lead = (zero, (slice(1, None), slice(None, 0, -1)))
     last = (zero, (slice(1, None), slice(n - 1, n // 2 - 1, -1)))
     for blocks in itertools.product(*[lead] * (coeffs.ndim - 2), last):
         dst, src = zip(*blocks)
         np.conjugate(coeffs[(Ellipsis, *src)], out=out[(Ellipsis, *dst)])
-    return out
-
-
-def _half(coeffs: np.ndarray) -> np.ndarray:
-    """rfftn half spectrum of the Hermitian part (X(k) + conj X(-k))/2 of full coefficients.
-
-    The Hermitian part is the real field ifftn(X).real that X stands for.  A
-    derivative along any axis but the last of a field with Nyquist content is
-    not Hermitian, and the plain slice X[..., :n/2+1] would misread it.
-    """
-    out = _conj_mirror(coeffs)
     out += coeffs[..., : out.shape[-1]]
     out *= 0.5
     return out
@@ -382,82 +431,28 @@ def _full(half: np.ndarray) -> np.ndarray:
     return out
 
 
-def _on_half(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Contiguous copy of a full-grid multiplier on the rfftn half grid (last axis j = 0..n/2)."""
-    return np.ascontiguousarray(a[..., : grid.n_per_axis // 2 + 1])
-
-
-@lru_cache(maxsize=32)
-def _half_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """`wavenumbers` on the half grid: only the last axis is cut to its n/2+1 entries."""
-    return tuple(_on_half(k, grid) for k in wavenumbers(grid))
-
-
-@lru_cache(maxsize=32)
-def _half_inv_k_squared(grid: GridSpec) -> np.ndarray:
-    """`_inv_k_squared` on the half grid (read-only: the array is shared)."""
-    inv = _on_half(_inv_k_squared(grid), grid)
-    inv.flags.writeable = False
-    return inv
-
-
-@lru_cache(maxsize=32)
-def _half_dealias_mask(grid: GridSpec) -> np.ndarray:
-    """`dealias_mask` on the half grid."""
-    return _on_half(dealias_mask(grid), grid)
-
-
-@lru_cache(maxsize=32)
-def _half_derivatives(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Multipliers i k_axis on the half spectrum, broadcastable per axis.
-
-    The odd multiplier is zero at the Nyquist index, where modes j and -j
-    share one coefficient: there i k X of a real field's X has no Hermitian
-    part, so ifftn(i k X).real drops it too.
-    """
-    h = grid.n_per_axis // 2 + 1
-    out = []
-    for k in _half_wavenumbers(grid):
-        ik = 1j * k
-        ik.flat[h - 1] = 0.0  # the Nyquist index n/2
-        out.append(ik)
-    return tuple(out)
-
-
-def _q_half(x: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Irrotational part k (k.x)/|k|^2 of a half spectrum, as `helmholtz_project`'s Q."""
-    ks = _half_wavenumbers(grid)
-    kdot = ks[0] * x[0]
-    for i in range(1, grid.dim):
-        kdot += ks[i] * x[i]
-    kdot *= _half_inv_k_squared(grid)
-    return np.stack([k * kdot for k in ks])
-
-
 def to_spectral(f: PhysicalField) -> SpectralField:
     """Forward DFT; coefficients are mode amplitudes (forward normalization)."""
     if not np.all(np.isfinite(f.values)):
         raise InvalidFieldError("physical samples contain non-finite values")
-    return SpectralField(f.grid, _full(_rfft(f.values)))
+    return SpectralField(f.grid, _rfft(f.values))
 
 
 def to_physical(F: SpectralField) -> PhysicalField:
-    """Samples of the real field F stands for, ifftn(F).real."""
-    return PhysicalField(F.grid, _irfft(_half(F.coeffs)))
+    """Samples of the real field F stands for."""
+    return PhysicalField(F.grid, _irfft(F.coeffs))
 
 
 def partial_derivative(F: SpectralField, axis: int) -> SpectralField:
     """Componentwise d/dx_axis as the multiplier i*k_axis."""
-    k = wavenumbers(F.grid)[axis]
-    return SpectralField(F.grid, F.coeffs * (1j * k), is_mean_zero=True)
+    return SpectralField(F.grid, F.coeffs * _derivatives(F.grid)[axis], is_mean_zero=True)
 
 
 def gradient(F: SpectralField) -> SpectralField:
     """Gradient of a scalar field -> vector field."""
     if not F.is_scalar:
         raise InvalidFieldError("gradient expects a scalar field")
-    ks = wavenumbers(F.grid)
-    comps = [F.coeffs[0] * (1j * k) for k in ks]
+    comps = [F.coeffs[0] * ik for ik in _derivatives(F.grid)]
     return SpectralField(F.grid, np.stack(comps), is_mean_zero=True)
 
 
@@ -465,15 +460,29 @@ def divergence(F: SpectralField) -> SpectralField:
     """Divergence of a vector field -> scalar field."""
     if F.ncomp != F.grid.dim:
         raise InvalidFieldError("divergence expects a full vector field")
-    ks = wavenumbers(F.grid)
-    out = np.zeros(F.grid.shape, dtype=np.complex128)
-    for i, k in enumerate(ks):
-        out += F.coeffs[i] * (1j * k)
+    out = np.zeros(F.grid.spectral_shape, dtype=np.complex128)
+    for i, ik in enumerate(_derivatives(F.grid)):
+        out += F.coeffs[i] * ik
     return SpectralField(F.grid, out[np.newaxis], is_mean_zero=True)
 
 
 def laplacian(F: SpectralField) -> SpectralField:
     return SpectralField(F.grid, F.coeffs * (-k_squared(F.grid)), is_mean_zero=True)
+
+
+def _irrotational(x: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Irrotational part k (k.x)/|k|^2 of a vector's coefficients.
+
+    k is the odd multipliers' wavevector, zero at each Nyquist index, so the
+    projection is even in k: it keeps real fields real, and P = 1 - Q leaves
+    no divergence that `divergence` can see.
+    """
+    ks = _odd_wavenumbers(grid)
+    kdot = ks[0] * x[0]
+    for i in range(1, grid.dim):
+        kdot += ks[i] * x[i]
+    kdot *= _inv_k_squared(grid)
+    return np.stack([k * kdot for k in ks])
 
 
 def helmholtz_project(F: SpectralField, which: str) -> SpectralField:
@@ -486,12 +495,7 @@ def helmholtz_project(F: SpectralField, which: str) -> SpectralField:
         raise InvalidFieldError("helmholtz_project expects a full vector field")
     if which not in ("P", "Q"):
         raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
-    ks = wavenumbers(F.grid)
-    kdotF = np.zeros(F.grid.shape, dtype=np.complex128)
-    for i, k in enumerate(ks):
-        kdotF += k * F.coeffs[i]
-    kdotF *= _inv_k_squared(F.grid)
-    q = np.stack([k * kdotF for k in ks])
+    q = _irrotational(F.coeffs, F.grid)
     if which == "Q":
         return SpectralField(F.grid, q, is_mean_zero=True)
     return SpectralField(F.grid, F.coeffs - q, is_mean_zero=F.is_mean_zero)
@@ -512,54 +516,20 @@ def lambda_power(F: SpectralField, sigma: float) -> SpectralField:
     return SpectralField(F.grid, F.coeffs * mult, is_mean_zero=True)
 
 
-@lru_cache(maxsize=32)
-def _sobolev_weight(grid: GridSpec, sigma: float) -> np.ndarray:
-    """|k|^(2 sigma), with 0 at k = 0 unless sigma = 0 (read-only: the array is shared)."""
-    ka = k_abs(grid)
-    if sigma == 0:
-        w = np.ones_like(ka)
-    else:
-        w = np.zeros_like(ka)
-        nonzero = ka > 0
-        w[nonzero] = ka[nonzero] ** (2.0 * sigma)
-    w.flags.writeable = False
-    return w
-
-
-@lru_cache(maxsize=32)
-def _half_sobolev_weight(grid: GridSpec, sigma: float) -> np.ndarray:
-    """`_sobolev_weight` on the half grid times each mode's Hermitian multiplicity.
-
-    A half-spectrum coefficient off the self-conjugate planes j = 0 and
-    j = n/2 of the last axis stands for itself and its mirror image -k, so
-    it counts twice in the full Plancherel sum (read-only: the array is shared).
-    """
-    n = grid.n_per_axis
-    multiplicity = np.full(n // 2 + 1, 2.0)
-    multiplicity[[0, n // 2]] = 1.0
-    w = _on_half(_sobolev_weight(grid, sigma), grid) * multiplicity
-    w.flags.writeable = False
-    return w
-
-
 def sobolev_norm(F: SpectralField, sigma: float) -> float:
-    """Homogeneous Sobolev norm: sqrt(L^d * sum_k |k|^(2 sigma) |F(k)|^2).
+    """Homogeneous Sobolev norm: sqrt(L^d * sum_k |k|^(2 sigma) |F(k)|^2) over the full spectrum.
 
     At sigma = 0 this is the L2 norm of the physical samples (Plancherel).
     Negative sigma requires a mean-zero field.
     """
     if sigma < 0 and not F.is_mean_zero:
         raise SingularMultiplierError("negative-order norm requires a mean-zero field")
-    power = np.sum(np.abs(F.coeffs) ** 2, axis=0)
-    if sigma != 0:
-        power *= _sobolev_weight(F.grid, sigma)
-    total = float(np.sum(power))
-    return float(np.sqrt(F.grid.domain_length**F.grid.dim * total))
+    return _norm(F.coeffs, F.grid, sigma)
 
 
-def _half_norm(half: np.ndarray, grid: GridSpec, sigma: float) -> float:
-    """`sobolev_norm` of the real field whose rfftn half spectrum is `half`."""
-    total = float(np.sum(_half_sobolev_weight(grid, sigma) * np.sum(np.abs(half) ** 2, axis=0)))
+def _norm(coeffs: np.ndarray, grid: GridSpec, sigma: float) -> float:
+    """`sobolev_norm` of the real field whose half spectrum is `coeffs`."""
+    total = float(np.sum(_sobolev_weight(grid, sigma) * np.sum(np.abs(coeffs) ** 2, axis=0)))
     return float(np.sqrt(grid.domain_length**grid.dim * total))
 
 
@@ -572,9 +542,9 @@ def _sample_norm(values: np.ndarray, grid: GridSpec, p: float) -> float:
     return float((np.sum(mag**p) * cell) ** (1.0 / p))
 
 
-def _half_linf(half: np.ndarray, grid: GridSpec) -> float:
-    """`linf_norm` of the real field whose rfftn half spectrum is `half`."""
-    return _sample_norm(_irfft(half), grid, np.inf)
+def _linf(coeffs: np.ndarray, grid: GridSpec) -> float:
+    """`linf_norm` of the real field whose half spectrum is `coeffs`."""
+    return _sample_norm(_irfft(coeffs), grid, np.inf)
 
 
 def lp_norm(f: PhysicalField | SpectralField, p: float) -> float:
@@ -600,17 +570,6 @@ def _product_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise InvalidFieldError("incompatible component counts for product")
 
 
-def spectral_product(F: SpectralField, G: SpectralField) -> SpectralField:
-    """Collocation (grid) product of two fields, dealiased with the 2/3 mask.
-
-    Exact for inputs already band-limited to the dealias ball; that is the
-    standard guarantee the solvers rely on.
-    """
-    F._check_same_grid(G)
-    vals = _product_values(to_physical(F).values, to_physical(G).values)
-    return dealias(to_spectral(PhysicalField(F.grid, vals)))
-
-
 def _lead_blocks(grid: GridSpec, up: int) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
     """(n-grid, 2n-grid) slices of the leading axes placing n-grid modes on the 2n grid.
 
@@ -630,33 +589,30 @@ def _padded_samples(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     -n/2.  Its Hermitian part (P(K) + conj P(-K))/2 therefore keeps every
     mode |j| < n/2 and halves each Nyquist mode between -n/2 (from P) and
     +n/2 (from conj P(-K)) on the leading axes; the last axis stores only
-    +n/2.  `c` is a half spectrum, or full coefficients X, which a
-    derivative can leave non-Hermitian on a Nyquist plane: P is then read
-    through X itself and conj X(-k), as the full-grid padding does.
+    +n/2.  For a half spectrum c, P and conj P(-K) read the same array.
     """
     n = grid.n_per_axis
     h = n // 2 + 1
-    x, y = (c, c) if c.shape[-1] == h else (c[..., :h], _conj_mirror(c))
     big = np.zeros((c.shape[0], *(2 * n,) * (grid.dim - 1), n + 1), dtype=np.complex128)
-    for up, src, last in ((0, x, slice(0, h - 1)), (1, y, slice(0, h))):
+    for up, last in ((0, slice(0, h - 1)), (1, slice(0, h))):
         for small, large in _lead_blocks(grid, up):
-            big[(slice(None), *large, last)] += src[(slice(None), *small, last)]
+            big[(slice(None), *large, last)] += c[(slice(None), *small, last)]
     big *= 0.5
     return _irfft(big)
 
 
 def _padded_half(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Half spectrum of the alias-free truncated product of two factors.
+    """Half spectrum of the alias-free truncated product of two half spectra.
 
-    The factors are zero-padded to the 2n grid (`_padded_samples`: each a
-    half spectrum, or full coefficients), multiplied there and transformed
-    once.  The truncation T reads each n-grid mode at the same 2n-grid index
-    and the Nyquist index n/2 at -n/2; the result is the half spectrum of
-    T's Hermitian part (T(k) + conj T(-k))/2, as `_half` takes it.
+    The factors are zero-padded to the 2n grid (`_padded_samples`),
+    multiplied there and transformed once.  The truncation T reads each
+    n-grid mode at the same 2n-grid index and the Nyquist index n/2 at -n/2;
+    the result is the half spectrum of T's Hermitian part (T(k) + conj T(-k))/2,
+    as `_half` takes it.
     """
     big = _rfft(_product_values(_padded_samples(a, grid), _padded_samples(b, grid)))
     h = grid.n_per_axis // 2 + 1
-    lo, hi = (np.empty((big.shape[0], *grid.shape[1:], h), dtype=np.complex128) for _ in range(2))
+    lo, hi = (np.empty((big.shape[0], *grid.spectral_shape), dtype=np.complex128) for _ in range(2))
     for up, out in ((0, lo), (1, hi)):
         for small, large in _lead_blocks(grid, up):
             out[(slice(None), *small)] = big[(slice(None), *large, slice(0, h))]
@@ -679,7 +635,7 @@ def padded_product(F: SpectralField, G: SpectralField) -> SpectralField:
     against which dealiased collocation products are checked.
     """
     F._check_same_grid(G)
-    return SpectralField(F.grid, _full(_padded_half(F.coeffs, G.coeffs, F.grid)))
+    return SpectralField(F.grid, _padded_half(F.coeffs, G.coeffs, F.grid))
 
 
 def single_mode(
@@ -704,7 +660,7 @@ def single_mode(
         coeffs[(component, *neg)] = amplitude / 2
     else:
         raise ValueError("phase must be 'sin' or 'cos'")
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, _half(coeffs))
 
 
 def random_band_limited(
@@ -724,7 +680,7 @@ def random_band_limited(
     max pointwise magnitude equals `amplitude`.
     """
     half = _random_half(grid, rng, ncomp, kmin, kmax, decay, amplitude, divergence_free)
-    return SpectralField(grid, _full(half), is_mean_zero=True)
+    return SpectralField(grid, half, is_mean_zero=True)
 
 
 def _random_half(
@@ -737,10 +693,11 @@ def _random_half(
     amplitude: float = 1.0,
     divergence_free: bool = False,
 ) -> np.ndarray:
-    """rfftn half spectrum of `random_band_limited`: the same draws, projected on the half grid."""
+    """Half spectrum of `random_band_limited`, drawn as full-grid normals and halved."""
     if kmax is None:
         kmax = int(np.floor(grid.dealias_fraction * (grid.n_per_axis // 2)))
     m = _index_magnitude(grid)
+    m = np.concatenate([m, m[..., -2:0:-1]], axis=-1)  # full grid: |j| is even in j_last
     band = (m >= kmin) & (m <= kmax)
     envelope = np.zeros_like(m)
     envelope[band] = m[band] ** (-decay)
@@ -751,8 +708,8 @@ def _random_half(
     half = _half(raw * envelope)
     half[(slice(None), *(0,) * grid.dim)] = 0.0
     if divergence_free:
-        half -= _q_half(half, grid)
-    peak = _half_linf(half, grid)
+        half -= _irrotational(half, grid)
+    peak = _linf(half, grid)
     if peak > 0:
         half *= amplitude / peak
     return half
@@ -790,7 +747,11 @@ _HEADER = struct.Struct("<4sIIIddB")
 
 
 def write_snapshot(path, field: SpectralField | PhysicalField, time: float = 0.0):
-    """Write a field snapshot: HNSF header then component-major f64 payload."""
+    """Write a field snapshot: HNSF header then component-major f64 payload.
+
+    A spectral payload is the full Hermitian coefficient array (n^dim complex
+    values per component), the layout of format version 1.
+    """
     is_spectral = isinstance(field, SpectralField)
     grid = field.grid
     header = _HEADER.pack(
@@ -805,8 +766,7 @@ def write_snapshot(path, field: SpectralField | PhysicalField, time: float = 0.0
     with open(path, "wb") as fh:
         fh.write(header)
         if is_spectral:
-            data = np.ascontiguousarray(field.coeffs, dtype=np.complex128)
-            fh.write(data.astype("<c16").tobytes())
+            fh.write(_full(field.coeffs).astype("<c16").tobytes())
         else:
             data = np.ascontiguousarray(field.values, dtype=np.float64)
             fh.write(data.astype("<f8").tobytes())
@@ -815,6 +775,7 @@ def write_snapshot(path, field: SpectralField | PhysicalField, time: float = 0.0
 def read_snapshot(path) -> tuple[SpectralField | PhysicalField, float]:
     """Read a snapshot written by write_snapshot.
 
+    A spectral payload is read as the half spectrum of its Hermitian part.
     A header shorter than its 33 bytes, or a payload that is not exactly 1 or
     dim whole components, raises InvalidFieldError.
     """
@@ -840,5 +801,5 @@ def read_snapshot(path) -> tuple[SpectralField | PhysicalField, float]:
         )
     arr = np.frombuffer(payload, dtype=dtype).reshape((ncomp, *grid.shape))
     if is_spectral:
-        return SpectralField(grid, arr.astype(np.complex128)), time
+        return SpectralField(grid, _half(arr.astype(np.complex128))), time
     return PhysicalField(grid, arr.astype(np.float64)), time

@@ -17,10 +17,10 @@ from hnslab.solvers import Model, ModelParams, SolverState
 from hnslab.spectral import (
     GridSpec,
     SpectralField,
+    _full,
     dealias,
     divergence,
     helmholtz_project,
-    k_abs,
     random_band_limited,
     single_mode,
     sobolev_norm,
@@ -30,14 +30,16 @@ CONSTS = {"K": 0.4, "K2": 0.6, "C2_interp": 0.6, "C3_nonlinear": 0.9, "C4_interp
 
 
 def plancherel_term_oracle(field, grid, sigma):
-    """Direct coefficient-sum norm, independent of sobolev_norm."""
-    ka = k_abs(grid)
+    """Direct coefficient-sum norm over the full spectrum, independent of sobolev_norm."""
+    j = np.fft.fftfreq(grid.n_per_axis, 1.0 / grid.n_per_axis)
+    mesh = np.meshgrid(*[j] * grid.dim, indexing="ij")
+    ka = grid.k_fundamental * np.sqrt(sum(m * m for m in mesh))
     w = np.zeros_like(ka)
     w[ka > 0] = ka[ka > 0] ** (2 * sigma)
     if sigma == 0:
         w[ka == 0] = 1.0
     return grid.domain_length**grid.dim * float(
-        np.sum(w * np.sum(np.abs(field.coeffs) ** 2, axis=0))
+        np.sum(w * np.sum(np.abs(_full(field.coeffs)) ** 2, axis=0))
     )
 
 

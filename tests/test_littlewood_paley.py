@@ -198,7 +198,7 @@ class TestParaproduct:
 
 
 def _constant(grid):
-    coeffs = np.zeros((1, *grid.shape), dtype=complex)
+    coeffs = np.zeros((1, *grid.spectral_shape), dtype=complex)
     coeffs[(0,) + (0,) * grid.dim] = 1.0
     return SpectralField(grid, coeffs, is_mean_zero=False)
 

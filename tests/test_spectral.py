@@ -9,6 +9,7 @@ from hnslab.spectral import (
     PhysicalField,
     SingularMultiplierError,
     SpectralField,
+    _full,
     dealias,
     divergence,
     gradient,
@@ -22,12 +23,17 @@ from hnslab.spectral import (
     read_snapshot,
     single_mode,
     sobolev_norm,
-    spectral_product,
     to_physical,
     to_spectral,
     wavenumbers,
     write_snapshot,
 )
+
+
+def spectral_product(F, G):
+    """Collocation (grid) product of two fields, dealiased with the 2/3 mask."""
+    vals = to_physical(F).values * to_physical(G).values
+    return dealias(to_spectral(PhysicalField(F.grid, vals)))
 
 
 class TestGridSpec:
@@ -87,20 +93,30 @@ class TestTransforms:
             to_spectral(PhysicalField(grid2d, vals))
 
     def test_hermitian_symmetry(self, grid2d, rng):
+        # the half spectrum stores modes k and -k together only on the planes
+        # j = 0 and j = n/2 of the last axis; there they are conjugate
         F = to_spectral(PhysicalField(grid2d, rng.normal(size=(1, *grid2d.shape))))
         c = F.coeffs[0]
-        rev = np.roll(np.flip(c, axis=0), 1, axis=0)
-        rev = np.roll(np.flip(rev, axis=1), 1, axis=1)
-        assert np.max(np.abs(c - np.conj(rev))) < 1e-14 * np.max(np.abs(c))
+        assert c.shape == grid2d.spectral_shape
+        planes = c[:, [0, -1]]
+        rev = np.roll(np.flip(planes, axis=0), 1, axis=0)
+        assert np.max(np.abs(planes - np.conj(rev))) < 1e-14 * np.max(np.abs(c))
 
 
 class TestDerivatives:
     def test_div_grad_is_laplacian(self, grid2d, rng):
+        # the odd multiplier i k is zero at each Nyquist index, so div grad is
+        # the Laplacian off the Nyquist modes and -|k|^2 of that wavevector on them
         phi = to_spectral(PhysicalField(grid2d, rng.normal(size=(1, *grid2d.shape))))
         lhs = divergence(gradient(phi))
         rhs = laplacian(phi.remove_mean())
         scale = np.max(np.abs(rhs.coeffs))
-        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-13 * scale
+        kx, ky = wavenumbers(grid2d)
+        inner = (np.abs(kx) < grid2d.k_max) & (np.abs(ky) < grid2d.k_max)
+        assert np.max(np.abs(lhs.coeffs - rhs.coeffs)[:, inner]) <= 1e-13 * scale
+        odd = [np.where(np.abs(k) < grid2d.k_max, k, 0.0) for k in (kx, ky)]
+        odd_laplacian = -(odd[0] ** 2 + odd[1] ** 2) * phi.remove_mean().coeffs
+        assert np.max(np.abs(lhs.coeffs - odd_laplacian)) <= 1e-13 * scale
 
     def test_curl_field_divergence_free(self, grid2d, rng):
         psi = to_spectral(PhysicalField(grid2d, rng.normal(size=(1, *grid2d.shape))))
@@ -144,7 +160,7 @@ class TestHelmholtz:
             assert abs(inner) <= 1e-10 * scale**2
 
     def test_mean_mode_belongs_to_p(self, grid2d):
-        coeffs = np.zeros((2, *grid2d.shape), dtype=complex)
+        coeffs = np.zeros((2, *grid2d.spectral_shape), dtype=complex)
         coeffs[0, 0, 0] = 1.0
         F = SpectralField(grid2d, coeffs, is_mean_zero=False)
         assert np.max(np.abs(helmholtz_project(F, "Q").coeffs)) == 0.0
@@ -173,7 +189,7 @@ class TestLambdaAndNorms:
         assert np.allclose(out.coeffs[nz] / F.coeffs[nz], expected)
 
     def test_lambda_negative_needs_mean_zero(self, grid2d):
-        coeffs = np.zeros((1, *grid2d.shape), dtype=complex)
+        coeffs = np.zeros((1, *grid2d.spectral_shape), dtype=complex)
         coeffs[0, 0, 0] = 1.0
         coeffs[0, 1, 0] = coeffs[0, -1, 0] = 0.25
         F = SpectralField(grid2d, coeffs, is_mean_zero=False)
@@ -200,7 +216,8 @@ class TestLambdaAndNorms:
         g = PhysicalField(grid2d, rng.normal(size=(2, *grid2d.shape)))
         G = to_spectral(g)
         direct = np.sum(f.values * g.values) * cell
-        plancherel = grid2d.domain_length**grid2d.dim * np.sum(np.conj(F.coeffs) * G.coeffs).real
+        full_f, full_g = _full(F.coeffs), _full(G.coeffs)
+        plancherel = grid2d.domain_length**grid2d.dim * np.sum(np.conj(full_f) * full_g).real
         assert abs(plancherel - direct) <= 1e-12 * abs(direct)
 
     def test_single_mode_norm_closed_form(self):
@@ -269,6 +286,27 @@ class TestSnapshotIO:
         assert t == 1.25
         assert isinstance(G, SpectralField)
         assert np.array_equal(G.coeffs, F.coeffs)
+
+    def test_version1_full_payload_loads_and_rewrites(self, grid2d, rng, tmp_path):
+        # a version-1 spectral snapshot holds the full Hermitian coefficient
+        # array; written here by hand, it loads to its half spectrum and
+        # write_snapshot gives the same bytes back
+        import struct
+
+        values = rng.normal(size=(2, *grid2d.shape))
+        full = np.fft.fftn(values, axes=(1, 2), norm="forward")
+        mirror = np.roll(np.flip(full, axis=(1, 2)), 1, axis=(1, 2))
+        full = 0.5 * (full + np.conj(mirror))  # exactly Hermitian
+        header = struct.pack("<4sIIIddB", b"HNSF", 1, 2, 32, grid2d.domain_length, 0.75, 1)
+        old = tmp_path / "old.hnsf"
+        old.write_bytes(header + full.astype("<c16").tobytes())
+        F, t = read_snapshot(old)
+        assert t == 0.75
+        assert np.array_equal(F.coeffs, full[..., : grid2d.n_per_axis // 2 + 1])
+        assert np.max(np.abs(to_physical(F).values - values)) <= 1e-12 * np.max(np.abs(values))
+        new = tmp_path / "new.hnsf"
+        write_snapshot(new, F, time=0.75)
+        assert new.read_bytes() == old.read_bytes()
 
     def test_physical_round_trip(self, grid2d, rng, tmp_path):
         f = PhysicalField(grid2d, rng.normal(size=(2, *grid2d.shape)))
