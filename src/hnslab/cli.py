@@ -182,8 +182,23 @@ class RunManifest:
     status: str = "ok"
     runtime_seconds: float = 0.0
     blowup_time: float | None = None
+    peak_rss_mb: float | None = None
+    minor_page_faults: int | None = None
 
-    def write(self, path: str):
+    def finish(self, status: str, started: float, path: str):
+        """Stamp the status, end time and the process's resource use, then write to path.
+
+        peak_rss_mb and minor_page_faults come from getrusage(RUSAGE_SELF) at
+        the end of the run; like the timings they stay out of every CSV.
+        """
+        import resource  # imported at the end of a run, so `import hnslab` costs nothing more
+
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        self.status = status
+        self.finished = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+        self.runtime_seconds = round(time.time() - started, 3)
+        self.peak_rss_mb = round(usage.ru_maxrss / 1024.0, 1)  # Linux reports KiB
+        self.minor_page_faults = usage.ru_minflt
         with open(path, "w") as fh:
             json.dump(self.__dict__, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -531,10 +546,7 @@ def main(argv: list[str] | None = None) -> int:
             started=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started)),
         )
         code = run(outdir, manifest)
-        manifest.status = "ok"
-        manifest.finished = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-        manifest.runtime_seconds = round(time.time() - started, 3)
-        manifest.write(os.path.join(outdir, "manifest.json"))
+        manifest.finish("ok", started, os.path.join(outdir, "manifest.json"))
         print(f"run {run_id} ok -> {outdir}")
         return code
     except ConfigError as exc:
@@ -543,11 +555,8 @@ def main(argv: list[str] | None = None) -> int:
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         try:
-            manifest.status = "blowup"
             manifest.blowup_time = exc.time
-            manifest.finished = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-            manifest.runtime_seconds = round(time.time() - started, 3)
-            manifest.write(os.path.join(outdir, "manifest.json"))
+            manifest.finish("blowup", started, os.path.join(outdir, "manifest.json"))
         except Exception:
             pass
         return 3

@@ -25,6 +25,16 @@ Leray projection and the mean removal) serves the ETD2 stepper, the public
 `nonlinear_term` and the RK4 scheme.  A `SolverState` is the plain value
 (u, u_t, time); the stepper wraps its arrays in fields without copying them.
 
+Workspace rule: every intermediate of a forcing and of an ETD2 step is
+written with in-place ufuncs into one scratch `_Workspace` per grid (cached
+for one grid at a time, so a sweep's reference run and its points share
+it), in the same operation order as the allocating expressions it replaces,
+so outputs are unchanged to the bit.  A step allocates only the arrays of
+the state it returns; `nonlinear_term`, RK4 and Picard get a fresh forcing
+array from the same core.  No scratch content survives a call, and nothing
+returned aliases the workspace.  The workspace is per process and is not
+thread-safe: run concurrent solves in separate processes, as the sweeps do.
+
 The forcing takes its form from the model and the grid.  NS and HNS_EPS
 evolve Leray-projected, hence divergence-free, states, so on a grid whose
 dealias mask removes the Nyquist modes they use the divergence form
@@ -242,43 +252,112 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, _nonlinear(u.coeffs, u.grid))
 
 
-def _nonlinear(u: np.ndarray, grid: GridSpec, solenoidal: bool = False) -> np.ndarray:
-    """Coefficients of f(u) from those of u: the core of `nonlinear_term`.
+def _words(specs) -> int:
+    """float64 words of the arrays described by (shape, dtype) specs."""
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize // 8 for shape, dtype in specs)
+
+
+def _views(buf: np.ndarray, specs) -> list[np.ndarray]:
+    """Consecutive views of the flat float64 buffer buf, one per (shape, dtype) in specs."""
+    views, start = [], 0
+    for spec in specs:
+        words = _words([spec])
+        views.append(buf[start : start + words].view(spec[1]).reshape(spec[0]))
+        start += words
+    return views
+
+
+class _Workspace:
+    """Scratch arrays of one grid for every intermediate of a forcing and an ETD2 step.
+
+    The step region holds what lives across a step's two forcings: the
+    scaled forcing g0 of the state, the predictor (au, av) and the forcing
+    g1 of au.  The phase region is sized by its largest phase and shared in
+    time.  A forcing uses it for its transform buffers: the spectra `fhat`,
+    whose first rows are also the inverse transform's input stack, the
+    samples `phys`, the products `prods` and one component `tmp`.  The
+    Helmholtz split of the predictor and corrector then uses it for one
+    datum's parts `q` and `p`, a product `prod`, the Q-branch sums `sums`
+    and the corrector's `increment`, and the blow-up check for |c|.  Nothing
+    in it outlives the call that fills it.
+    """
+
+    def __init__(self, grid: GridSpec):
+        d = grid.dim
+        npairs = d * (d + 1) // 2
+        H, R = grid.spectral_shape, grid.shape
+        c, f = np.complex128, np.float64
+        vec, pair = ((d, *H), c), ((2, d, *H), c)
+        forcing = (((npairs + d, *H), c), ((d + 1, *R), f), ((npairs + d, *R), f), (H, c))
+        split = (vec, vec, vec, pair, pair)
+        phase = np.empty(max(_words(forcing), _words(split)))
+        self.fhat, self.phys, self.prods, self.tmp = _views(phase, forcing)
+        self.q, self.p, self.prod, self.sums, self.increment = _views(phase, split)
+        (self.magnitude,) = _views(phase, [((d, *H), f)])
+        step = (vec,) * 4
+        self.g0, self.au, self.av, self.g1 = _views(np.empty(_words(step)), step)
+
+
+@functools.lru_cache(maxsize=1)
+def _workspace(grid: GridSpec) -> _Workspace:
+    """The scratch workspace of grid; one grid at a time, so a sweep's runs share it."""
+    return _Workspace(grid)
+
+
+def _nonlinear(
+    u: np.ndarray, grid: GridSpec, solenoidal: bool = False, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Coefficients of f(u) from those of u, into out (fresh if None): the core of `nonlinear_term`.
 
     solenoidal drops the (div u) u products and the div u inverse, leaving the
     divergence form -sum_i d_i(u_i u), which equals f(u) only for div u = 0.
+    The intermediates live in the grid's workspace; out must not be one of them.
     """
     dim = grid.dim
     ik = _derivatives(grid)
     rows, cols, pair = _product_pairs(dim)
     npairs = rows.size
+    ws = _workspace(grid)
+    tmp = ws.tmp
+    n_in, n_out = (dim, npairs) if solenoidal else (dim + 1, npairs + dim)
+    phys, prods, fhat = ws.phys[:n_in], ws.prods[:n_out], ws.fhat[:n_out]
     if solenoidal:
-        phys = _irfft(u)
-        prods = np.empty((npairs, *phys.shape[1:]))
+        _irfft(u, out=phys)
     else:
-        stack = np.empty((dim + 1, *u.shape[1:]), dtype=np.complex128)
+        stack = fhat[:n_in]
         stack[:dim] = u
         np.multiply(ik[0], u[0], out=stack[dim])
         for i in range(1, dim):
-            stack[dim] += ik[i] * u[i]
-        phys = _irfft(stack)
-        prods = np.empty((npairs + dim, *phys.shape[1:]))
+            np.multiply(ik[i], u[i], out=tmp)
+            stack[dim] += tmp
+        _irfft(stack, out=phys)
         np.multiply(phys[dim], phys[:dim], out=prods[npairs:])
-    np.multiply(phys[rows], phys[cols], out=prods[:npairs])
-    prods = _rfft(prods)
-    if solenoidal:
-        out = np.zeros((dim, *prods.shape[1:]), dtype=np.complex128)
-    else:
-        out = prods[npairs:]  # (div u) u_j
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        np.multiply(phys[i], phys[j], out=prods[k])
+    _rfft(prods, out=fhat)
+    if out is None:
+        out = np.empty((dim, *grid.spectral_shape), dtype=np.complex128)
     for j in range(dim):
         for i in range(dim):
-            out[j] -= ik[i] * prods[pair[i, j]]
+            np.multiply(ik[i], fhat[pair[i, j]], out=tmp)
+            if i > 0:
+                out[j] -= tmp
+            elif solenoidal:
+                np.subtract(0.0, tmp, out=out[j])
+            else:
+                np.subtract(fhat[npairs + j], tmp, out=out[j])  # (div u) u_j
     out *= dealias_mask(grid)
     return out
 
 
-def _forcing(u: np.ndarray, grid: GridSpec, params: ModelParams, nonlinearity: bool):
-    """Coefficients of the model forcing: f(u), Leray-projected for the constrained models.
+def _forcing(
+    u: np.ndarray,
+    grid: GridSpec,
+    params: ModelParams,
+    nonlinearity: bool,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Coefficients of the model forcing f(u), Leray-projected for the constrained models.
 
     The constrained models evolve divergence-free fields, so they take the
     divergence form of f (`_nonlinear(solenoidal=True)`: d inverse and
@@ -288,13 +367,18 @@ def _forcing(u: np.ndarray, grid: GridSpec, params: ModelParams, nonlinearity: b
     The mean of f is discarded: evolved fields are kept mean-zero, so the
     small net force the compressible nonlinearity would exert on the torus
     (absent on the whole space) is not allowed to drive a mean flow.
+    The result goes to out, fresh if None.
     """
+    if out is None:
+        out = np.empty_like(u)
     if not nonlinearity:
-        return np.zeros_like(u)
+        out.fill(0.0)
+        return out
     constrained = params.model in (Model.NS, Model.HNS_EPS)
-    f = _nonlinear(u, grid, solenoidal=constrained and grid.k_max_dealiased < grid.k_max)
+    solenoidal = constrained and grid.k_max_dealiased < grid.k_max
+    f = _nonlinear(u, grid, solenoidal=solenoidal, out=out)
     if constrained:
-        f -= _irrotational(f, grid)
+        f -= _irrotational(f, grid, out=_workspace(grid).q)
     f[(slice(None), *(0,) * grid.dim)] = 0.0
     return f
 
@@ -484,30 +568,44 @@ def _etd2_tables(model: Model, eps: float | None, alpha: float | None, grid: Gri
     return P, (_etd2_branch(params, grid, dt, "Q") if model is Model.HNS_EPS_ALPHA else P)
 
 
-def _by_branch(tables, grid: GridSpec, kernel, *arrays: np.ndarray) -> tuple:
-    """kernel(branch table, *coefficient arrays), summed over the Helmholtz branches.
+# rows of an `_etd2_branch` table per datum, for the outputs (u, u_t): the
+# predictor E (u, v) + J0 g reads (A, A'), (B, B') and (J0u, J0v); the
+# corrector K dg reads (Ku, Kv)
+_PREDICT = ((0, 2), (1, 3), (4, 5))
+_CORRECT = ((6, 7),)
 
-    The spectra are split into their P and Q parts only when the tables differ.
+
+def _by_branch(tables, grid: GridSpec, rows, data, outs) -> None:
+    """outs[o] = sum over the data x and Helmholtz branches b of tab_b[row[o]] * (b part of x).
+
+    Each branch sums its data left to right, then the P sum adds the Q sum.
+    The data are split into their P and Q parts only when the tables differ,
+    one datum at a time, in the grid's workspace.
     """
     P, Q = tables
+    ws = _workspace(grid)
     if Q is P:
-        return kernel(P, *arrays)
-    qs = [_irrotational(x, grid) for x in arrays]
-    out_p = kernel(P, *(x - q for x, q in zip(arrays, qs)))
-    out_q = kernel(Q, *qs)
-    return tuple(a + b for a, b in zip(out_p, out_q))
+        _accumulate(P, rows, data, outs, ws.prod)
+        return
+    sums = ws.sums[: len(outs)]
+    for n, (x, row) in enumerate(zip(data, rows)):
+        q = _irrotational(x, grid, out=ws.q)
+        p = np.subtract(x, q, out=ws.p)
+        _accumulate(P, (row,), (p,), outs, ws.prod, first=n == 0)
+        _accumulate(Q, (row,), (q,), sums, ws.prod, first=n == 0)
+    for o, s in zip(outs, sums):
+        o += s
 
 
-def _etd2_predict(tab, u, v, g):
-    """Predictor E (u, v) + J0 g on one branch."""
-    A, B, Ap, Bp, j0u, j0v, _, _ = tab
-    return A * u + B * v + j0u * g, Ap * u + Bp * v + j0v * g
-
-
-def _etd2_correct(tab, dg):
-    """Corrector increment K dg on one branch."""
-    *_, ku, kv = tab
-    return ku * dg, kv * dg
+def _accumulate(tab, rows, data, outs, prod, first: bool = True) -> None:
+    """outs[o] (+)= sum over the data x of tab[row[o]] * x, left to right; first overwrites outs."""
+    for x, row in zip(data, rows):
+        for o, r in zip(outs, row):
+            if first:
+                np.multiply(tab[r], x, out=o)
+            else:
+                o += np.multiply(tab[r], x, out=prod)
+        first = False
 
 
 def _rhs(state: SolverState, params: ModelParams, nonlinearity: bool):
@@ -525,7 +623,8 @@ def _rhs(state: SolverState, params: ModelParams, nonlinearity: bool):
 
 def _check_blowup(u: SpectralField, initial_max: float, time: float, partial=None):
     """Raise BlowUpError when max |c| of u leaves 1e12 times its initial value."""
-    m = float(np.max(np.abs(u.coeffs)))
+    c = u.coeffs
+    m = float(np.max(np.abs(c, out=_workspace(u.grid).magnitude[: len(c)])))
     if not np.isfinite(m) or m > BLOWUP_FACTOR * max(initial_max, 1e-30):
         raise BlowUpError(time, partial=partial)
 
@@ -540,38 +639,44 @@ def step(
 
     For NS and HNS_EPS the state must be divergence-free, as `run_simulation`
     makes it: their forcing is then the divergence form (see `_forcing`).
-    The new state's fields wrap the stepper's arrays, whose mean is zero.
+    The new state's fields wrap fresh arrays, whose mean is zero; every
+    other intermediate of an ETD2 step lives in the grid's workspace.
     """
     if cfg.scheme is Scheme.RK4_FULL:
         return _step_rk4(state, params, cfg, nonlinearity)
     grid = state.u.grid
     dt = cfg.dt
     tables = _etd2_tables(params.model, params.epsilon, params.alpha, grid, dt)
+    ws = _workspace(grid)
     u = state.u.coeffs
-    v = None if state.u_t is None else state.u_t.coeffs
     mean = (slice(None), *(0,) * grid.dim)
-
-    def forcing(x):
-        return _forcing(x, grid, params, nonlinearity)
 
     def wrap(x):
         return SpectralField(grid, x, is_mean_zero=True)
 
     if params.model is Model.NS:
         E, J0, K = tables
-        g0 = forcing(u)
-        a = E * u + J0 * g0
+        g0 = _forcing(u, grid, params, nonlinearity, out=ws.g0)
+        a = np.multiply(E, u, out=ws.au)
+        a += np.multiply(J0, g0, out=ws.prod)
         a[mean] = 0.0
-        unew = a + K * (forcing(a) - g0)
+        dg = _forcing(a, grid, params, nonlinearity, out=ws.g1)
+        dg -= g0
+        unew = np.add(a, np.multiply(K, dg, out=dg))
         unew[mean] = 0.0
         return SolverState(wrap(unew), None, state.time + dt)
     scale = 1.0 / params.epsilon
-    g0 = scale * forcing(u)
-    au, av = _by_branch(tables, grid, _etd2_predict, u, v, g0)
+    g0 = _forcing(u, grid, params, nonlinearity, out=ws.g0)
+    np.multiply(scale, g0, out=g0)
+    au, av = ws.au, ws.av
+    _by_branch(tables, grid, _PREDICT, (u, state.u_t.coeffs, g0), (au, av))
     au[mean] = 0.0
-    du, dv = _by_branch(tables, grid, _etd2_correct, scale * forcing(au) - g0)
-    unew = au + du
-    vnew = av + dv
+    dg = _forcing(au, grid, params, nonlinearity, out=ws.g1)
+    np.multiply(scale, dg, out=dg)
+    dg -= g0
+    du, dv = ws.increment
+    _by_branch(tables, grid, _CORRECT, (dg,), (du, dv))
+    unew, vnew = np.add(au, du), np.add(av, dv)
     unew[mean] = vnew[mean] = 0.0
     return SolverState(wrap(unew), wrap(vnew), state.time + dt)
 

@@ -30,7 +30,9 @@ The private array helpers carry the hot paths that build no field:
 `_random_half` draws `random_band_limited`'s samples, `_padded_half` forms
 `padded_product` from one padded inverse transform per factor and one forward
 transform of the product, `_irrotational` is the Q projection and `_norm` is
-`sobolev_norm`.
+`sobolev_norm`.  `_rfft`, `_irfft` and `_irrotational` take an `out=` array,
+so the stepper's workspace (see `solvers`) receives their results without a
+fresh allocation; `np.fft` accepts `out=` since numpy 2.0.
 
 Conventions baked in here and relied on everywhere else:
 
@@ -372,16 +374,24 @@ class PhysicalField:
 # ---------------------------------------------------------------------------
 
 
-def _rfft(values: np.ndarray) -> np.ndarray:
-    """rfftn half spectrum (last axis j = 0..n/2) of real samples (ncomp, n, ...)."""
-    return np.fft.rfftn(values, axes=tuple(range(1, values.ndim)), norm="forward")
+def _rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """rfftn half spectrum (last axis j = 0..n/2) of real samples (ncomp, n, ...).
+
+    With `out` the spectrum is written there and numpy allocates nothing.
+    """
+    return np.fft.rfftn(values, axes=tuple(range(1, values.ndim)), norm="forward", out=out)
 
 
-def _irfft(half: np.ndarray) -> np.ndarray:
-    """Real samples of the field whose rfftn half spectrum is `half`."""
+def _irfft(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of the field whose rfftn half spectrum is `half`.
+
+    With `out` the samples are written there; numpy still allocates its
+    complex intermediates of the leading axes (dim - 1 of them, the size of
+    `half`, two alive at once in 3D).
+    """
     n = half.shape[1]
     axes = tuple(range(1, half.ndim))
-    return np.fft.irfftn(half, s=(n,) * len(axes), axes=axes, norm="forward")
+    return np.fft.irfftn(half, s=(n,) * len(axes), axes=axes, norm="forward", out=out)
 
 
 @lru_cache(maxsize=32)
@@ -470,19 +480,28 @@ def laplacian(F: SpectralField) -> SpectralField:
     return SpectralField(F.grid, F.coeffs * (-k_squared(F.grid)), is_mean_zero=True)
 
 
-def _irrotational(x: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _irrotational(x: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Irrotational part k (k.x)/|k|^2 of a vector's coefficients.
 
     k is the odd multipliers' wavevector, zero at each Nyquist index, so the
     projection is even in k: it keeps real fields real, and P = 1 - Q leaves
-    no divergence that `divergence` can see.
+    no divergence that `divergence` can see.  The result goes to `out`
+    (fresh if None), which must not overlap x; its last component holds the
+    scalar (k.x)/|k|^2 until the end, so nothing else is allocated.
     """
     ks = _odd_wavenumbers(grid)
-    kdot = ks[0] * x[0]
+    if out is None:
+        out = np.empty((grid.dim, *x.shape[1:]), dtype=np.complex128)
+    kdot = out[-1]
+    np.multiply(ks[0], x[0], out=kdot)
     for i in range(1, grid.dim):
-        kdot += ks[i] * x[i]
+        np.multiply(ks[i], x[i], out=out[0])
+        kdot += out[0]
     kdot *= _inv_k_squared(grid)
-    return np.stack([k * kdot for k in ks])
+    for i in range(grid.dim - 1):
+        np.multiply(ks[i], kdot, out=out[i])
+    np.multiply(ks[-1], kdot, out=kdot)
+    return out
 
 
 def helmholtz_project(F: SpectralField, which: str) -> SpectralField:

@@ -211,6 +211,23 @@ class TestManifest:
         assert times == [0.0, 0.05]  # every snapshot before the blow-up, all probes
         assert len(rows) == 1 + 2 * 3
 
+    def test_resource_use_recorded_outside_the_csvs(self, tmp_path):
+        args = ["simulate", "seed=5", "grid.n=16", "model.kind=hns_eps_alpha", "model.epsilon=0.1",
+                "model.alpha=0.1", "step.dt=0.01", "step.t_end=0.05"]  # fmt: skip
+        blowup = ["simulate", "seed=1", "grid.n=16", "model.kind=ns", "init.kind=random",
+                  "init.amplitude=1000", "step.dt=0.05", "step.t_end=2.5"]  # fmt: skip
+        probes = []
+        for out, argv, code in (("a", args, 0), ("b", args, 0), ("c", blowup, 3)):
+            assert run_cli(argv, tmp_path, out=out) == code
+            (run_dir,) = (tmp_path / out).iterdir()
+            m = json.loads((run_dir / "manifest.json").read_text())
+            assert m["peak_rss_mb"] > 0
+            assert isinstance(m["minor_page_faults"], int) and m["minor_page_faults"] >= 0
+            csv = (run_dir / "probes.csv").read_bytes()
+            assert b"rss" not in csv and b"fault" not in csv
+            probes.append(csv)
+        assert probes[0] == probes[1]
+
     def test_env_var_out_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HNS_OUT_DIR", str(tmp_path / "env_runs"))
         code = main(["simulate", "seed=4", "grid.n=32", "model.kind=ns", "step.t_end=0"])

@@ -691,7 +691,11 @@ def general_forcing(u, grid):
 def force_general_form(monkeypatch):
     """Make every forcing evaluation take the general form, whatever the model and grid."""
     nonlinear = solvers._nonlinear
-    monkeypatch.setattr(solvers, "_nonlinear", lambda u, grid, solenoidal=False: nonlinear(u, grid))
+
+    def general(u, grid, solenoidal=False, out=None):
+        return nonlinear(u, grid, out=out)
+
+    monkeypatch.setattr(solvers, "_nonlinear", general)
 
 
 def record_batches(monkeypatch):
@@ -766,6 +770,147 @@ def test_forcing_transform_batches(grid, params, fraction, solenoidal, monkeypat
     half = (*g.shape[:-1], g.n_per_axis // 2 + 1)
     expect = [("irfftn", (n_inverse, *half)), ("rfftn", (n_forward, *g.shape))] * 4
     assert calls == expect, calls
+
+
+# ---------------------------------------------------------------------------
+# the workspace ETD2 step against the allocating one
+# ---------------------------------------------------------------------------
+
+
+def irrotational_oracle(x, grid):
+    """The allocating Q projection k (k.x)/|k|^2 on the half spectrum."""
+    ks = spectral._odd_wavenumbers(grid)
+    kdot = ks[0] * x[0]
+    for i in range(1, grid.dim):
+        kdot += ks[i] * x[i]
+    kdot *= spectral._inv_k_squared(grid)
+    return np.stack([k * kdot for k in ks])
+
+
+def nonlinear_half_oracle(u, grid, solenoidal):
+    """The allocating half-spectrum nonlinear term, one expression per intermediate."""
+    dim = grid.dim
+    ik = spectral._derivatives(grid)
+    rows, cols, pair = solvers._product_pairs(dim)
+    npairs = rows.size
+    if solenoidal:
+        phys = spectral._irfft(u)
+        prods = np.empty((npairs, *phys.shape[1:]))
+    else:
+        stack = np.empty((dim + 1, *u.shape[1:]), dtype=np.complex128)
+        stack[:dim] = u
+        np.multiply(ik[0], u[0], out=stack[dim])
+        for i in range(1, dim):
+            stack[dim] += ik[i] * u[i]
+        phys = spectral._irfft(stack)
+        prods = np.empty((npairs + dim, *phys.shape[1:]))
+        np.multiply(phys[dim], phys[:dim], out=prods[npairs:])
+    np.multiply(phys[rows], phys[cols], out=prods[:npairs])
+    prods = spectral._rfft(prods)
+    out = np.zeros((dim, *prods.shape[1:]), dtype=np.complex128) if solenoidal else prods[npairs:]
+    for j in range(dim):
+        for i in range(dim):
+            out[j] -= ik[i] * prods[pair[i, j]]
+    out *= spectral.dealias_mask(grid)
+    return out
+
+
+def allocating_step_oracle(u, v, params, dt, grid):
+    """The ETD2 step with a fresh array for every intermediate, in the stepper's operation order."""
+    tables = solvers._etd2_tables(params.model, params.epsilon, params.alpha, grid, dt)
+    mean = (slice(None), *(0,) * grid.dim)
+    constrained = params.model in (Model.NS, Model.HNS_EPS)
+
+    def forcing(x):
+        f = nonlinear_half_oracle(x, grid, constrained and grid.k_max_dealiased < grid.k_max)
+        if constrained:
+            f -= irrotational_oracle(f, grid)
+        f[mean] = 0.0
+        return f
+
+    if params.model is Model.NS:
+        E, J0, K = tables
+        g0 = forcing(u)
+        a = E * u + J0 * g0
+        a[mean] = 0.0
+        unew = a + K * (forcing(a) - g0)
+        unew[mean] = 0.0
+        return unew, None
+
+    def by_branch(kernel, *arrays):
+        P, Q = tables
+        if Q is P:
+            return kernel(P, *arrays)
+        qs = [irrotational_oracle(x, grid) for x in arrays]
+        out_p = kernel(P, *(x - q for x, q in zip(arrays, qs)))
+        out_q = kernel(Q, *qs)
+        return tuple(a + b for a, b in zip(out_p, out_q))
+
+    def predict(tab, u, v, g):
+        A, B, Ap, Bp, j0u, j0v, _, _ = tab
+        return A * u + B * v + j0u * g, Ap * u + Bp * v + j0v * g
+
+    def correct(tab, dg):
+        return tab[6] * dg, tab[7] * dg
+
+    scale = 1.0 / params.epsilon
+    g0 = scale * forcing(u)
+    au, av = by_branch(predict, u, v, g0)
+    au[mean] = 0.0
+    du, dv = by_branch(correct, scale * forcing(au) - g0)
+    unew, vnew = au + du, av + dv
+    unew[mean] = vnew[mean] = 0.0
+    return unew, vnew
+
+
+def workspace_data(grid, params, seed):
+    """Stepper data on grid, full-band when dealias_fraction = 1, as `run_simulation` prepares it."""
+    if grid.dealias_fraction < 1:
+        return stepper_data(grid, params, seed)
+    rng = np.random.default_rng(seed)
+    u0, u1 = (random_band_limited(grid, rng, ncomp=grid.dim, kmax=grid.n_per_axis) for _ in "uv")
+    if params.model is not Model.HNS_EPS_ALPHA:
+        u0, u1 = helmholtz_project(u0, "P"), helmholtz_project(u1, "P")
+    return u0, u1 if params.is_hyperbolic else None
+
+
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0], ids=["dealias", "nodealias"])
+@pytest.mark.parametrize("params", STEP_PARAMS, ids=STEP_IDS)
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+class TestWorkspaceStep:
+    def test_five_steps_equal_allocating_step(self, grid, params, fraction):
+        g = GridSpec(grid.dim, grid.n_per_axis, dealias_fraction=fraction)
+        u0, u1 = workspace_data(g, params, 23)
+        cfg = StepperConfig(dt=0.002, t_end=0.01)
+        expect = (u0.coeffs, None if u1 is None else u1.coeffs)
+        state = SolverState(u0, u1, 0.0)
+        for _ in range(5):
+            expect = allocating_step_oracle(*expect, params, cfg.dt, g)
+            state = solvers.step(state, params, cfg)
+            for got, want in zip(coefficients(state), expect):
+                assert np.array_equal(got, want)
+
+    def test_returned_states_are_values(self, grid, params, fraction):
+        g = GridSpec(grid.dim, grid.n_per_axis, dealias_fraction=fraction)
+        u0, u1 = workspace_data(g, params, 24)
+        cfg = StepperConfig(dt=0.002, t_end=0.01)
+        first = solvers.step(SolverState(u0, u1, 0.0), params, cfg)
+        kept = [c.copy() for c in coefficients(first)]
+        # two steps from one state give equal arrays, none of them shared
+        again = solvers.step(first, params, cfg)
+        other = solvers.step(first, params, cfg)
+        for a, b in zip(coefficients(again), coefficients(other)):
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)
+        # later steps, and a probe calling nonlinear_term between them, leave it alone
+        state = first
+        for _ in range(3):
+            nonlinear_term(state.u)
+            state = solvers.step(state, params, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(coefficients(first), kept))
+        res = solvers.run_simulation(u0, u1, params, cfg, keep_states=True)
+        arrays = [c for st in res.states for c in coefficients(st)]
+        assert len(res.states) == 6
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
 
 
 # ---------------------------------------------------------------------------

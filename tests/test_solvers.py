@@ -1,5 +1,7 @@
 """Solver contracts: propagators, steppers, pressure, Picard iteration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from hnslab.solvers import (
     SolverState,
     StabilityError,
     StepperConfig,
+    _check_blowup,
     evolve_linear,
     nonlinear_term,
     picard_local_solve,
@@ -296,12 +299,49 @@ class TestStep:
         cfg = StepperConfig(dt=1e-2, t_end=5.0, scheme=Scheme.RK4_FULL)
         st = SolverState(u0, SpectralField.zeros(grid2d, 2), 0.0)
         with pytest.raises(BlowUpError) as exc_info:
-            from hnslab.solvers import _check_blowup
-
             for _ in range(500):
                 st = step(st, params, cfg)
                 _check_blowup(st.u, 1.0, st.time)
         assert exc_info.value.time > 0
+
+
+ALLOC_PARAMS = [
+    ModelParams(Model.NS),
+    ModelParams(Model.HNS_EPS, epsilon=0.05),
+    ModelParams(Model.HNS_EPS_ALPHA, epsilon=0.05, alpha=0.1),
+]
+# interpreter objects (states, fields, tuples) of one step, not arrays
+PYTHON_OBJECTS = 4096
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes traced by tracemalloc during fn(*args)); numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("params", ALLOC_PARAMS, ids=["ns", "eps", "eps_alpha"])
+@pytest.mark.parametrize("grid", [GridSpec(2, 64), GridSpec(3, 16)], ids=["2d64", "3d16"])
+def test_etd2_step_allocates_only_its_state(grid, params):
+    # every intermediate lives in the grid's workspace, built by the warm-up
+    # step.  In 3D numpy's irfftn holds two complex intermediates the size of
+    # its input, which for NS is exactly 2x the returned state.
+    rng = np.random.default_rng(30)
+    u0, u1 = (dealias(random_band_limited(grid, rng, ncomp=grid.dim)) for _ in range(2))
+    if params.model is not Model.HNS_EPS_ALPHA:
+        u0, u1 = helmholtz_project(u0, "P"), helmholtz_project(u1, "P")
+    cfg = StepperConfig(dt=1e-3, t_end=1.0)
+    state = step(SolverState(u0, u1 if params.is_hyperbolic else None, 0.0), params, cfg)
+    new, peak = traced_peak(step, state, params, cfg)
+    nbytes = sum(F.coeffs.nbytes for F in (new.u, new.u_t) if F is not None)
+    assert peak <= 2 * nbytes + PYTHON_OBJECTS, (peak, nbytes)
+    _, peak = traced_peak(_check_blowup, new.u, 1.0, new.time)
+    assert peak <= PYTHON_OBJECTS
 
 
 class TestRunSimulation:
