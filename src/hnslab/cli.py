@@ -305,13 +305,15 @@ def _cmd_simulate(cfg: dict):
         "div_l2": lambda st: sobolev_norm(divergence(st.u), 0.0),
     }
     if params.is_hyperbolic:
-        last = {"state": None, "report": None}  # one energy report per recorded state
+        # one energy report per recorded state, which also gives its div_l2
+        last = {"state": None, "report": None}
 
         def report(st):
             if last["state"] is not st:
                 last.update(state=st, report=energy(st, params))
             return last["report"]
 
+        probes["div_l2"] = lambda st: report(st).div_l2
         probes["E_base"] = lambda st: report(st).base
         probes["E_high"] = lambda st: report(st).high
 

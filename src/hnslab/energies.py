@@ -68,22 +68,6 @@ class EnergyReport:
         return self.E_delta if self.E_delta is not None else self.E_half_delta
 
 
-def _energy_terms(state: SolverState, params: ModelParams, sigma: float) -> dict[str, float]:
-    eps = params.epsilon
-    u, ut = state.u, state.u_t
-    shifted = u + eps * ut
-    terms = {
-        "shifted": 0.5 * sobolev_norm(shifted, sigma) ** 2,
-        "ut": 0.5 * eps**2 * sobolev_norm(ut, sigma) ** 2,
-        "grad": eps * sobolev_norm(u, sigma + 1.0) ** 2,
-    }
-    if params.model is Model.HNS_EPS_ALPHA:
-        terms["penalty"] = (eps / params.alpha) * sobolev_norm(divergence(u), sigma) ** 2
-    else:
-        terms["penalty"] = 0.0
-    return terms
-
-
 def energy(
     state: SolverState,
     params: ModelParams,
@@ -95,18 +79,37 @@ def energy(
     The defaults follow the dimension: orders (0, delta) in 2D and
     (1/2, 1/2 + delta) in 3D.  Extra orders passed in sigma_set are recorded in
     the components map.  If N is given the compound functional is filled in.
+    div u and u + eps u_t are formed once and shared by `div_l2` and every
+    order.
     """
     if not params.is_hyperbolic:
         raise MissingStateError("NS has no hyperbolic energy; use sobolev_norm directly")
     if state.u_t is None:
         raise MissingStateError("hyperbolic energies need the time derivative")
-    dim = state.u.grid.dim
+    u, ut, eps = state.u, state.u_t, params.epsilon
+    dim = u.grid.dim
     base_sigma = 0.0 if dim == 2 else 0.5
     high_sigma = base_sigma + params.delta
+    div = divergence(u)
+    # u + eps u_t with one temporary, not two: the same sums, bit for bit
+    coeffs = ut.coeffs * eps
+    coeffs += u.coeffs
+    shifted = SpectralField(u.grid, coeffs, u.is_mean_zero and ut.is_mean_zero)
 
-    report = EnergyReport(time=state.time, div_l2=sobolev_norm(divergence(state.u), 0.0))
-    base_terms = _energy_terms(state, params, base_sigma)
-    high_terms = _energy_terms(state, params, high_sigma)
+    def terms(sigma: float) -> dict[str, float]:
+        penalty = 0.0
+        if params.model is Model.HNS_EPS_ALPHA:
+            penalty = (eps / params.alpha) * sobolev_norm(div, sigma) ** 2
+        return {
+            "shifted": 0.5 * sobolev_norm(shifted, sigma) ** 2,
+            "ut": 0.5 * eps**2 * sobolev_norm(ut, sigma) ** 2,
+            "grad": eps * sobolev_norm(u, sigma + 1.0) ** 2,
+            "penalty": penalty,
+        }
+
+    report = EnergyReport(time=state.time, div_l2=sobolev_norm(div, 0.0))
+    base_terms = terms(base_sigma)
+    high_terms = terms(high_sigma)
     base_val = sum(base_terms.values())
     high_val = sum(high_terms.values())
     if dim == 2:
@@ -118,8 +121,7 @@ def energy(
     for name, v in high_terms.items():
         report.components[f"high_{name}"] = v
     for sigma in sigma_set or ():
-        terms = _energy_terms(state, params, sigma)
-        report.components[f"E_sigma_{sigma:g}"] = sum(terms.values())
+        report.components[f"E_sigma_{sigma:g}"] = sum(terms(sigma).values())
     if N is not None:
         report.script_E = script_E(report, N)
     return report

@@ -25,15 +25,26 @@ Leray projection and the mean removal) serves the ETD2 stepper, the public
 `nonlinear_term` and the RK4 scheme.  A `SolverState` is the plain value
 (u, u_t, time); the stepper wraps its arrays in fields without copying them.
 
+Box rule: an ETD2 step runs on the dealias box, the modes with every
+|j_axis| <= grid.dealias_cut that the 2/3 rule keeps (see `spectral`).  It
+gathers the box of the state; both forcings, the Helmholtz split and the
+predictor and corrector work on box arrays, with the box restrictions of
+the ETD2 tables (`_box_tables`), of i k, of the odd wavevector and of
+1/|k|^2, and with box transforms.  It scatters the result into fresh zeroed
+half spectra.  So `step` reads only the box: a state with content outside it
+steps exactly like its `dealias`, and `run_simulation` dealiases its data.
+On a grid with `dealias_fraction=1` the box is the whole half spectrum.
+
 Workspace rule: every intermediate of a forcing and of an ETD2 step is
-written with in-place ufuncs into one scratch `_Workspace` per grid (cached
-for one grid at a time, so a sweep's reference run and its points share
-it), in the same operation order as the allocating expressions it replaces,
-so outputs are unchanged to the bit.  A step allocates only the arrays of
-the state it returns; `nonlinear_term`, RK4 and Picard get a fresh forcing
-array from the same core.  No scratch content survives a call, and nothing
-returned aliases the workspace.  The workspace is per process and is not
-thread-safe: run concurrent solves in separate processes, as the sweeps do.
+written with in-place ufuncs into one scratch `_Workspace` per grid and
+shape (the box for steps, the half spectrum for `nonlinear_term`, RK4 and
+Picard, which get a fresh forcing array from the same core), cached for one
+grid at a time so a sweep's reference run and its points share it.  The
+operation order is that of the allocating expressions, so outputs are
+unchanged to the bit.  A step allocates only the arrays of the state it
+returns.  No scratch content survives a call, and nothing returned aliases
+the workspace.  The workspace is per process and is not thread-safe: run
+concurrent solves in separate processes, as the sweeps do.
 
 The forcing takes its form from the model and the grid.  NS and HNS_EPS
 evolve Leray-projected, hence divergence-free, states, so on a grid whose
@@ -56,10 +67,14 @@ from .spectral import (
     GridSpec,
     InvalidFieldError,
     SpectralField,
+    _box_scratch,
+    _box_table,
     _derivatives,
+    _from_box,
     _irfft,
     _irrotational,
     _rfft,
+    _to_box,
     dealias,
     dealias_mask,
     divergence,
@@ -268,61 +283,81 @@ def _views(buf: np.ndarray, specs) -> list[np.ndarray]:
 
 
 class _Workspace:
-    """Scratch arrays of one grid for every intermediate of a forcing and an ETD2 step.
+    """Scratch arrays of one grid for every intermediate of a forcing and, on the box, an ETD2 step.
 
-    The step region holds what lives across a step's two forcings: the
-    scaled forcing g0 of the state, the predictor (au, av) and the forcing
-    g1 of au.  The phase region is sized by its largest phase and shared in
+    Spectral arrays have the half-spectrum shape, or with box the dealias
+    box's.  The phase region is sized by its largest phase and shared in
     time.  A forcing uses it for its transform buffers: the spectra `fhat`,
     whose first rows are also the inverse transform's input stack, the
-    samples `phys`, the products `prods` and one component `tmp`.  The
-    Helmholtz split of the predictor and corrector then uses it for one
-    datum's parts `q` and `p`, a product `prod`, the Q-branch sums `sums`
-    and the corrector's `increment`, and the blow-up check for |c|.  Nothing
-    in it outlives the call that fills it.
+    samples `phys`, the products `prods`, one component `tmp` and the box
+    transforms' pass buffers `work`.  The Helmholtz split of the predictor
+    and corrector then uses it for one datum's parts `q` and `p`, a product
+    `prod`, the Q-branch sums `sums` and the corrector's `increment`, and
+    the blow-up check for |c|.  The box workspace also has a step region
+    for what lives across a step's two forcings: the state's box (u, v), the
+    scaled forcing g0 of the state, the predictor (au, av) and the forcing
+    g1 of au.  Nothing in it outlives the call that fills it.
     """
 
-    def __init__(self, grid: GridSpec):
+    def __init__(self, grid: GridSpec, box: bool):
         d = grid.dim
         npairs = d * (d + 1) // 2
-        H, R = grid.spectral_shape, grid.shape
+        H, R = (grid.box_shape if box else grid.spectral_shape), grid.shape
         c, f = np.complex128, np.float64
         vec, pair = ((d, *H), c), ((2, d, *H), c)
-        forcing = (((npairs + d, *H), c), ((d + 1, *R), f), ((npairs + d, *R), f), (H, c))
+        passes = 0
+        if box:
+            passes = max(_box_scratch(grid, d + 1, True), _box_scratch(grid, npairs + d, False))
+        spectra, samples = ((npairs + d, *H), c), ((d + 1, *R), f)
+        forcing = (spectra, samples, ((npairs + d, *R), f), (H, c), ((passes,), c))
         split = (vec, vec, vec, pair, pair)
         phase = np.empty(max(_words(forcing), _words(split)))
-        self.fhat, self.phys, self.prods, self.tmp = _views(phase, forcing)
+        self.fhat, self.phys, self.prods, self.tmp, self.work = _views(phase, forcing)
         self.q, self.p, self.prod, self.sums, self.increment = _views(phase, split)
         (self.magnitude,) = _views(phase, [((d, *H), f)])
-        step = (vec,) * 4
-        self.g0, self.au, self.av, self.g1 = _views(np.empty(_words(step)), step)
+        if box:
+            state = (vec,) * 6
+            views = _views(np.empty(_words(state)), state)
+            self.u, self.v, self.g0, self.au, self.av, self.g1 = views
 
 
-@functools.lru_cache(maxsize=1)
-def _workspace(grid: GridSpec) -> _Workspace:
-    """The scratch workspace of grid; one grid at a time, so a sweep's runs share it."""
-    return _Workspace(grid)
+@functools.lru_cache(maxsize=2)
+def _workspace(grid: GridSpec, box: bool = False) -> _Workspace:
+    """The scratch workspace of grid, on its dealias box or the half spectrum.
+
+    One grid at a time, in both shapes, so a sweep's runs share it and a
+    probe's `nonlinear_term` between steps evicts nothing.
+    """
+    return _Workspace(grid, box)
 
 
 def _nonlinear(
-    u: np.ndarray, grid: GridSpec, solenoidal: bool = False, out: np.ndarray | None = None
+    u: np.ndarray,
+    grid: GridSpec,
+    solenoidal: bool = False,
+    out: np.ndarray | None = None,
+    box: bool = False,
 ) -> np.ndarray:
     """Coefficients of f(u) from those of u, into out (fresh if None): the core of `nonlinear_term`.
 
     solenoidal drops the (div u) u products and the div u inverse, leaving the
     divergence form -sum_i d_i(u_i u), which equals f(u) only for div u = 0.
-    The intermediates live in the grid's workspace; out must not be one of them.
+    With box, u and f are dealias boxes and the transforms are box
+    transforms; the box holds only the modes the dealias mask keeps, so no
+    mask is applied.  The intermediates live in the grid's workspace; out
+    must not be one of them.
     """
     dim = grid.dim
-    ik = _derivatives(grid)
+    ik = _derivatives(grid, box)
     rows, cols, pair = _product_pairs(dim)
     npairs = rows.size
-    ws = _workspace(grid)
+    ws = _workspace(grid, box=box)
     tmp = ws.tmp
+    scope = grid if box else None
     n_in, n_out = (dim, npairs) if solenoidal else (dim + 1, npairs + dim)
     phys, prods, fhat = ws.phys[:n_in], ws.prods[:n_out], ws.fhat[:n_out]
     if solenoidal:
-        _irfft(u, out=phys)
+        _irfft(u, out=phys, box=scope, work=ws.work)
     else:
         stack = fhat[:n_in]
         stack[:dim] = u
@@ -330,13 +365,13 @@ def _nonlinear(
         for i in range(1, dim):
             np.multiply(ik[i], u[i], out=tmp)
             stack[dim] += tmp
-        _irfft(stack, out=phys)
+        _irfft(stack, out=phys, box=scope, work=ws.work)
         np.multiply(phys[dim], phys[:dim], out=prods[npairs:])
     for k, (i, j) in enumerate(zip(rows, cols)):
         np.multiply(phys[i], phys[j], out=prods[k])
-    _rfft(prods, out=fhat)
+    _rfft(prods, out=fhat, box=scope, work=ws.work)
     if out is None:
-        out = np.empty((dim, *grid.spectral_shape), dtype=np.complex128)
+        out = np.empty((dim, *u.shape[1:]), dtype=np.complex128)
     for j in range(dim):
         for i in range(dim):
             np.multiply(ik[i], fhat[pair[i, j]], out=tmp)
@@ -346,7 +381,8 @@ def _nonlinear(
                 np.subtract(0.0, tmp, out=out[j])
             else:
                 np.subtract(fhat[npairs + j], tmp, out=out[j])  # (div u) u_j
-    out *= dealias_mask(grid)
+    if not box:
+        out *= dealias_mask(grid)
     return out
 
 
@@ -356,6 +392,7 @@ def _forcing(
     params: ModelParams,
     nonlinearity: bool,
     out: np.ndarray | None = None,
+    box: bool = False,
 ) -> np.ndarray:
     """Coefficients of the model forcing f(u), Leray-projected for the constrained models.
 
@@ -367,7 +404,8 @@ def _forcing(
     The mean of f is discarded: evolved fields are kept mean-zero, so the
     small net force the compressible nonlinearity would exert on the torus
     (absent on the whole space) is not allowed to drive a mean flow.
-    The result goes to out, fresh if None.
+    The result goes to out, fresh if None; with box, u and f are dealias
+    boxes (see `_nonlinear`).
     """
     if out is None:
         out = np.empty_like(u)
@@ -376,9 +414,9 @@ def _forcing(
         return out
     constrained = params.model in (Model.NS, Model.HNS_EPS)
     solenoidal = constrained and grid.k_max_dealiased < grid.k_max
-    f = _nonlinear(u, grid, solenoidal=solenoidal, out=out)
+    f = _nonlinear(u, grid, solenoidal=solenoidal, out=out, box=box)
     if constrained:
-        f -= _irrotational(f, grid, out=_workspace(grid).q)
+        f -= _irrotational(f, grid, out=_workspace(grid, box=box).q, box=box)
     f[(slice(None), *(0,) * grid.dim)] = 0.0
     return f
 
@@ -550,7 +588,6 @@ def _etd2_branch(params: ModelParams, grid: GridSpec, dt: float, branch: str) ->
     return A, B, Ap, Bp, j0u, B, j0u - j1u / dt, B - j1v / dt
 
 
-@functools.lru_cache(maxsize=16)
 def _etd2_tables(model: Model, eps: float | None, alpha: float | None, grid: GridSpec, dt: float):
     """ETD2 tables of one (model, grid, dt), on the rfftn half grid.
 
@@ -568,6 +605,16 @@ def _etd2_tables(model: Model, eps: float | None, alpha: float | None, grid: Gri
     return P, (_etd2_branch(params, grid, dt, "Q") if model is Model.HNS_EPS_ALPHA else P)
 
 
+@functools.lru_cache(maxsize=16)
+def _box_tables(model: Model, eps: float | None, alpha: float | None, grid: GridSpec, dt: float):
+    """`_etd2_tables` of one (model, grid, dt) restricted to the dealias box; only these are kept."""
+    tables = _etd2_tables(model, eps, alpha, grid, dt)
+    if model is Model.NS:
+        return tuple(_box_table(t, grid) for t in tables)
+    P, Q = (tuple(_box_table(t, grid) for t in branch) for branch in tables)
+    return P, (P if tables[1] is tables[0] else Q)
+
+
 # rows of an `_etd2_branch` table per datum, for the outputs (u, u_t): the
 # predictor E (u, v) + J0 g reads (A, A'), (B, B') and (J0u, J0v); the
 # corrector K dg reads (Ku, Kv)
@@ -579,17 +626,17 @@ def _by_branch(tables, grid: GridSpec, rows, data, outs) -> None:
     """outs[o] = sum over the data x and Helmholtz branches b of tab_b[row[o]] * (b part of x).
 
     Each branch sums its data left to right, then the P sum adds the Q sum.
-    The data are split into their P and Q parts only when the tables differ,
-    one datum at a time, in the grid's workspace.
+    The data are dealias boxes, split into their P and Q parts only when the
+    tables differ, one datum at a time, in the grid's box workspace.
     """
     P, Q = tables
-    ws = _workspace(grid)
+    ws = _workspace(grid, box=True)
     if Q is P:
         _accumulate(P, rows, data, outs, ws.prod)
         return
     sums = ws.sums[: len(outs)]
     for n, (x, row) in enumerate(zip(data, rows)):
-        q = _irrotational(x, grid, out=ws.q)
+        q = _irrotational(x, grid, out=ws.q, box=True)
         p = np.subtract(x, q, out=ws.p)
         _accumulate(P, (row,), (p,), outs, ws.prod, first=n == 0)
         _accumulate(Q, (row,), (q,), sums, ws.prod, first=n == 0)
@@ -622,9 +669,15 @@ def _rhs(state: SolverState, params: ModelParams, nonlinearity: bool):
 
 
 def _check_blowup(u: SpectralField, initial_max: float, time: float, partial=None):
-    """Raise BlowUpError when max |c| of u leaves 1e12 times its initial value."""
-    c = u.coeffs
-    m = float(np.max(np.abs(c, out=_workspace(u.grid).magnitude[: len(c)])))
+    """Raise BlowUpError when max |c| of u leaves 1e12 times its initial value.
+
+    Only the dealias box is read: a stepped state is zero outside it, from
+    `step` by construction and from RK4 because its multipliers keep the
+    support of `run_simulation`'s dealiased data.
+    """
+    ws = _workspace(u.grid, box=True)
+    box = _to_box(u.coeffs, u.grid, out=ws.u[: u.ncomp])
+    m = float(np.max(np.abs(box, out=ws.magnitude[: u.ncomp])))
     if not np.isfinite(m) or m > BLOWUP_FACTOR * max(initial_max, 1e-30):
         raise BlowUpError(time, partial=partial)
 
@@ -637,48 +690,52 @@ def step(
 ) -> SolverState:
     """Advance one dt with the configured scheme.
 
-    For NS and HNS_EPS the state must be divergence-free, as `run_simulation`
+    An ETD2 step reads only the state's dealias box, the modes with every
+    |j_axis| <= grid.dealias_cut, and returns fields that are zero outside
+    it: content outside the box is dropped, so a state steps exactly like
+    its `dealias`, and `run_simulation` dealiases its data.  For NS and
+    HNS_EPS the state must also be divergence-free, as `run_simulation`
     makes it: their forcing is then the divergence form (see `_forcing`).
-    The new state's fields wrap fresh arrays, whose mean is zero; every
-    other intermediate of an ETD2 step lives in the grid's workspace.
+    The step's arithmetic and transforms run on the box, in the grid's box
+    workspace; the new state's fields wrap fresh arrays, whose mean is zero.
     """
     if cfg.scheme is Scheme.RK4_FULL:
         return _step_rk4(state, params, cfg, nonlinearity)
     grid = state.u.grid
     dt = cfg.dt
-    tables = _etd2_tables(params.model, params.epsilon, params.alpha, grid, dt)
-    ws = _workspace(grid)
-    u = state.u.coeffs
+    tables = _box_tables(params.model, params.epsilon, params.alpha, grid, dt)
+    ws = _workspace(grid, box=True)
+    u = _to_box(state.u.coeffs, grid, out=ws.u)
     mean = (slice(None), *(0,) * grid.dim)
 
-    def wrap(x):
-        return SpectralField(grid, x, is_mean_zero=True)
+    def result(x):
+        x[mean] = 0.0
+        return SpectralField(grid, _from_box(x, grid), is_mean_zero=True)
 
     if params.model is Model.NS:
         E, J0, K = tables
-        g0 = _forcing(u, grid, params, nonlinearity, out=ws.g0)
+        g0 = _forcing(u, grid, params, nonlinearity, out=ws.g0, box=True)
         a = np.multiply(E, u, out=ws.au)
         a += np.multiply(J0, g0, out=ws.prod)
         a[mean] = 0.0
-        dg = _forcing(a, grid, params, nonlinearity, out=ws.g1)
+        dg = _forcing(a, grid, params, nonlinearity, out=ws.g1, box=True)
         dg -= g0
-        unew = np.add(a, np.multiply(K, dg, out=dg))
-        unew[mean] = 0.0
-        return SolverState(wrap(unew), None, state.time + dt)
+        unew = np.add(a, np.multiply(K, dg, out=dg), out=dg)
+        return SolverState(result(unew), None, state.time + dt)
     scale = 1.0 / params.epsilon
-    g0 = _forcing(u, grid, params, nonlinearity, out=ws.g0)
+    g0 = _forcing(u, grid, params, nonlinearity, out=ws.g0, box=True)
     np.multiply(scale, g0, out=g0)
+    v = _to_box(state.u_t.coeffs, grid, out=ws.v)
     au, av = ws.au, ws.av
-    _by_branch(tables, grid, _PREDICT, (u, state.u_t.coeffs, g0), (au, av))
+    _by_branch(tables, grid, _PREDICT, (u, v, g0), (au, av))
     au[mean] = 0.0
-    dg = _forcing(au, grid, params, nonlinearity, out=ws.g1)
+    dg = _forcing(au, grid, params, nonlinearity, out=ws.g1, box=True)
     np.multiply(scale, dg, out=dg)
     dg -= g0
     du, dv = ws.increment
     _by_branch(tables, grid, _CORRECT, (dg,), (du, dv))
-    unew, vnew = np.add(au, du), np.add(av, dv)
-    unew[mean] = vnew[mean] = 0.0
-    return SolverState(wrap(unew), wrap(vnew), state.time + dt)
+    unew, vnew = np.add(au, du, out=du), np.add(av, dv, out=dv)
+    return SolverState(result(unew), result(vnew), state.time + dt)
 
 
 def _step_rk4(state, params, cfg, nonlinearity):

@@ -32,7 +32,21 @@ The private array helpers carry the hot paths that build no field:
 transform of the product, `_irrotational` is the Q projection and `_norm` is
 `sobolev_norm`.  `_rfft`, `_irfft` and `_irrotational` take an `out=` array,
 so the stepper's workspace (see `solvers`) receives their results without a
-fresh allocation; `np.fft` accepts `out=` since numpy 2.0.
+fresh allocation.
+
+The dealias box: the 2/3 rule keeps the modes with every |j_axis| <= cut =
+`grid.dealias_cut`.  `_to_box` gathers them into a compact array of shape
+(ncomp, 2 cut + 1, ..., cut + 1), `grid.box_shape`, in fftfreq order (a
+leading axis is whole when 2 cut + 1 >= n), and `_from_box` scatters a box
+into zeroed half spectra.  Given a box grid, `_rfft` and `_irfft` run
+numpy's own one-axis passes in rfftn's and irfftn's order over only the
+lines that meet the box, with every pass writing into a caller buffer, often
+a strided view, through `out=` (numpy 2.0 and later).  Each line is
+transformed as rfftn/irfftn transform it, so the results are bitwise theirs:
+the box of rfftn's spectrum, and irfftn's samples of box-supported data.
+`_box_table` restricts a half-grid table to the box, and the odd wavevector,
+`_derivatives`, `_inv_k_squared` and `_irrotational` take `box=True`.
+Without a box the transforms call `np.fft.rfftn`/`irfftn`.
 
 Conventions baked in here and relied on everywhere else:
 
@@ -46,6 +60,7 @@ Conventions baked in here and relied on everywhere else:
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -141,10 +156,20 @@ class GridSpec:
         return self.k_fundamental * (self.n_per_axis // 2)
 
     @property
+    def dealias_cut(self) -> int:
+        """Largest per-axis index |j| surviving `dealias`: floor(dealias_fraction * n/2)."""
+        return math.floor(self.dealias_fraction * (self.n_per_axis // 2))
+
+    @property
+    def box_shape(self) -> tuple[int, ...]:
+        """Shape of one component's dealias box: the modes with every |j_axis| <= dealias_cut."""
+        cut = self.dealias_cut
+        return (min(2 * cut + 1, self.n_per_axis),) * (self.dim - 1) + (cut + 1,)
+
+    @property
     def k_max_dealiased(self) -> float:
         """Largest per-axis wavenumber surviving `dealias`."""
-        cut = int(np.floor(self.dealias_fraction * (self.n_per_axis // 2)))
-        return self.k_fundamental * cut
+        return self.k_fundamental * self.dealias_cut
 
     def axes(self) -> tuple[np.ndarray, ...]:
         """Physical sample coordinates along each axis."""
@@ -192,8 +217,13 @@ def wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=32)
-def _odd_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """`wavenumbers` with 0 at each axis's Nyquist index: the wavevector of the odd multipliers."""
+def _odd_wavenumbers(grid: GridSpec, box: bool = False) -> tuple[np.ndarray, ...]:
+    """`wavenumbers` with 0 at each axis's Nyquist index: the wavevector of the odd multipliers.
+
+    With box, its restriction to the dealias box (see `_box_table`).
+    """
+    if box:
+        return tuple(_box_table(k, grid) for k in _odd_wavenumbers(grid))
     ks = wavenumbers(grid)
     for k in ks:
         k.flat[grid.n_per_axis // 2] = 0.0
@@ -201,14 +231,14 @@ def _odd_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=32)
-def _derivatives(grid: GridSpec) -> tuple[np.ndarray, ...]:
+def _derivatives(grid: GridSpec, box: bool = False) -> tuple[np.ndarray, ...]:
     """Multipliers i k_axis of d/dx_axis, broadcastable per axis, zero at the Nyquist index.
 
     There the modes j and -j share one coefficient, so i k X of a real
     field's X has no Hermitian part and the real field ifftn(i k X).real
-    drops it; the multiplier drops it too.
+    drops it; the multiplier drops it too.  With box, on the dealias box.
     """
-    return tuple(1j * k for k in _odd_wavenumbers(grid))
+    return tuple(1j * k for k in _odd_wavenumbers(grid, box))
 
 
 @lru_cache(maxsize=32)
@@ -217,16 +247,19 @@ def k_squared(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _inv_k_squared(grid: GridSpec) -> np.ndarray:
+def _inv_k_squared(grid: GridSpec, box: bool = False) -> np.ndarray:
     """1/|k|^2 of the odd multipliers' wavevector, 0 where it vanishes (read-only: shared).
 
     Built from the integer indices as `k_squared` is, so off the Nyquist
-    modes it is exactly 1/k_squared.
+    modes it is exactly 1/k_squared.  With box, on the dealias box.
     """
-    nyquist = -(grid.n_per_axis // 2)
-    m2 = sum(np.where(j == nyquist, 0.0, j) ** 2 for j in _index_vectors(grid))
-    k2 = (grid.k_fundamental * np.sqrt(m2)) ** 2
-    inv = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
+    if box:
+        inv = _box_table(_inv_k_squared(grid), grid)
+    else:
+        nyquist = -(grid.n_per_axis // 2)
+        m2 = sum(np.where(j == nyquist, 0.0, j) ** 2 for j in _index_vectors(grid))
+        k2 = (grid.k_fundamental * np.sqrt(m2)) ** 2
+        inv = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
     inv.flags.writeable = False
     return inv
 
@@ -239,10 +272,9 @@ def k_abs(grid: GridSpec) -> np.ndarray:
 @lru_cache(maxsize=32)
 def dealias_mask(grid: GridSpec) -> np.ndarray:
     """Boolean mask keeping modes with |k_j| <= dealias_fraction * k_max on every axis."""
-    cut = np.floor(grid.dealias_fraction * (grid.n_per_axis // 2))
     mask = np.ones(grid.spectral_shape, dtype=bool)
     for j in _index_vectors(grid):
-        mask &= np.abs(j) <= cut
+        mask &= np.abs(j) <= grid.dealias_cut
     return mask
 
 
@@ -267,6 +299,57 @@ def _sobolev_weight(grid: GridSpec, sigma: float) -> np.ndarray:
     w = w * multiplicity
     w.flags.writeable = False
     return w
+
+
+# ---------------------------------------------------------------------------
+# the dealias box
+# ---------------------------------------------------------------------------
+
+
+def _axis_blocks(n: int, cut: int) -> tuple[tuple[slice, slice], ...]:
+    """(box, spectrum) slice pairs of one leading axis: j = 0..cut, then j = -cut..-1.
+
+    When the two runs meet (2 cut + 1 >= n) the box is the whole axis.
+    """
+    if 2 * cut + 1 >= n:
+        return ((slice(None), slice(None)),)
+    return ((slice(0, cut + 1), slice(0, cut + 1)), (slice(cut + 1, None), slice(n - cut, None)))
+
+
+@lru_cache(maxsize=32)
+def _box_blocks(grid: GridSpec) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
+    """(box, half-spectrum) index pairs of the spatial axes, one per block of the dealias box."""
+    lead = _axis_blocks(grid.n_per_axis, grid.dealias_cut)
+    last = (slice(0, grid.dealias_cut + 1),) * 2
+    return [tuple(zip(*blocks, last)) for blocks in itertools.product(lead, repeat=grid.dim - 1)]
+
+
+def _to_box(x: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """The dealias box (..., *grid.box_shape) of half spectra x, into out (fresh if None)."""
+    if out is None:
+        out = np.empty((*x.shape[: -grid.dim], *grid.box_shape), dtype=np.complex128)
+    for b, h in _box_blocks(grid):
+        out[(Ellipsis, *b)] = x[(Ellipsis, *h)]
+    return out
+
+
+def _from_box(b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Fresh half spectra whose dealias box is b and which are zero outside it."""
+    out = np.zeros((*b.shape[: -grid.dim], *grid.spectral_shape), dtype=np.complex128)
+    for bi, h in _box_blocks(grid):
+        out[(Ellipsis, *h)] = b[(Ellipsis, *bi)]
+    return out
+
+
+def _box_table(table: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Copy of a half-grid table, broadcastable over its last dim axes, restricted to the dealias box."""
+    n, cut = grid.n_per_axis, grid.dealias_cut
+    lead = np.concatenate([np.arange(n)[f] for _, f in _axis_blocks(n, cut)])
+    for ax, index in enumerate((lead,) * (grid.dim - 1) + (np.arange(cut + 1),)):
+        axis = table.ndim - grid.dim + ax
+        if table.shape[axis] > 1:
+            table = table.take(index, axis=axis)
+    return table
 
 
 class SpectralField:
@@ -374,24 +457,110 @@ class PhysicalField:
 # ---------------------------------------------------------------------------
 
 
-def _rfft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _rfft(
+    values: np.ndarray,
+    out: np.ndarray | None = None,
+    box: GridSpec | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """rfftn half spectrum (last axis j = 0..n/2) of real samples (ncomp, n, ...).
 
     With `out` the spectrum is written there and numpy allocates nothing.
+    With `box` the result is the spectrum's dealias box on that grid, from
+    numpy's own passes in rfftn's order: rfft over the last axis, then fft
+    over the leading axes, last to first, each over only the lines that meet
+    the box.  The passes run in `work`, a flat complex scratch of at least
+    `_box_scratch(box, ncomp, inverse=False)` elements (fresh if None).
     """
-    return np.fft.rfftn(values, axes=tuple(range(1, values.ndim)), norm="forward", out=out)
+    if box is None:
+        return np.fft.rfftn(values, axes=tuple(range(1, values.ndim)), norm="forward", out=out)
+    n, cut = box.n_per_axis, box.dealias_cut
+    if out is None:
+        out = np.empty((len(values), *box.box_shape), dtype=np.complex128)
+    spectrum, *gathered = _pass_buffers(box, len(values), False, work)
+    np.fft.rfft(values, axis=-1, norm="forward", out=spectrum)
+    x = spectrum[..., : cut + 1]
+    for ax in range(box.dim - 1, 0, -1):
+        np.fft.fft(x, axis=ax, norm="forward", out=x)
+        dst = gathered.pop() if ax > 1 else out
+        lines = (slice(None),) * ax
+        for b, f in _axis_blocks(n, cut):
+            dst[lines + (b,)] = x[lines + (f,)]
+        x = dst
+    return out
 
 
-def _irfft(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _irfft(
+    half: np.ndarray,
+    out: np.ndarray | None = None,
+    box: GridSpec | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Real samples of the field whose rfftn half spectrum is `half`.
 
-    With `out` the samples are written there; numpy still allocates its
-    complex intermediates of the leading axes (dim - 1 of them, the size of
-    `half`, two alive at once in 3D).
+    With `out` the samples are written there; numpy's irfftn still
+    allocates its complex intermediates of the leading axes (dim - 1 of
+    them, the size of `half`, two alive at once in 3D).  With `box`, `half`
+    is the dealias box of that grid, and numpy's own passes run in irfftn's
+    order: ifft over the leading axes, each padded to n in `work` and
+    transformed there over only the lines that meet the box, then irfft over
+    the last axis of all n/2 + 1 columns, zero past the box.  `work` is a
+    flat complex scratch of at least `_box_scratch(box, ncomp, inverse=True)`
+    elements (fresh if None).
     """
-    n = half.shape[1]
-    axes = tuple(range(1, half.ndim))
-    return np.fft.irfftn(half, s=(n,) * len(axes), axes=axes, norm="forward", out=out)
+    if box is None:
+        axes = tuple(range(1, half.ndim))
+        n = half.shape[1]
+        return np.fft.irfftn(half, s=(n,) * len(axes), axes=axes, norm="forward", out=out)
+    n, cut = box.n_per_axis, box.dealias_cut
+    x = half
+    passes = _pass_buffers(box, len(half), True, work)
+    for ax, padded in enumerate(passes, start=1):
+        padded[..., cut + 1 :] = 0.0  # the last pass's columns j > cut, read by irfft
+        lines = (slice(None),) * ax
+        padded[lines + (slice(cut + 1, n - cut),)] = 0.0  # j = cut+1..n-cut-1, if any
+        lead = padded[..., : cut + 1]
+        for b, f in _axis_blocks(n, cut):
+            lead[lines + (f,)] = x[lines + (b,)]
+        np.fft.ifft(lead, axis=ax, norm="forward", out=lead)
+        x = lead
+    return np.fft.irfft(passes[-1], n=n, axis=-1, norm="forward", out=out)
+
+
+@lru_cache(maxsize=32)
+def _pass_shapes(grid: GridSpec, ncomp: int, inverse: bool) -> tuple[tuple[int, ...], ...]:
+    """Shapes of a box transform's pass buffers, in their order in its scratch.
+
+    The inverse pads the leading axes to n one at a time; its last pass
+    keeps all n/2 + 1 columns, the ones past the box zero, for irfft (numpy
+    2.4's irfft took 1.5x as long at 2D 128^2 when it padded a shorter
+    input itself, same output bits).  The forward holds the rfft output,
+    then the leading axes gathered to the box one at a time (all but the
+    first, which is gathered into the result).
+    """
+    n, d, k, m = grid.n_per_axis, grid.dim, grid.dealias_cut + 1, grid.box_shape[0]
+    h = n // 2 + 1
+    if inverse:
+        return tuple((ncomp, *(n,) * a, *(m,) * (d - 1 - a), h if a == d - 1 else k) for a in range(1, d))
+    gathers = [(ncomp, *(n,) * (a - 1), *(m,) * (d - a), k) for a in range(2, d)]
+    return ((ncomp, *(n,) * (d - 1), h), *gathers)
+
+
+def _box_scratch(grid: GridSpec, ncomp: int, inverse: bool) -> int:
+    """Complex elements of the scratch that a box transform of ncomp components needs."""
+    return sum(math.prod(shape) for shape in _pass_shapes(grid, ncomp, inverse))
+
+
+def _pass_buffers(grid: GridSpec, ncomp: int, inverse: bool, work: np.ndarray | None):
+    """Consecutive views of work (fresh if None), one per `_pass_shapes` entry."""
+    shapes = _pass_shapes(grid, ncomp, inverse)
+    if work is None:
+        work = np.empty(_box_scratch(grid, ncomp, inverse), dtype=np.complex128)
+    views, start = [], 0
+    for shape in shapes:
+        views.append(work[start : start + math.prod(shape)].reshape(shape))
+        start += math.prod(shape)
+    return views
 
 
 @lru_cache(maxsize=32)
@@ -480,8 +649,10 @@ def laplacian(F: SpectralField) -> SpectralField:
     return SpectralField(F.grid, F.coeffs * (-k_squared(F.grid)), is_mean_zero=True)
 
 
-def _irrotational(x: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
-    """Irrotational part k (k.x)/|k|^2 of a vector's coefficients.
+def _irrotational(
+    x: np.ndarray, grid: GridSpec, out: np.ndarray | None = None, box: bool = False
+) -> np.ndarray:
+    """Irrotational part k (k.x)/|k|^2 of a vector's coefficients (with box, of its dealias box).
 
     k is the odd multipliers' wavevector, zero at each Nyquist index, so the
     projection is even in k: it keeps real fields real, and P = 1 - Q leaves
@@ -489,7 +660,7 @@ def _irrotational(x: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) 
     (fresh if None), which must not overlap x; its last component holds the
     scalar (k.x)/|k|^2 until the end, so nothing else is allocated.
     """
-    ks = _odd_wavenumbers(grid)
+    ks = _odd_wavenumbers(grid, box)
     if out is None:
         out = np.empty((grid.dim, *x.shape[1:]), dtype=np.complex128)
     kdot = out[-1]
@@ -497,7 +668,7 @@ def _irrotational(x: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) 
     for i in range(1, grid.dim):
         np.multiply(ks[i], x[i], out=out[0])
         kdot += out[0]
-    kdot *= _inv_k_squared(grid)
+    kdot *= _inv_k_squared(grid, box)
     for i in range(grid.dim - 1):
         np.multiply(ks[i], kdot, out=out[i])
     np.multiply(ks[-1], kdot, out=kdot)
@@ -714,7 +885,7 @@ def _random_half(
 ) -> np.ndarray:
     """Half spectrum of `random_band_limited`, drawn as full-grid normals and halved."""
     if kmax is None:
-        kmax = int(np.floor(grid.dealias_fraction * (grid.n_per_axis // 2)))
+        kmax = grid.dealias_cut
     m = _index_magnitude(grid)
     m = np.concatenate([m, m[..., -2:0:-1]], axis=-1)  # full grid: |j| is even in j_last
     band = (m >= kmin) & (m <= kmax)

@@ -96,6 +96,34 @@ class TestEnergy:
             rtol=1e-12,
         )
 
+    @pytest.mark.parametrize("grid", [GridSpec(2, 16), GridSpec(3, 8)], ids=["2d16", "3d8"])
+    @pytest.mark.parametrize("penalized", [True, False], ids=["eps_alpha", "eps"])
+    def test_equals_per_order_formula(self, grid, penalized, rng):
+        # div u and u + eps u_t are shared by the orders; the numbers are the
+        # per-order formula's to the bit
+        eps, alpha = 0.1, 0.2
+        if penalized:
+            params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=eps, alpha=alpha)
+        else:
+            params = ModelParams(Model.HNS_EPS, epsilon=eps)
+        u = random_band_limited(grid, rng, ncomp=grid.dim)
+        v = random_band_limited(grid, rng, ncomp=grid.dim)
+        rep = energy(SolverState(u, v, 0.3), params, sigma_set=(0.25,))
+
+        def formula(sigma):
+            value = 0.5 * sobolev_norm(u + eps * v, sigma) ** 2
+            value += 0.5 * eps**2 * sobolev_norm(v, sigma) ** 2
+            value += eps * sobolev_norm(u, sigma + 1.0) ** 2
+            if penalized:
+                value += (eps / alpha) * sobolev_norm(divergence(u), sigma) ** 2
+            return value
+
+        base = 0.0 if grid.dim == 2 else 0.5
+        assert rep.base == formula(base)
+        assert rep.high == formula(base + params.delta)
+        assert rep.components["E_sigma_0.25"] == formula(0.25)
+        assert rep.div_l2 == sobolev_norm(divergence(u), 0.0)
+
     def test_sum_of_components(self, grid2d, rng):
         params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=0.1, alpha=0.1)
         st = SolverState(

@@ -626,13 +626,19 @@ class TestStepper:
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
 class TestStepperCounts:
     def test_four_transforms_per_etd2_step(self, grid, params, monkeypatch):
+        # two forcings of one inverse and one forward box transform each; a
+        # box transform is one numpy pass per axis, in irfftn's and rfftn's order
         u0, u1 = stepper_data(grid, params, 15)
         cfg = StepperConfig(dt=0.01, t_end=0.03)
         state = SolverState(u0, u1, 0.0)
         calls = count_transforms(monkeypatch)
         for _ in range(3):
             state = solvers.step(state, params, cfg)
-        assert calls == ["irfftn", "rfftn"] * 6, calls
+        if grid.dim == 2:
+            passes = ["ifft", "irfft", "rfft", "fft"]
+        else:
+            passes = ["ifft", "ifft", "irfft", "rfft", "fft", "fft"]
+        assert calls == passes * 6, calls
 
     def test_no_completion_between_snapshots(self, grid, params, monkeypatch):
         u0, u1 = stepper_data(grid, params, 16)
@@ -692,14 +698,14 @@ def force_general_form(monkeypatch):
     """Make every forcing evaluation take the general form, whatever the model and grid."""
     nonlinear = solvers._nonlinear
 
-    def general(u, grid, solenoidal=False, out=None):
-        return nonlinear(u, grid, out=out)
+    def general(u, grid, solenoidal=False, out=None, box=False):
+        return nonlinear(u, grid, out=out, box=box)
 
     monkeypatch.setattr(solvers, "_nonlinear", general)
 
 
 def record_batches(monkeypatch):
-    """(name, input shape) of every rfftn and irfftn call from now on."""
+    """(name, input shape) of every one-axis and rfftn/irfftn transform call from now on."""
     calls = []
 
     def recording(fn):
@@ -709,7 +715,7 @@ def record_batches(monkeypatch):
 
         return wrapper
 
-    for name in ("rfftn", "irfftn"):
+    for name in ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
     return calls
 
@@ -752,24 +758,44 @@ FORM_CASES = [
 FORM_IDS = ["ns", "eps", "eps_alpha", "ns-nodealias", "eps-nodealias"]
 
 
+BOX_SHAPES = {
+    (2, 2.0 / 3.0): (11, 6),
+    (2, 1.0): (16, 9),
+    (3, 2.0 / 3.0): (5, 5, 3),
+    (3, 1.0): (8, 8, 5),
+}
+
+
 @pytest.mark.parametrize("params, fraction, solenoidal", FORM_CASES, ids=FORM_IDS)
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
 def test_forcing_transform_batches(grid, params, fraction, solenoidal, monkeypatch):
     # the divergence form transforms u inverse and the products u_i u_j forward;
-    # the general form adds div u and the products (div u) u_j
+    # the general form adds div u and the products (div u) u_j.  The inverse
+    # pads one leading axis at a time to n and transforms the lines that meet
+    # the box, the k = cut + 1 columns, then irfft reads all h = n/2 + 1
+    # columns, zero past the box; the forward transforms all samples along
+    # the last axis, then the box columns along the leading axes, last to
+    # first, keeping the box rows of each axis it has done.  With fraction 1
+    # the box is everything.
     g = GridSpec(grid.dim, grid.n_per_axis, dealias_fraction=fraction)
-    d = g.dim
+    d, n, h = g.dim, g.n_per_axis, g.spectral_shape[-1]
+    assert g.box_shape == BOX_SHAPES[d, fraction]
+    m, k = g.box_shape[0], g.box_shape[-1]
     u0, u1 = stepper_data(g, params, 22)
     state = SolverState(u0, u1, 0.0)
     cfg = StepperConfig(dt=0.01, t_end=0.02)
     calls = record_batches(monkeypatch)
     for _ in range(2):
         state = solvers.step(state, params, cfg)
-    n_inverse = d if solenoidal else d + 1
-    n_forward = d * (d + 1) // 2 + (0 if solenoidal else d)
-    half = (*g.shape[:-1], g.n_per_axis // 2 + 1)
-    expect = [("irfftn", (n_inverse, *half)), ("rfftn", (n_forward, *g.shape))] * 4
-    assert calls == expect, calls
+    a = d if solenoidal else d + 1
+    b = d * (d + 1) // 2 + (0 if solenoidal else d)
+    if d == 2:
+        inverse = [("ifft", (a, n, k)), ("irfft", (a, n, h))]
+        forward = [("rfft", (b, n, n)), ("fft", (b, n, k))]
+    else:
+        inverse = [("ifft", (a, n, m, k)), ("ifft", (a, n, n, k)), ("irfft", (a, n, n, h))]
+        forward = [("rfft", (b, n, n, n)), ("fft", (b, n, n, k)), ("fft", (b, n, m, k))]
+    assert calls == (inverse + forward) * 4, calls
 
 
 # ---------------------------------------------------------------------------
@@ -911,6 +937,72 @@ class TestWorkspaceStep:
         arrays = [c for st in res.states for c in coefficients(st)]
         assert len(res.states) == 6
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
+
+
+# ---------------------------------------------------------------------------
+# the dealias box
+# ---------------------------------------------------------------------------
+
+
+def fraction_grid(grid, fraction):
+    return GridSpec(grid.dim, grid.n_per_axis, dealias_fraction=fraction)
+
+
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0], ids=["dealias", "nodealias"])
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_box_transforms_equal_numpy(grid, fraction):
+    # the box passes are numpy's own, so they agree to the bit, whatever the
+    # scratch held before
+    g = fraction_grid(grid, fraction)
+    axes = tuple(range(1, g.dim + 1))
+    rng = np.random.default_rng(40)
+    for ncomp in (1, g.dim + 1, g.dim * (g.dim + 3) // 2):
+        shape = (ncomp, *g.spectral_shape)
+        half = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * spectral.dealias_mask(g)
+        box = spectral._to_box(half, g)
+        assert box.shape == (ncomp, *g.box_shape)
+        assert np.array_equal(spectral._from_box(box, g), half)
+        values = rng.normal(size=(ncomp, *g.shape))
+        inverse = np.fft.irfftn(half, s=g.shape, axes=axes, norm="forward")
+        forward = spectral._to_box(np.fft.rfftn(values, axes=axes, norm="forward"), g)
+        nan_work = [np.full(spectral._box_scratch(g, ncomp, inv), np.nan + 0j) for inv in (True, False)]
+        for inverse_work, forward_work in [(None, None), nan_work]:
+            assert np.array_equal(spectral._irfft(box, box=g, work=inverse_work), inverse)
+            assert np.array_equal(spectral._rfft(values, box=g, work=forward_work), forward)
+
+
+@pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0], ids=["dealias", "nodealias"])
+@pytest.mark.parametrize("params", STEP_PARAMS, ids=STEP_IDS)
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+class TestBoxStep:
+    def test_zero_outside_the_box(self, grid, params, fraction):
+        g = fraction_grid(grid, fraction)
+        u0, u1 = workspace_data(g, params, 41)
+        cfg = StepperConfig(dt=0.002, t_end=0.006)
+        outside = ~spectral.dealias_mask(g)
+        state = SolverState(u0, u1, 0.0)
+        for _ in range(3):
+            state = solvers.step(state, params, cfg)
+            for c in coefficients(state):
+                assert not np.ascontiguousarray(c[:, outside]).view(np.uint64).any()  # +0.0 to the bit
+
+    def test_content_outside_the_box_is_dropped(self, grid, params, fraction):
+        # a step reads only the box, so a state steps exactly like its dealias
+        g = fraction_grid(grid, fraction)
+        u0, u1 = workspace_data(g, params, 42)
+        outside = ~spectral.dealias_mask(g)
+
+        def noisy(F, seed):
+            return SpectralField(g, F.coeffs + full_band(g, seed, ncomp=g.dim).coeffs * outside)
+
+        state = SolverState(noisy(u0, 43), None if u1 is None else noisy(u1, 44), 0.0)
+        clean = SolverState(dealias(state.u), None if u1 is None else dealias(state.u_t), 0.0)
+        if fraction < 1:
+            assert not np.array_equal(state.u.coeffs, clean.u.coeffs)
+        cfg = StepperConfig(dt=0.002, t_end=0.002)
+        got, want = (coefficients(solvers.step(st, params, cfg)) for st in (state, clean))
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
