@@ -45,7 +45,6 @@ from .solvers import (
     BlowUpError,
     Model,
     ModelParams,
-    Scheme,
     StepperConfig,
     run_simulation,
 )
@@ -75,7 +74,6 @@ _KEY_TABLE: dict[str, tuple] = {
     "model.delta": (float, 0.5),
     "step.dt": (float, None),
     "step.t_end": (float, 1.0),
-    "step.scheme": (str, "exp_linear_rk2"),
     "step.snapshot_every": (int, 1),
     "step.nonlinearity": (int, 1),
     "init.kind": (str, "taylor_green"),
@@ -291,13 +289,8 @@ def _cmd_simulate(cfg: dict):
         n_steps = max(1, round(cfg["step.t_end"] / dt))
         dt = cfg["step.t_end"] / n_steps
     scfg = _from_config(
-        StepperConfig,
-        dt=dt,
-        t_end=cfg["step.t_end"],
-        scheme=_from_config(Scheme, cfg["step.scheme"]),
-        snapshot_every=cfg["step.snapshot_every"],
+        StepperConfig, dt=dt, t_end=cfg["step.t_end"], snapshot_every=cfg["step.snapshot_every"]
     )
-    _from_config(scfg.check_stability, params, grid)
 
     probes = {
         "l2_norm": lambda st: sobolev_norm(st.u, 0.0),
@@ -494,14 +487,6 @@ _DISPATCH = {
 
 
 def _default_workers() -> int:
-    try:
-        import psutil
-
-        n = psutil.cpu_count(logical=False)
-        if n:
-            return n
-    except ImportError:
-        pass
     return os.cpu_count() or 1
 
 

@@ -265,6 +265,16 @@ class SweepConfig:
         ratio = self.T_final / self.snapshot_every_t
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("T_final must be an integer multiple of snapshot_every_t")
+        # and so must a given dt's multiples be (suggest_dt is aligned by
+        # construction): reference and sweep trajectories are paired slot by
+        # slot, and a dt that does not divide the interval would compare
+        # misaligned states
+        if self.dt:
+            cad = max(1, round(self.snapshot_every_t / self.dt))
+            if abs(cad * self.dt - self.snapshot_every_t) > 1e-9 * self.snapshot_every_t:
+                raise ValueError(
+                    f"dt = {self.dt:.6g} does not divide snapshot_every_t = {self.snapshot_every_t:.6g}"
+                )
 
 
 @dataclass
@@ -329,19 +339,13 @@ def _model_for(cfg: SweepConfig, value: float) -> ModelParams:
 
 
 def _aligned_dt(cfg: SweepConfig, params: ModelParams) -> tuple[float, int]:
-    """dt and snapshot cadence; recorded times must be k * snapshot_every_t.
+    """dt and snapshot cadence; recorded times are k * snapshot_every_t.
 
-    Reference and sweep trajectories are paired slot-by-slot, so a dt that
-    does not divide the snapshot interval would silently compare misaligned
-    states; reject it instead.
+    A given dt divides the snapshot interval (`SweepConfig` checks it), and
+    `suggest_dt` divides it by construction.
     """
     dt = cfg.dt or suggest_dt(params, cfg.grid, cfg.snapshot_every_t, cfg.resolve)
-    cad = max(1, int(round(cfg.snapshot_every_t / dt)))
-    if abs(cad * dt - cfg.snapshot_every_t) > 1e-9 * cfg.snapshot_every_t:
-        raise ValueError(
-            f"dt = {dt:.6g} does not divide snapshot_every_t = {cfg.snapshot_every_t:.6g}"
-        )
-    return dt, cad
+    return dt, max(1, int(round(cfg.snapshot_every_t / dt)))
 
 
 def _run_alpha_point(cfg: SweepConfig, value: float, data, ref_states, dt: float, cad: int):

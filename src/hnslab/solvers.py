@@ -11,47 +11,47 @@ divergence-free part sees a damped wave with speed c2 = 1/sqrt(eps), the
 irrotational part one with speed c1 = sqrt((alpha+1)/(alpha eps)).  One
 per-mode table of exact propagators per branch, `_propagator`, with the
 characteristic roots' own k = 0 limits, serves `evolve_linear`, the Picard
-solver and the production stepper, which couples the nonlinearity with a
-second-order exponential (ETD2) rule: no stability restriction from c1, so
-alpha sweeps down to 1e-4 stay cheap.  RK4 on the full right-hand side is
-kept as a cross-check scheme with the usual CFL limits.
+solver and the stepper, which couples the nonlinearity with a second-order
+exponential (ETD2) rule: no stability restriction from c1, so alpha sweeps
+down to 1e-4 stay cheap.  It is the only time stepper.
 
 Every field here is a SpectralField, the rfftn half spectrum of a real
-field, and every table is built on the half grid.  The exact linear flow
-(`evolve_linear`, and the front experiment through the same `_linear_flow`)
-splits each nonzero datum into its Helmholtz parts once and applies the
-table.  One forcing path (`_forcing`: the core of `nonlinear_term`, the
-Leray projection and the mean removal) serves the ETD2 stepper, the public
-`nonlinear_term` and the RK4 scheme.  A `SolverState` is the plain value
+field.  Every table is built on a box of some extent (see `spectral`): the
+half grid for the exact linear flow, the dealias box for a step.  The exact
+linear flow (`evolve_linear`, and the front experiment through the same
+`_linear_flow`) splits each nonzero datum into its Helmholtz parts once and
+applies the table.  One nonlinear core (`_nonlinear`) serves the stepper's
+forcing (`_forcing`: with the Leray projection and the mean removal) and
+the public `nonlinear_term`.  A `SolverState` is the plain value
 (u, u_t, time); the stepper wraps its arrays in fields without copying them.
 
-Box rule: an ETD2 step runs on the dealias box, the modes with every
-|j_axis| <= grid.dealias_cut that the 2/3 rule keeps (see `spectral`).  It
-gathers the box of the state; both forcings, the Helmholtz split and the
-predictor and corrector work on box arrays, with the box restrictions of
-the ETD2 tables (`_box_tables`), of i k, of the odd wavevector and of
-1/|k|^2, and with box transforms.  It scatters the result into fresh zeroed
-half spectra.  So `step` reads only the box: a state with content outside it
-steps exactly like its `dealias`, and `run_simulation` dealiases its data.
-On a grid with `dealias_fraction=1` the box is the whole half spectrum.
+Box rule: a step runs on the dealias box, the modes with every
+|j_axis| <= grid.dealias_cut that the 2/3 rule keeps.  It gathers the box of
+the state; both forcings, the Helmholtz split and the predictor and
+corrector work on box arrays, with the ETD2 tables, i k, the odd wavevector
+and 1/|k|^2 built at the dealias extent, and with transforms at that
+extent.  It scatters the result into fresh zeroed half spectra.  So `step`
+reads only the box: a state with content outside it steps exactly like its
+`dealias`, and `run_simulation` dealiases its data.  `nonlinear_term`
+transforms its whole input, prunes its forward transform to the dealias
+box and scatters once.  On a grid with `dealias_fraction=1` the box is the
+whole half spectrum.
 
-Workspace rule: every intermediate of a forcing and of an ETD2 step is
-written with in-place ufuncs into one scratch `_Workspace` per grid and
-shape (the box for steps, the half spectrum for `nonlinear_term`, RK4 and
-Picard, which get a fresh forcing array from the same core), cached for one
-grid at a time so a sweep's reference run and its points share it.  The
-operation order is that of the allocating expressions, so outputs are
-unchanged to the bit.  A step allocates only the arrays of the state it
-returns.  No scratch content survives a call, and nothing returned aliases
-the workspace.  The workspace is per process and is not thread-safe: run
-concurrent solves in separate processes, as the sweeps do.
+Workspace rule: every intermediate of a forcing and of a step is written
+with in-place ufuncs into one scratch `_Workspace` of dealias-box arrays per
+grid, cached for one grid at a time so a sweep's reference run and its
+points share it; `nonlinear_term` allocates only its input stack and its
+result.  The operation order is that of the allocating expressions, so
+outputs are unchanged to the bit.  A step allocates only the arrays of the
+state it returns.  No scratch content survives a call, and nothing returned
+aliases the workspace.  The workspace is per process and is not
+thread-safe: run concurrent solves in separate processes, as the sweeps do.
 
-The forcing takes its form from the model and the grid.  NS and HNS_EPS
-evolve Leray-projected, hence divergence-free, states, so on a grid whose
-dealias mask removes the Nyquist modes they use the divergence form
-(u.grad)u = sum_i d_i(u_i u): d inverse and d(d+1)/2 forward transforms.
-The penalized model, and every model with `grid.dealias=1`, keep the
-general form of `nonlinear_term`, which adds (div u) u.
+The forcing takes its form from the model.  NS and HNS_EPS evolve
+Leray-projected, hence divergence-free, states, so they use the divergence
+form (u.grad)u = sum_i d_i(u_i u): d inverse and d(d+1)/2 forward
+transforms.  The penalized model keeps the general form of
+`nonlinear_term`, which adds (div u) u.
 """
 
 from __future__ import annotations
@@ -67,32 +67,25 @@ from .spectral import (
     GridSpec,
     InvalidFieldError,
     SpectralField,
-    _box_scratch,
-    _box_table,
     _derivatives,
     _from_box,
     _irfft,
     _irrotational,
+    _pass_scratch,
     _rfft,
     _to_box,
     dealias,
-    dealias_mask,
-    divergence,
-    gradient,
     helmholtz_project,
     k_squared,
-    laplacian,
     sobolev_norm,
 )
 
 __all__ = [
     "Model",
-    "Scheme",
     "ModelParams",
     "SolverState",
     "StepperConfig",
     "BlowUpError",
-    "StabilityError",
     "ContractionFailureError",
     "NoConvergenceError",
     "nonlinear_term",
@@ -114,20 +107,11 @@ class Model(str, enum.Enum):
     HNS_EPS_ALPHA = "hns_eps_alpha"
 
 
-class Scheme(str, enum.Enum):
-    EXP_LINEAR_RK2 = "exp_linear_rk2"
-    RK4_FULL = "rk4_full"
-
-
 class BlowUpError(RuntimeError):
     def __init__(self, time: float, message: str = "", partial=None):
         super().__init__(message or f"solution blew up at t = {time:.6g}")
         self.time = time
         self.partial = partial
-
-
-class StabilityError(ValueError):
-    """dt violates the scheme's stability bound."""
 
 
 class ContractionFailureError(RuntimeError):
@@ -205,38 +189,15 @@ class SolverState:
 class StepperConfig:
     dt: float
     t_end: float
-    scheme: Scheme = Scheme.EXP_LINEAR_RK2
     snapshot_every: int = 1
 
     def __post_init__(self):
-        self.scheme = Scheme(self.scheme)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-
-    def check_stability(self, params: ModelParams, grid: GridSpec):
-        """Scheme-specific stability precondition.
-
-        The exponential scheme treats the linear operator exactly and has no
-        linear restriction.  RK4 on the full system must keep every linear
-        eigenvalue inside its stability region (|z| <~ 2.78 on the axes).
-        """
-        if self.scheme is Scheme.EXP_LINEAR_RK2:
-            return
-        kmax = grid.k_max_dealiased
-        if params.model is Model.NS:
-            rate = kmax**2
-        else:
-            speed = params.c1 if params.model is Model.HNS_EPS_ALPHA else params.c2
-            rate = max(speed * kmax, 1.0 / params.epsilon, kmax**2 * params.epsilon)
-        if self.dt * rate > 2.78:
-            raise StabilityError(
-                f"RK4_FULL unstable: dt*rate = {self.dt * rate:.3g} > 2.78 "
-                f"(dt = {self.dt:.3g}, rate = {rate:.3g})"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +219,13 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
 
     Built from the conservative identity (u.grad)u = sum_i d_i(u_i u) - (div u) u,
     which holds for fields with nonzero divergence, with two batched
-    transforms: one inverse of (u, div u) and one forward of the d(d+1)/2
-    products u_i u_j and the d products (div u) u_j.  The mean of (div u) u
-    is kept.
+    transforms: one inverse of the whole (u, div u) and one forward of the
+    d(d+1)/2 products u_i u_j and the d products (div u) u_j, pruned to the
+    dealias box and scattered once.  The mean of (div u) u is kept.
     """
     if u.ncomp != u.grid.dim:
         raise InvalidFieldError("nonlinear term expects a full velocity field")
-    return SpectralField(u.grid, _nonlinear(u.coeffs, u.grid))
+    return SpectralField(u.grid, _from_box(_nonlinear(u.coeffs, u.grid), u.grid))
 
 
 def _words(specs) -> int:
@@ -283,31 +244,33 @@ def _views(buf: np.ndarray, specs) -> list[np.ndarray]:
 
 
 class _Workspace:
-    """Scratch arrays of one grid for every intermediate of a forcing and, on the box, an ETD2 step.
+    """Scratch arrays of one grid for every intermediate of a forcing and an ETD2 step.
 
-    Spectral arrays have the half-spectrum shape, or with box the dealias
-    box's.  The phase region is sized by its largest phase and shared in
-    time.  A forcing uses it for its transform buffers: the spectra `fhat`,
-    whose first rows are also the inverse transform's input stack, the
-    samples `phys`, the products `prods`, one component `tmp` and the box
-    transforms' pass buffers `work`.  The Helmholtz split of the predictor
-    and corrector then uses it for one datum's parts `q` and `p`, a product
-    `prod`, the Q-branch sums `sums` and the corrector's `increment`, and
-    the blow-up check for |c|.  The box workspace also has a step region
-    for what lives across a step's two forcings: the state's box (u, v), the
-    scaled forcing g0 of the state, the predictor (au, av) and the forcing
-    g1 of au.  Nothing in it outlives the call that fills it.
+    Spectral arrays have the dealias box's shape.  The phase region is sized
+    by its largest phase and shared in time.  A forcing uses it for its
+    transform buffers: the spectra `fhat`, whose first rows are also the
+    inverse transform's input stack, the samples `phys`, the products
+    `prods`, one component `tmp` and the transforms' pass buffers `work`
+    (large enough for `nonlinear_term`'s inverse of a whole half spectrum).
+    The Helmholtz split of the predictor and corrector then uses it for one
+    datum's parts `q` and `p`, a product `prod`, the Q-branch sums `sums` and
+    the corrector's `increment`, and the blow-up check for |c|.  The step
+    region holds what lives across a step's two forcings: the state's box
+    (u, v), the scaled forcing g0 of the state, the predictor (au, av) and
+    the forcing g1 of au.  Nothing in it outlives the call that fills it.
     """
 
-    def __init__(self, grid: GridSpec, box: bool):
-        d = grid.dim
+    def __init__(self, grid: GridSpec):
+        d, n, cut = grid.dim, grid.n_per_axis, grid.dealias_cut
         npairs = d * (d + 1) // 2
-        H, R = (grid.box_shape if box else grid.spectral_shape), grid.shape
+        H, R = grid.box_shape, grid.shape
         c, f = np.complex128, np.float64
         vec, pair = ((d, *H), c), ((2, d, *H), c)
-        passes = 0
-        if box:
-            passes = max(_box_scratch(grid, d + 1, True), _box_scratch(grid, npairs + d, False))
+        passes = max(
+            _pass_scratch(d + 1, d, n, cut, True),
+            _pass_scratch(d + 1, d, n, n // 2, True),
+            _pass_scratch(npairs + d, d, n, cut, False),
+        )
         spectra, samples = ((npairs + d, *H), c), ((d + 1, *R), f)
         forcing = (spectra, samples, ((npairs + d, *R), f), (H, c), ((passes,), c))
         split = (vec, vec, vec, pair, pair)
@@ -315,63 +278,54 @@ class _Workspace:
         self.fhat, self.phys, self.prods, self.tmp, self.work = _views(phase, forcing)
         self.q, self.p, self.prod, self.sums, self.increment = _views(phase, split)
         (self.magnitude,) = _views(phase, [((d, *H), f)])
-        if box:
-            state = (vec,) * 6
-            views = _views(np.empty(_words(state)), state)
-            self.u, self.v, self.g0, self.au, self.av, self.g1 = views
+        state = (vec,) * 6
+        views = _views(np.empty(_words(state)), state)
+        self.u, self.v, self.g0, self.au, self.av, self.g1 = views
 
 
-@functools.lru_cache(maxsize=2)
-def _workspace(grid: GridSpec, box: bool = False) -> _Workspace:
-    """The scratch workspace of grid, on its dealias box or the half spectrum.
-
-    One grid at a time, in both shapes, so a sweep's runs share it and a
-    probe's `nonlinear_term` between steps evicts nothing.
-    """
-    return _Workspace(grid, box)
+@functools.lru_cache(maxsize=1)
+def _workspace(grid: GridSpec) -> _Workspace:
+    """The scratch workspace of grid, one grid at a time, so a sweep's runs share it."""
+    return _Workspace(grid)
 
 
 def _nonlinear(
-    u: np.ndarray,
-    grid: GridSpec,
-    solenoidal: bool = False,
-    out: np.ndarray | None = None,
-    box: bool = False,
+    u: np.ndarray, grid: GridSpec, solenoidal: bool = False, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Coefficients of f(u) from those of u, into out (fresh if None): the core of `nonlinear_term`.
+    """Dealias box of f(u), into out (fresh if None), from u's box of any extent: the core of `nonlinear_term`.
 
     solenoidal drops the (div u) u products and the div u inverse, leaving the
     divergence form -sum_i d_i(u_i u), which equals f(u) only for div u = 0.
-    With box, u and f are dealias boxes and the transforms are box
-    transforms; the box holds only the modes the dealias mask keeps, so no
-    mask is applied.  The intermediates live in the grid's workspace; out
-    must not be one of them.
+    A step passes the dealias box of u; `nonlinear_term` passes the whole
+    half spectrum, whose (u, div u) stack is then allocated.  The forward
+    transform is pruned to the dealias box, so no mask is applied.  The
+    intermediates live in the grid's workspace; out must not be one of them.
     """
-    dim = grid.dim
-    ik = _derivatives(grid, box)
+    dim, n = grid.dim, grid.n_per_axis
+    ik = _derivatives(grid, grid.dealias_cut)
     rows, cols, pair = _product_pairs(dim)
     npairs = rows.size
-    ws = _workspace(grid, box=box)
+    ws = _workspace(grid)
     tmp = ws.tmp
-    scope = grid if box else None
     n_in, n_out = (dim, npairs) if solenoidal else (dim + 1, npairs + dim)
     phys, prods, fhat = ws.phys[:n_in], ws.prods[:n_out], ws.fhat[:n_out]
     if solenoidal:
-        _irfft(u, out=phys, box=scope, work=ws.work)
+        _irfft(u, n, out=phys, work=ws.work)
     else:
-        stack = fhat[:n_in]
+        boxed = u.shape[1:] == tmp.shape
+        stack = fhat[:n_in] if boxed else np.empty((n_in, *u.shape[1:]), dtype=np.complex128)
+        ik_in = ik if boxed else _derivatives(grid, u.shape[-1] - 1)
         stack[:dim] = u
-        np.multiply(ik[0], u[0], out=stack[dim])
+        np.multiply(ik_in[0], u[0], out=stack[dim])
         for i in range(1, dim):
-            np.multiply(ik[i], u[i], out=tmp)
-            stack[dim] += tmp
-        _irfft(stack, out=phys, box=scope, work=ws.work)
+            stack[dim] += np.multiply(ik_in[i], u[i], out=tmp if boxed else None)
+        _irfft(stack, n, out=phys, work=ws.work)
         np.multiply(phys[dim], phys[:dim], out=prods[npairs:])
     for k, (i, j) in enumerate(zip(rows, cols)):
         np.multiply(phys[i], phys[j], out=prods[k])
-    _rfft(prods, out=fhat, box=scope, work=ws.work)
+    _rfft(prods, grid.dealias_cut, out=fhat, work=ws.work)
     if out is None:
-        out = np.empty((dim, *u.shape[1:]), dtype=np.complex128)
+        out = np.empty((dim, *fhat.shape[1:]), dtype=np.complex128)
     for j in range(dim):
         for i in range(dim):
             np.multiply(ik[i], fhat[pair[i, j]], out=tmp)
@@ -381,8 +335,6 @@ def _nonlinear(
                 np.subtract(0.0, tmp, out=out[j])
             else:
                 np.subtract(fhat[npairs + j], tmp, out=out[j])  # (div u) u_j
-    if not box:
-        out *= dealias_mask(grid)
     return out
 
 
@@ -392,20 +344,16 @@ def _forcing(
     params: ModelParams,
     nonlinearity: bool,
     out: np.ndarray | None = None,
-    box: bool = False,
 ) -> np.ndarray:
-    """Coefficients of the model forcing f(u), Leray-projected for the constrained models.
+    """Dealias box of the model forcing f(u) from that of u, Leray-projected for the constrained models.
 
     The constrained models evolve divergence-free fields, so they take the
     divergence form of f (`_nonlinear(solenoidal=True)`: d inverse and
-    d(d+1)/2 forward transforms instead of d+1 and d(d+1)/2 + d), but only
-    when the dealias mask removes every Nyquist mode; with `grid.dealias=1`
-    the general form is kept.
+    d(d+1)/2 forward transforms instead of d+1 and d(d+1)/2 + d).
     The mean of f is discarded: evolved fields are kept mean-zero, so the
     small net force the compressible nonlinearity would exert on the torus
     (absent on the whole space) is not allowed to drive a mean flow.
-    The result goes to out, fresh if None; with box, u and f are dealias
-    boxes (see `_nonlinear`).
+    The result goes to out, fresh if None.
     """
     if out is None:
         out = np.empty_like(u)
@@ -413,10 +361,9 @@ def _forcing(
         out.fill(0.0)
         return out
     constrained = params.model in (Model.NS, Model.HNS_EPS)
-    solenoidal = constrained and grid.k_max_dealiased < grid.k_max
-    f = _nonlinear(u, grid, solenoidal=solenoidal, out=out, box=box)
+    f = _nonlinear(u, grid, solenoidal=constrained, out=out)
     if constrained:
-        f -= _irrotational(f, grid, out=_workspace(grid, box=box).q, box=box)
+        f -= _irrotational(f, grid, out=_workspace(grid).q)
     f[(slice(None), *(0,) * grid.dim)] = 0.0
     return f
 
@@ -475,16 +422,22 @@ def _mode_functions(t: float, eps: float, gamma: float, c2k2: np.ndarray, a_only
     return A, B, Ap, Bp
 
 
-def _branch_c2k2(params: ModelParams, grid: GridSpec, branch: str) -> np.ndarray:
-    """c^2 k^2 of a Helmholtz branch: speed c2 on P; on Q, c1 if penalized, else c2."""
+def _branch_c2k2(params: ModelParams, grid: GridSpec, branch: str, cut: int | None = None) -> np.ndarray:
+    """c^2 k^2 of a Helmholtz branch on the box of extent cut: speed c2 on P; on Q, c1 if penalized, else c2."""
     c = params.c1 if branch == "Q" and params.model is Model.HNS_EPS_ALPHA else params.c2
-    return c * c * k_squared(grid)
+    return c * c * k_squared(grid, cut)
 
 
 def _propagator(
-    params: ModelParams, grid: GridSpec, t: float, damping: bool, branch: str, a_only: bool = False
+    params: ModelParams,
+    grid: GridSpec,
+    t: float,
+    damping: bool,
+    branch: str,
+    a_only: bool = False,
+    cut: int | None = None,
 ):
-    """The per-mode propagator table (A, B, A', B') at t of one Helmholtz branch.
+    """The per-mode propagator table (A, B, A', B') at t of one Helmholtz branch, on the box of extent cut.
 
     Data (a, b) of eps l'' + gamma l' + eps c^2 k^2 l = 0 evolve to a A + b B,
     with gamma = 1 when damped and 0 for the pure wave.  k = 0 keeps
@@ -493,7 +446,7 @@ def _propagator(
     a_only forms A alone.
     """
     gamma = 1.0 if damping else 0.0
-    c2k2 = _branch_c2k2(params, grid, branch)
+    c2k2 = _branch_c2k2(params, grid, branch, cut)
     return _mode_functions(t, params.epsilon, gamma, c2k2, a_only)
 
 
@@ -562,8 +515,8 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _etd2_branch(params: ModelParams, grid: GridSpec, dt: float, branch: str) -> tuple:
-    """ETD2 table of one Helmholtz branch on the half grid: (A, B, A', B', J0u, J0v, Ku, Kv).
+def _etd2_branch(params: ModelParams, grid: GridSpec, dt: float, branch: str, cut: int) -> tuple:
+    """ETD2 table of one Helmholtz branch on the box of extent cut: (A, B, A', B', J0u, J0v, Ku, Kv).
 
     For y' = L y + (0, g)^T with L = [[0, 1], [-c^2 k^2, -1/eps]] the update is
 
@@ -576,8 +529,8 @@ def _etd2_branch(params: ModelParams, grid: GridSpec, dt: float, branch: str) ->
     on the propagator entries, so the kernel integration is exact and the
     oscillatory branch costs nothing in stability.
     """
-    A, B, Ap, Bp = _propagator(params, grid, dt, True, branch)
-    c2k2 = _branch_c2k2(params, grid, branch)
+    A, B, Ap, Bp = _propagator(params, grid, dt, True, branch, cut=cut)
+    c2k2 = _branch_c2k2(params, grid, branch, cut)
     ge = 1.0 / params.epsilon
     safe = np.where(c2k2 > 0, c2k2, 1.0)  # k = 0 multiplies only zero
     j0u = (1.0 - Bp - ge * B) / safe
@@ -588,31 +541,23 @@ def _etd2_branch(params: ModelParams, grid: GridSpec, dt: float, branch: str) ->
     return A, B, Ap, Bp, j0u, B, j0u - j1u / dt, B - j1v / dt
 
 
+@functools.lru_cache(maxsize=16)
 def _etd2_tables(model: Model, eps: float | None, alpha: float | None, grid: GridSpec, dt: float):
-    """ETD2 tables of one (model, grid, dt), on the rfftn half grid.
+    """ETD2 tables of one (model, grid, dt) on the dealias box, where a step works.
 
     NS, u' = -k^2 u + g per mode: (E, J0, K).  The hyperbolic models: the
     (P, Q) pair of `_etd2_branch` tables; Q is the P table object unless the
     model is penalized, since the branch speeds are then equal.
     """
+    cut = grid.dealias_cut
     if model is Model.NS:
-        k2 = k_squared(grid)
+        k2 = k_squared(grid, cut)
         z = -k2 * dt
         J0 = -np.expm1(z) / np.where(k2 > 0, k2, 1.0)
         return np.exp(z), J0, dt * _phi2(z)
     params = ModelParams(model, epsilon=eps, alpha=alpha)
-    P = _etd2_branch(params, grid, dt, "P")
-    return P, (_etd2_branch(params, grid, dt, "Q") if model is Model.HNS_EPS_ALPHA else P)
-
-
-@functools.lru_cache(maxsize=16)
-def _box_tables(model: Model, eps: float | None, alpha: float | None, grid: GridSpec, dt: float):
-    """`_etd2_tables` of one (model, grid, dt) restricted to the dealias box; only these are kept."""
-    tables = _etd2_tables(model, eps, alpha, grid, dt)
-    if model is Model.NS:
-        return tuple(_box_table(t, grid) for t in tables)
-    P, Q = (tuple(_box_table(t, grid) for t in branch) for branch in tables)
-    return P, (P if tables[1] is tables[0] else Q)
+    P = _etd2_branch(params, grid, dt, "P", cut)
+    return P, (_etd2_branch(params, grid, dt, "Q", cut) if model is Model.HNS_EPS_ALPHA else P)
 
 
 # rows of an `_etd2_branch` table per datum, for the outputs (u, u_t): the
@@ -627,16 +572,16 @@ def _by_branch(tables, grid: GridSpec, rows, data, outs) -> None:
 
     Each branch sums its data left to right, then the P sum adds the Q sum.
     The data are dealias boxes, split into their P and Q parts only when the
-    tables differ, one datum at a time, in the grid's box workspace.
+    tables differ, one datum at a time, in the grid's workspace.
     """
     P, Q = tables
-    ws = _workspace(grid, box=True)
+    ws = _workspace(grid)
     if Q is P:
         _accumulate(P, rows, data, outs, ws.prod)
         return
     sums = ws.sums[: len(outs)]
     for n, (x, row) in enumerate(zip(data, rows)):
-        q = _irrotational(x, grid, out=ws.q, box=True)
+        q = _irrotational(x, grid, out=ws.q)
         p = np.subtract(x, q, out=ws.p)
         _accumulate(P, (row,), (p,), outs, ws.prod, first=n == 0)
         _accumulate(Q, (row,), (q,), sums, ws.prod, first=n == 0)
@@ -655,27 +600,12 @@ def _accumulate(tab, rows, data, outs, prod, first: bool = True) -> None:
         first = False
 
 
-def _rhs(state: SolverState, params: ModelParams, nonlinearity: bool):
-    """Right-hand side for RK4_FULL as a first-order system."""
-    u = state.u
-    f = SpectralField(u.grid, _forcing(u.coeffs, u.grid, params, nonlinearity), is_mean_zero=True)
-    if params.model is Model.NS:
-        return laplacian(u) + f, None
-    v = state.u_t
-    acc = laplacian(u) - v + f
-    if params.model is Model.HNS_EPS_ALPHA:
-        acc = acc + (1.0 / params.alpha) * gradient(divergence(u))
-    return v, (1.0 / params.epsilon) * acc
-
-
 def _check_blowup(u: SpectralField, initial_max: float, time: float, partial=None):
     """Raise BlowUpError when max |c| of u leaves 1e12 times its initial value.
 
-    Only the dealias box is read: a stepped state is zero outside it, from
-    `step` by construction and from RK4 because its multipliers keep the
-    support of `run_simulation`'s dealiased data.
+    Only the dealias box is read: a stepped state is zero outside it.
     """
-    ws = _workspace(u.grid, box=True)
+    ws = _workspace(u.grid)
     box = _to_box(u.coeffs, u.grid, out=ws.u[: u.ncomp])
     m = float(np.max(np.abs(box, out=ws.magnitude[: u.ncomp])))
     if not np.isfinite(m) or m > BLOWUP_FACTOR * max(initial_max, 1e-30):
@@ -688,23 +618,21 @@ def step(
     cfg: StepperConfig,
     nonlinearity: bool = True,
 ) -> SolverState:
-    """Advance one dt with the configured scheme.
+    """Advance one dt with the exact-linear exponential (ETD2) rule.
 
-    An ETD2 step reads only the state's dealias box, the modes with every
+    A step reads only the state's dealias box, the modes with every
     |j_axis| <= grid.dealias_cut, and returns fields that are zero outside
     it: content outside the box is dropped, so a state steps exactly like
     its `dealias`, and `run_simulation` dealiases its data.  For NS and
     HNS_EPS the state must also be divergence-free, as `run_simulation`
     makes it: their forcing is then the divergence form (see `_forcing`).
-    The step's arithmetic and transforms run on the box, in the grid's box
+    The step's arithmetic and transforms run on the box, in the grid's
     workspace; the new state's fields wrap fresh arrays, whose mean is zero.
     """
-    if cfg.scheme is Scheme.RK4_FULL:
-        return _step_rk4(state, params, cfg, nonlinearity)
     grid = state.u.grid
     dt = cfg.dt
-    tables = _box_tables(params.model, params.epsilon, params.alpha, grid, dt)
-    ws = _workspace(grid, box=True)
+    tables = _etd2_tables(params.model, params.epsilon, params.alpha, grid, dt)
+    ws = _workspace(grid)
     u = _to_box(state.u.coeffs, grid, out=ws.u)
     mean = (slice(None), *(0,) * grid.dim)
 
@@ -714,52 +642,28 @@ def step(
 
     if params.model is Model.NS:
         E, J0, K = tables
-        g0 = _forcing(u, grid, params, nonlinearity, out=ws.g0, box=True)
+        g0 = _forcing(u, grid, params, nonlinearity, out=ws.g0)
         a = np.multiply(E, u, out=ws.au)
         a += np.multiply(J0, g0, out=ws.prod)
         a[mean] = 0.0
-        dg = _forcing(a, grid, params, nonlinearity, out=ws.g1, box=True)
+        dg = _forcing(a, grid, params, nonlinearity, out=ws.g1)
         dg -= g0
         unew = np.add(a, np.multiply(K, dg, out=dg), out=dg)
         return SolverState(result(unew), None, state.time + dt)
     scale = 1.0 / params.epsilon
-    g0 = _forcing(u, grid, params, nonlinearity, out=ws.g0, box=True)
+    g0 = _forcing(u, grid, params, nonlinearity, out=ws.g0)
     np.multiply(scale, g0, out=g0)
     v = _to_box(state.u_t.coeffs, grid, out=ws.v)
     au, av = ws.au, ws.av
     _by_branch(tables, grid, _PREDICT, (u, v, g0), (au, av))
     au[mean] = 0.0
-    dg = _forcing(au, grid, params, nonlinearity, out=ws.g1, box=True)
+    dg = _forcing(au, grid, params, nonlinearity, out=ws.g1)
     np.multiply(scale, dg, out=dg)
     dg -= g0
     du, dv = ws.increment
     _by_branch(tables, grid, _CORRECT, (dg,), (du, dv))
     unew, vnew = np.add(au, du, out=du), np.add(av, dv, out=dv)
     return SolverState(result(unew), result(vnew), state.time + dt)
-
-
-def _step_rk4(state, params, cfg, nonlinearity):
-    dt = cfg.dt
-
-    def rhs(st):
-        return _rhs(st, params, nonlinearity)
-
-    def advance(st, k, factor):
-        du, dv = k
-        u = st.u + factor * du
-        v = None if dv is None else st.u_t + factor * dv
-        return SolverState(u, v, st.time)
-
-    k1 = rhs(state)
-    k2 = rhs(advance(state, k1, dt / 2))
-    k3 = rhs(advance(state, k2, dt / 2))
-    k4 = rhs(advance(state, k3, dt))
-    u = state.u + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    if k1[1] is None:
-        v = None
-    else:
-        v = state.u_t + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    return SolverState(u, v, state.time + dt)
 
 
 @dataclass
@@ -786,7 +690,6 @@ def run_simulation(
     `final` is the state that blew up.
     """
     grid = u0.grid
-    cfg.check_stability(params, grid)
     probes = probes or {}
     if params.is_hyperbolic and u1 is None:
         u1 = SpectralField.zeros(grid, grid.dim)

@@ -7,11 +7,15 @@ normalization: the coefficient at wavevector k is the amplitude of exp(i k.x),
 kept for the last-axis indices j = 0..n/2 only.  The modes j = n/2+1..n-1 are
 the complex conjugates of their mirror images -k and are not stored, so a
 field always stands for a real field.  All differential operators are exact
-diagonal multipliers in this basis, and every operator, multiplier table and
-norm exists once, on this half grid.
+diagonal multipliers in this basis, and every operator and norm exists once,
+on this half grid; a multiplier table is built on the half grid or on a box
+(below).
 
 Every transform of the package is one of two real-to-complex helpers,
-`_rfft` and `_irfft`.  Sobolev norms weight each stored mode by its Hermitian
+`_rfft` and `_irfft`, and both run numpy's own one-axis passes
+(`fft`/`ifft`/`rfft`/`irfft`) in rfftn's and irfftn's order, every pass
+writing into a caller buffer, often a strided view, through `out=` (numpy
+2.0 and later).  Sobolev norms weight each stored mode by its Hermitian
 multiplicity: 1 on the self-conjugate planes j = 0 and j = n/2 of the last
 axis, which hold both k and -k, and 2 elsewhere.  Odd multipliers (the
 derivatives and the Helmholtz projection) use the wavevector that is zero at
@@ -34,19 +38,20 @@ transform of the product, `_irrotational` is the Q projection and `_norm` is
 so the stepper's workspace (see `solvers`) receives their results without a
 fresh allocation.
 
-The dealias box: the 2/3 rule keeps the modes with every |j_axis| <= cut =
-`grid.dealias_cut`.  `_to_box` gathers them into a compact array of shape
-(ncomp, 2 cut + 1, ..., cut + 1), `grid.box_shape`, in fftfreq order (a
-leading axis is whole when 2 cut + 1 >= n), and `_from_box` scatters a box
-into zeroed half spectra.  Given a box grid, `_rfft` and `_irfft` run
-numpy's own one-axis passes in rfftn's and irfftn's order over only the
-lines that meet the box, with every pass writing into a caller buffer, often
-a strided view, through `out=` (numpy 2.0 and later).  Each line is
-transformed as rfftn/irfftn transform it, so the results are bitwise theirs:
-the box of rfftn's spectrum, and irfftn's samples of box-supported data.
-`_box_table` restricts a half-grid table to the box, and the odd wavevector,
-`_derivatives`, `_inv_k_squared` and `_irrotational` take `box=True`.
-Without a box the transforms call `np.fft.rfftn`/`irfftn`.
+Boxes and extents: the box of extent cut holds the modes with every
+|j_axis| <= cut, stored compactly as (ncomp, 2 cut + 1, ..., cut + 1) in
+fftfreq order; a leading axis is whole when 2 cut + 1 >= n, so the box of
+extent n/2 is the half spectrum itself.  The 2/3 rule keeps the dealias box,
+of extent `grid.dealias_cut` and shape `grid.box_shape`; `_to_box` gathers
+it from half spectra and `_from_box` scatters it into zeroed ones.  `_rfft`
+returns the box of a given extent of the spectrum and `_irfft` reads a box
+of any extent; below extent n/2 their passes transform only the lines that
+meet the box.  Each line is transformed as rfftn/irfftn transform it, so the
+results are bitwise theirs: the box of rfftn's spectrum, and irfftn's
+samples of box-supported data.  The index vectors, the odd wavevector,
+`_derivatives`, `k_squared` and `_inv_k_squared` are built on the box of a
+given extent (the half grid by default), and `_irrotational` reads the
+extent from its input's shape.
 
 Conventions baked in here and relied on everywhere else:
 
@@ -163,8 +168,7 @@ class GridSpec:
     @property
     def box_shape(self) -> tuple[int, ...]:
         """Shape of one component's dealias box: the modes with every |j_axis| <= dealias_cut."""
-        cut = self.dealias_cut
-        return (min(2 * cut + 1, self.n_per_axis),) * (self.dim - 1) + (cut + 1,)
+        return _box_shape(self.n_per_axis, self.dim, self.dealias_cut)
 
     @property
     def k_max_dealiased(self) -> float:
@@ -186,29 +190,30 @@ class GridSpec:
 
 
 @lru_cache(maxsize=32)
-def _index_vectors(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Integer mode indices j per axis, broadcastable to grid.spectral_shape.
+def _index_vectors(grid: GridSpec, cut: int | None = None) -> tuple[np.ndarray, ...]:
+    """Integer mode indices j per axis, broadcastable to the box of extent cut (None: n/2).
 
-    The leading axes hold 0, 1, ..., n/2-1, -n/2, ..., -1; the last axis
-    holds their first n/2+1 entries, -n/2 at its Nyquist index n/2.
+    A leading axis holds j = 0..cut, then -cut..-1, or, when that covers
+    it, all of 0, 1, ..., n/2-1, -n/2, ..., -1; the last axis holds the first
+    cut + 1 of these.  At extent n/2 the box is the half grid, with -n/2 at
+    the last axis's Nyquist index n/2.
     """
     n = grid.n_per_axis
+    cut = n // 2 if cut is None else cut
     j = np.fft.fftfreq(n, d=1.0 / n)
+    lead = np.concatenate([j[f] for _, f in _axis_blocks(n, cut)])
     out = []
-    for ax, size in enumerate(grid.spectral_shape):
+    for ax, axis_j in enumerate((lead,) * (grid.dim - 1) + (j[: cut + 1],)):
         shape = [1] * grid.dim
-        shape[ax] = size
-        out.append(j[:size].reshape(shape))
+        shape[ax] = axis_j.size
+        out.append(axis_j.reshape(shape))
     return tuple(out)
 
 
 @lru_cache(maxsize=32)
-def _index_magnitude(grid: GridSpec) -> np.ndarray:
-    """|j| = Euclidean norm of the integer index vector."""
-    m2 = np.zeros(grid.spectral_shape)
-    for j in _index_vectors(grid):
-        m2 = m2 + j * j
-    return np.sqrt(m2)
+def _index_magnitude(grid: GridSpec, cut: int | None = None) -> np.ndarray:
+    """|j| = Euclidean norm of the integer index vector, on the box of extent cut."""
+    return np.sqrt(sum(j * j for j in _index_vectors(grid, cut)))
 
 
 def wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
@@ -216,50 +221,44 @@ def wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
     return tuple(grid.k_fundamental * j for j in _index_vectors(grid))
 
 
-@lru_cache(maxsize=32)
-def _odd_wavenumbers(grid: GridSpec, box: bool = False) -> tuple[np.ndarray, ...]:
-    """`wavenumbers` with 0 at each axis's Nyquist index: the wavevector of the odd multipliers.
-
-    With box, its restriction to the dealias box (see `_box_table`).
-    """
-    if box:
-        return tuple(_box_table(k, grid) for k in _odd_wavenumbers(grid))
-    ks = wavenumbers(grid)
-    for k in ks:
-        k.flat[grid.n_per_axis // 2] = 0.0
-    return ks
+def _odd_indices(grid: GridSpec, cut: int | None) -> tuple[np.ndarray, ...]:
+    """`_index_vectors` with 0 in place of the Nyquist index -n/2 (present only at extent n/2)."""
+    nyquist = -(grid.n_per_axis // 2)
+    return tuple(np.where(j == nyquist, 0.0, j) for j in _index_vectors(grid, cut))
 
 
 @lru_cache(maxsize=32)
-def _derivatives(grid: GridSpec, box: bool = False) -> tuple[np.ndarray, ...]:
-    """Multipliers i k_axis of d/dx_axis, broadcastable per axis, zero at the Nyquist index.
+def _odd_wavenumbers(grid: GridSpec, cut: int | None = None) -> tuple[np.ndarray, ...]:
+    """`wavenumbers` with 0 at each axis's Nyquist index, on the box of extent cut: the odd multipliers' wavevector."""
+    return tuple(grid.k_fundamental * j for j in _odd_indices(grid, cut))
+
+
+@lru_cache(maxsize=32)
+def _derivatives(grid: GridSpec, cut: int | None = None) -> tuple[np.ndarray, ...]:
+    """Multipliers i k_axis of d/dx_axis on the box of extent cut, zero at the Nyquist index.
 
     There the modes j and -j share one coefficient, so i k X of a real
     field's X has no Hermitian part and the real field ifftn(i k X).real
-    drops it; the multiplier drops it too.  With box, on the dealias box.
+    drops it; the multiplier drops it too.
     """
-    return tuple(1j * k for k in _odd_wavenumbers(grid, box))
+    return tuple(1j * k for k in _odd_wavenumbers(grid, cut))
 
 
 @lru_cache(maxsize=32)
-def k_squared(grid: GridSpec) -> np.ndarray:
-    return (grid.k_fundamental * _index_magnitude(grid)) ** 2
+def k_squared(grid: GridSpec, cut: int | None = None) -> np.ndarray:
+    return (grid.k_fundamental * _index_magnitude(grid, cut)) ** 2
 
 
 @lru_cache(maxsize=32)
-def _inv_k_squared(grid: GridSpec, box: bool = False) -> np.ndarray:
+def _inv_k_squared(grid: GridSpec, cut: int | None = None) -> np.ndarray:
     """1/|k|^2 of the odd multipliers' wavevector, 0 where it vanishes (read-only: shared).
 
     Built from the integer indices as `k_squared` is, so off the Nyquist
-    modes it is exactly 1/k_squared.  With box, on the dealias box.
+    modes it is exactly 1/k_squared.  On the box of extent cut.
     """
-    if box:
-        inv = _box_table(_inv_k_squared(grid), grid)
-    else:
-        nyquist = -(grid.n_per_axis // 2)
-        m2 = sum(np.where(j == nyquist, 0.0, j) ** 2 for j in _index_vectors(grid))
-        k2 = (grid.k_fundamental * np.sqrt(m2)) ** 2
-        inv = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
+    m2 = sum(j**2 for j in _odd_indices(grid, cut))
+    k2 = (grid.k_fundamental * np.sqrt(m2)) ** 2
+    inv = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
     inv.flags.writeable = False
     return inv
 
@@ -306,6 +305,11 @@ def _sobolev_weight(grid: GridSpec, sigma: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _box_shape(n: int, dim: int, cut: int) -> tuple[int, ...]:
+    """Shape of one component's box of extent cut: the modes with every |j_axis| <= cut."""
+    return (min(2 * cut + 1, n),) * (dim - 1) + (cut + 1,)
+
+
 def _axis_blocks(n: int, cut: int) -> tuple[tuple[slice, slice], ...]:
     """(box, spectrum) slice pairs of one leading axis: j = 0..cut, then j = -cut..-1.
 
@@ -339,17 +343,6 @@ def _from_box(b: np.ndarray, grid: GridSpec) -> np.ndarray:
     for bi, h in _box_blocks(grid):
         out[(Ellipsis, *h)] = b[(Ellipsis, *bi)]
     return out
-
-
-def _box_table(table: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Copy of a half-grid table, broadcastable over its last dim axes, restricted to the dealias box."""
-    n, cut = grid.n_per_axis, grid.dealias_cut
-    lead = np.concatenate([np.arange(n)[f] for _, f in _axis_blocks(n, cut)])
-    for ax, index in enumerate((lead,) * (grid.dim - 1) + (np.arange(cut + 1),)):
-        axis = table.ndim - grid.dim + ax
-        if table.shape[axis] > 1:
-            table = table.take(index, axis=axis)
-    return table
 
 
 class SpectralField:
@@ -459,103 +452,105 @@ class PhysicalField:
 
 def _rfft(
     values: np.ndarray,
+    cut: int | None = None,
     out: np.ndarray | None = None,
-    box: GridSpec | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """rfftn half spectrum (last axis j = 0..n/2) of real samples (ncomp, n, ...).
+    """Box of extent cut (None: n/2, the whole half spectrum) of the rfftn spectrum of real samples (ncomp, n, ...).
 
-    With `out` the spectrum is written there and numpy allocates nothing.
-    With `box` the result is the spectrum's dealias box on that grid, from
-    numpy's own passes in rfftn's order: rfft over the last axis, then fft
-    over the leading axes, last to first, each over only the lines that meet
-    the box.  The passes run in `work`, a flat complex scratch of at least
-    `_box_scratch(box, ncomp, inverse=False)` elements (fresh if None).
+    numpy's own passes run in rfftn's order: rfft over the last axis, then
+    fft over the leading axes, last to first.  At extent n/2 they run in
+    place in the result; below it each pass transforms only the lines that
+    meet the box and keeps the box rows of its axis, in `work`, a flat
+    complex scratch of at least `_pass_scratch(ncomp, dim, n, cut, False)`
+    elements (fresh if None).  With `out` numpy allocates nothing.
     """
-    if box is None:
-        return np.fft.rfftn(values, axes=tuple(range(1, values.ndim)), norm="forward", out=out)
-    n, cut = box.n_per_axis, box.dealias_cut
+    ncomp, dim, n = len(values), values.ndim - 1, values.shape[-1]
+    cut = n // 2 if cut is None else cut
     if out is None:
-        out = np.empty((len(values), *box.box_shape), dtype=np.complex128)
-    spectrum, *gathered = _pass_buffers(box, len(values), False, work)
-    np.fft.rfft(values, axis=-1, norm="forward", out=spectrum)
-    x = spectrum[..., : cut + 1]
-    for ax in range(box.dim - 1, 0, -1):
+        out = np.empty((ncomp, *_box_shape(n, dim, cut)), dtype=np.complex128)
+    prune = 2 * cut + 1 < n
+    bufs = [*_pass_buffers(ncomp, dim, n, cut, False, work), out]
+    np.fft.rfft(values, axis=-1, norm="forward", out=bufs[0])
+    x = bufs[0][..., : cut + 1]
+    for ax in range(dim - 1, 0, -1):
         np.fft.fft(x, axis=ax, norm="forward", out=x)
-        dst = gathered.pop() if ax > 1 else out
-        lines = (slice(None),) * ax
-        for b, f in _axis_blocks(n, cut):
-            dst[lines + (b,)] = x[lines + (f,)]
-        x = dst
+        if prune:
+            dst, lines = bufs[dim - ax], (slice(None),) * ax
+            for b, f in _axis_blocks(n, cut):
+                dst[lines + (b,)] = x[lines + (f,)]
+            x = dst
     return out
 
 
 def _irfft(
-    half: np.ndarray,
+    coeffs: np.ndarray,
+    n: int | None = None,
     out: np.ndarray | None = None,
-    box: GridSpec | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Real samples of the field whose rfftn half spectrum is `half`.
+    """Real samples on the n-grid of the field whose box of extent cut = coeffs.shape[-1] - 1 is coeffs.
 
-    With `out` the samples are written there; numpy's irfftn still
-    allocates its complex intermediates of the leading axes (dim - 1 of
-    them, the size of `half`, two alive at once in 3D).  With `box`, `half`
-    is the dealias box of that grid, and numpy's own passes run in irfftn's
-    order: ifft over the leading axes, each padded to n in `work` and
-    transformed there over only the lines that meet the box, then irfft over
-    the last axis of all n/2 + 1 columns, zero past the box.  `work` is a
-    flat complex scratch of at least `_box_scratch(box, ncomp, inverse=True)`
-    elements (fresh if None).
+    n defaults to 2 cut: coeffs is then the whole half spectrum.  numpy's
+    own passes run in irfftn's order: ifft over the leading axes, first to
+    last, then irfft over the last axis of all n/2 + 1 columns, into `out`
+    (fresh if None).  Below extent n/2 each leading axis is padded to n
+    first and only the lines that meet the box are transformed, the columns
+    past the box zero for irfft.  The passes run in `work`, a flat complex
+    scratch of at least `_pass_scratch(ncomp, dim, n, cut, True)` elements
+    (fresh if None); with `work` and `out` numpy allocates nothing.
     """
-    if box is None:
-        axes = tuple(range(1, half.ndim))
-        n = half.shape[1]
-        return np.fft.irfftn(half, s=(n,) * len(axes), axes=axes, norm="forward", out=out)
-    n, cut = box.n_per_axis, box.dealias_cut
-    x = half
-    passes = _pass_buffers(box, len(half), True, work)
-    for ax, padded in enumerate(passes, start=1):
-        padded[..., cut + 1 :] = 0.0  # the last pass's columns j > cut, read by irfft
-        lines = (slice(None),) * ax
-        padded[lines + (slice(cut + 1, n - cut),)] = 0.0  # j = cut+1..n-cut-1, if any
-        lead = padded[..., : cut + 1]
-        for b, f in _axis_blocks(n, cut):
-            lead[lines + (f,)] = x[lines + (b,)]
-        np.fft.ifft(lead, axis=ax, norm="forward", out=lead)
+    ncomp, dim, cut = len(coeffs), coeffs.ndim - 1, coeffs.shape[-1] - 1
+    n = 2 * cut if n is None else n
+    pad = 2 * cut + 1 < n
+    passes = _pass_buffers(ncomp, dim, n, cut, True, work)
+    x = coeffs
+    for ax in range(1, dim):
+        buf = passes[ax - 1] if pad else passes[0]  # unpadded, one buffer for every pass
+        lead = buf[..., : cut + 1]
+        if pad:
+            buf[..., cut + 1 :] = 0.0  # the last pass's columns j > cut, read by irfft
+            lines = (slice(None),) * ax
+            buf[lines + (slice(cut + 1, n - cut),)] = 0.0  # j = cut+1..n-cut-1, if any
+            for b, f in _axis_blocks(n, cut):
+                lead[lines + (f,)] = x[lines + (b,)]
+            x = lead
+        np.fft.ifft(x, axis=ax, norm="forward", out=lead)
         x = lead
     return np.fft.irfft(passes[-1], n=n, axis=-1, norm="forward", out=out)
 
 
-@lru_cache(maxsize=32)
-def _pass_shapes(grid: GridSpec, ncomp: int, inverse: bool) -> tuple[tuple[int, ...], ...]:
-    """Shapes of a box transform's pass buffers, in their order in its scratch.
+@lru_cache(maxsize=64)
+def _pass_shapes(ncomp: int, dim: int, n: int, cut: int, inverse: bool) -> tuple[tuple[int, ...], ...]:
+    """Shapes of a transform's pass buffers at extent cut, in their order in its scratch.
 
-    The inverse pads the leading axes to n one at a time; its last pass
-    keeps all n/2 + 1 columns, the ones past the box zero, for irfft (numpy
-    2.4's irfft took 1.5x as long at 2D 128^2 when it padded a shorter
-    input itself, same output bits).  The forward holds the rfft output,
-    then the leading axes gathered to the box one at a time (all but the
-    first, which is gathered into the result).
+    At extent n/2 the forward needs none and the inverse one half spectrum.
+    Below it the inverse pads the leading axes to n one at a time; its last
+    pass keeps all n/2 + 1 columns, the ones past the box zero, for irfft
+    (numpy 2.4's irfft took 1.5x as long at 2D 128^2 when it padded a
+    shorter input itself, same output bits).  The forward holds the rfft
+    output, then the leading axes gathered to the box one at a time (all but
+    the first, which is gathered into the result).
     """
-    n, d, k, m = grid.n_per_axis, grid.dim, grid.dealias_cut + 1, grid.box_shape[0]
-    h = n // 2 + 1
+    k, m, h = cut + 1, min(2 * cut + 1, n), n // 2 + 1
+    if m == n:
+        return ((ncomp, *(n,) * (dim - 1), h),) if inverse else ()
     if inverse:
-        return tuple((ncomp, *(n,) * a, *(m,) * (d - 1 - a), h if a == d - 1 else k) for a in range(1, d))
-    gathers = [(ncomp, *(n,) * (a - 1), *(m,) * (d - a), k) for a in range(2, d)]
-    return ((ncomp, *(n,) * (d - 1), h), *gathers)
+        return tuple((ncomp, *(n,) * a, *(m,) * (dim - 1 - a), h if a == dim - 1 else k) for a in range(1, dim))
+    gathers = [(ncomp, *(n,) * (a - 1), *(m,) * (dim - a), k) for a in range(2, dim)]
+    return ((ncomp, *(n,) * (dim - 1), h), *gathers)
 
 
-def _box_scratch(grid: GridSpec, ncomp: int, inverse: bool) -> int:
-    """Complex elements of the scratch that a box transform of ncomp components needs."""
-    return sum(math.prod(shape) for shape in _pass_shapes(grid, ncomp, inverse))
+def _pass_scratch(ncomp: int, dim: int, n: int, cut: int, inverse: bool) -> int:
+    """Complex elements of the scratch that a transform of ncomp components at extent cut needs."""
+    return sum(math.prod(shape) for shape in _pass_shapes(ncomp, dim, n, cut, inverse))
 
 
-def _pass_buffers(grid: GridSpec, ncomp: int, inverse: bool, work: np.ndarray | None):
+def _pass_buffers(ncomp: int, dim: int, n: int, cut: int, inverse: bool, work: np.ndarray | None):
     """Consecutive views of work (fresh if None), one per `_pass_shapes` entry."""
-    shapes = _pass_shapes(grid, ncomp, inverse)
+    shapes = _pass_shapes(ncomp, dim, n, cut, inverse)
     if work is None:
-        work = np.empty(_box_scratch(grid, ncomp, inverse), dtype=np.complex128)
+        work = np.empty(_pass_scratch(ncomp, dim, n, cut, inverse), dtype=np.complex128)
     views, start = [], 0
     for shape in shapes:
         views.append(work[start : start + math.prod(shape)].reshape(shape))
@@ -649,10 +644,8 @@ def laplacian(F: SpectralField) -> SpectralField:
     return SpectralField(F.grid, F.coeffs * (-k_squared(F.grid)), is_mean_zero=True)
 
 
-def _irrotational(
-    x: np.ndarray, grid: GridSpec, out: np.ndarray | None = None, box: bool = False
-) -> np.ndarray:
-    """Irrotational part k (k.x)/|k|^2 of a vector's coefficients (with box, of its dealias box).
+def _irrotational(x: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Irrotational part k (k.x)/|k|^2 of a vector's box of extent cut = x.shape[-1] - 1.
 
     k is the odd multipliers' wavevector, zero at each Nyquist index, so the
     projection is even in k: it keeps real fields real, and P = 1 - Q leaves
@@ -660,7 +653,8 @@ def _irrotational(
     (fresh if None), which must not overlap x; its last component holds the
     scalar (k.x)/|k|^2 until the end, so nothing else is allocated.
     """
-    ks = _odd_wavenumbers(grid, box)
+    cut = x.shape[-1] - 1
+    ks = _odd_wavenumbers(grid, cut)
     if out is None:
         out = np.empty((grid.dim, *x.shape[1:]), dtype=np.complex128)
     kdot = out[-1]
@@ -668,7 +662,7 @@ def _irrotational(
     for i in range(1, grid.dim):
         np.multiply(ks[i], x[i], out=out[0])
         kdot += out[0]
-    kdot *= _inv_k_squared(grid, box)
+    kdot *= _inv_k_squared(grid, cut)
     for i in range(grid.dim - 1):
         np.multiply(ks[i], kdot, out=out[i])
     np.multiply(ks[-1], kdot, out=kdot)
@@ -761,14 +755,14 @@ def _product_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _lead_blocks(grid: GridSpec, up: int) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
-    """(n-grid, 2n-grid) slices of the leading axes placing n-grid modes on the 2n grid.
+    """(n-grid, 2n-grid box) slices of the leading axes placing n-grid modes in the 2n grid's box of extent n/2.
 
     Every mode j with |j| < n/2 keeps its index; the Nyquist index n/2 goes to
     -n/2 when up is 0 and to +n/2 when up is 1.
     """
     n = grid.n_per_axis
     c = n // 2 + up
-    axis = ((slice(0, c), slice(0, c)), (slice(c, n), slice(n + c, 2 * n)))
+    axis = ((slice(0, c), slice(0, c)), (slice(c, n), slice(c + 1, n + 1)))
     return [tuple(zip(*blocks)) for blocks in itertools.product(axis, repeat=grid.dim - 1)]
 
 
@@ -779,33 +773,34 @@ def _padded_samples(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     -n/2.  Its Hermitian part (P(K) + conj P(-K))/2 therefore keeps every
     mode |j| < n/2 and halves each Nyquist mode between -n/2 (from P) and
     +n/2 (from conj P(-K)) on the leading axes; the last axis stores only
-    +n/2.  For a half spectrum c, P and conj P(-K) read the same array.
+    +n/2.  For a half spectrum c, P and conj P(-K) read the same array.  P
+    lies in the 2n grid's box of extent n/2, so the inverse is pruned to it.
     """
     n = grid.n_per_axis
     h = n // 2 + 1
-    big = np.zeros((c.shape[0], *(2 * n,) * (grid.dim - 1), n + 1), dtype=np.complex128)
+    big = np.zeros((c.shape[0], *_box_shape(2 * n, grid.dim, n // 2)), dtype=np.complex128)
     for up, last in ((0, slice(0, h - 1)), (1, slice(0, h))):
         for small, large in _lead_blocks(grid, up):
             big[(slice(None), *large, last)] += c[(slice(None), *small, last)]
     big *= 0.5
-    return _irfft(big)
+    return _irfft(big, 2 * n)
 
 
 def _padded_half(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Half spectrum of the alias-free truncated product of two half spectra.
 
     The factors are zero-padded to the 2n grid (`_padded_samples`),
-    multiplied there and transformed once.  The truncation T reads each
-    n-grid mode at the same 2n-grid index and the Nyquist index n/2 at -n/2;
-    the result is the half spectrum of T's Hermitian part (T(k) + conj T(-k))/2,
-    as `_half` takes it.
+    multiplied there and transformed once, pruned to the box of extent n/2
+    that the truncation reads.  The truncation T reads each n-grid mode at
+    the same 2n-grid index and the Nyquist index n/2 at -n/2; the result is
+    the half spectrum of T's Hermitian part (T(k) + conj T(-k))/2, as
+    `_half` takes it.
     """
-    big = _rfft(_product_values(_padded_samples(a, grid), _padded_samples(b, grid)))
-    h = grid.n_per_axis // 2 + 1
+    big = _rfft(_product_values(_padded_samples(a, grid), _padded_samples(b, grid)), grid.n_per_axis // 2)
     lo, hi = (np.empty((big.shape[0], *grid.spectral_shape), dtype=np.complex128) for _ in range(2))
     for up, out in ((0, lo), (1, hi)):
         for small, large in _lead_blocks(grid, up):
-            out[(slice(None), *small)] = big[(slice(None), *large, slice(0, h))]
+            out[(slice(None), *small)] = big[(slice(None), *large)]
     # lo reads a leading Nyquist index at -n/2 and hi at +n/2, so conj T(-k)
     # is hi for 0 < j < n/2; on the planes j = 0 and j = n/2, which hold
     # both k and -k, it is a conjugated mirror entry

@@ -140,6 +140,15 @@ class TestUserMistakes:
         overrides = ["model.epsilon=0.01", "init.kind=file", f"init.path={path}"]
         self.assert_rejected(overrides, tmp_path, command=sweep)
 
+    def test_sweep_dt_not_dividing_snapshot_interval(self, tmp_path):
+        sweep = ("sweep", "sweep.variable=alpha", "sweep.T_final=0.05")
+        self.assert_rejected(["model.epsilon=0.1", "step.dt=0.007"], tmp_path, command=sweep)
+
+    def test_removed_scheme_key(self, tmp_path):
+        # ETD2 is the only stepper; step.scheme is no longer a key
+        simulate = ("simulate", "step.t_end=0.01")
+        self.assert_rejected(["model.kind=ns", "step.scheme=rk4_full"], tmp_path, command=simulate)
+
     def test_speed_test_unknown_bump(self, tmp_path):
         speed_test = ("speed-test", "model.kind=hns_eps_alpha")
         overrides = ["speed.bump=bogus", "model.epsilon=0.01", "model.alpha=0.01"]

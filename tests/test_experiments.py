@@ -149,13 +149,13 @@ class TestSweepConfig:
                         snapshot_every_t=0.025)
 
     def test_misaligned_explicit_dt_rejected(self, grid2d):
+        # the config itself is rejected, before any run
         fixed = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-2, alpha=1e-1)
-        cfg = SweepConfig(
-            "alpha", (1e-1, 1e-2, 1e-3), fixed, InitialDataSpec(kind="taylor_green"),
-            0.1, grid2d, 1, snapshot_every_t=0.025, dt=0.011,
-        )
         with pytest.raises(ValueError, match="does not divide"):
-            sweep_alpha(cfg)
+            SweepConfig(
+                "alpha", (1e-1, 1e-2, 1e-3), fixed, InitialDataSpec(kind="taylor_green"),
+                0.1, grid2d, 1, snapshot_every_t=0.025, dt=0.011,
+            )
 
 
 class TestSweeps:
