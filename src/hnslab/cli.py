@@ -34,13 +34,14 @@ from .experiments import (
     BumpSpec,
     InitialDataSpec,
     SweepConfig,
+    _sweep_data,
     build_initial_data,
     finite_speed_experiment,
     suggest_dt,
     sweep_alpha,
     sweep_epsilon,
 )
-from .littlewood_paley import INEQUALITY_NAMES, estimate_constants, verify_inequality
+from .littlewood_paley import INEQUALITY_NAMES, _check_trials, estimate_constants, verify_inequality
 from .solvers import (
     BlowUpError,
     Model,
@@ -221,14 +222,11 @@ def _grid_from(cfg: dict) -> GridSpec:
 
 
 def _params_from(cfg: dict) -> ModelParams:
+    """The model.* keys; model.epsilon and model.alpha are ignored by a model without them."""
     kind = _from_config(Model, cfg["model.kind"])
-    eps = cfg["model.epsilon"]
-    alpha = cfg["model.alpha"]
+    eps = None if kind is Model.NS else cfg["model.epsilon"]
+    alpha = cfg["model.alpha"] if kind is Model.HNS_EPS_ALPHA else None
     s, delta = cfg["model.s"], cfg["model.delta"]
-    if kind is Model.NS:
-        return _from_config(ModelParams, kind, s=s, delta=delta)
-    if kind is Model.HNS_EPS:
-        return _from_config(ModelParams, kind, epsilon=eps, s=s, delta=delta)
     return _from_config(ModelParams, kind, epsilon=eps, alpha=alpha, s=s, delta=delta)
 
 
@@ -247,14 +245,11 @@ def _init_spec_from(cfg: dict) -> InitialDataSpec:
 
 
 def _initial_data(cfg: dict, grid: GridSpec, params: ModelParams):
-    """(u0, u1) from the init.* keys; an unreadable or mismatched init file is a config error."""
+    """(u0, u1) from the init.* keys."""
     spec = _init_spec_from(cfg)
     if spec.epsilon_cutoff and params.epsilon is None:
         raise ConfigError("init.epsilon_cutoff needs a hyperbolic model")
-    try:
-        return build_initial_data(spec, grid, params)
-    except (InvalidFieldError, OSError) as exc:
-        raise ConfigError(f"init.path: {type(exc).__name__}: {exc}") from exc
+    return build_initial_data(spec, grid, params)
 
 
 def _write_text(path: str, text: str, manifest: RunManifest):
@@ -285,6 +280,8 @@ def _cmd_simulate(cfg: dict):
     dt = cfg["step.dt"]
     if dt is None:
         dt = suggest_dt(params, grid, max(cfg["step.t_end"], 1e-9) / 40.0)
+    elif not dt > 0:
+        raise ConfigError(f"step.dt must be positive, got {dt!r}")
     if cfg["step.t_end"] > 0:
         n_steps = max(1, round(cfg["step.t_end"] / dt))
         dt = cfg["step.t_end"] / n_steps
@@ -333,52 +330,40 @@ def _cmd_sweep(cfg: dict):
     var = cfg["sweep.variable"]
     if var not in ("alpha", "epsilon"):
         raise ConfigError(f"sweep.variable must be alpha or epsilon, got {var!r}")
+    alpha = var == "alpha"
     if cfg["sweep.values"]:
         values = _from_config(lambda: tuple(float(t) for t in cfg["sweep.values"].split(",") if t))
     else:
-        values = DEFAULT_ALPHA_GRID if var == "alpha" else DEFAULT_EPSILON_GRID
-    if var == "alpha":
-        eps = cfg["model.epsilon"]
-        if eps is None:
-            raise ConfigError("alpha sweep requires model.epsilon")
-        fixed = _from_config(
-            ModelParams,
-            Model.HNS_EPS_ALPHA,
-            epsilon=eps,
-            alpha=values[0],
-            s=cfg["model.s"],
-            delta=cfg["model.delta"],
-        )
-    else:
-        fixed = _from_config(
-            ModelParams,
-            Model.HNS_EPS,
-            epsilon=values[0],
-            s=cfg["model.s"],
-            delta=cfg["model.delta"],
-        )
-    try:
-        sweep_cfg = SweepConfig(
-            sweep_variable=var,
-            values=values,
-            fixed=fixed,
-            initial_data=_init_spec_from(cfg),
-            T_final=cfg["sweep.T_final"],
-            grid=grid,
-            seed=cfg["seed"],
-            snapshot_every_t=cfg["sweep.snapshot_every_t"],
-            dt=cfg["step.dt"],
-            workers=cfg["workers"] or _default_workers(),
-            resolve=cfg["sweep.resolve"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    # the sweep builds its own data when it runs; build it once here so that a
-    # bad init file is rejected before the run directory exists
-    _initial_data(cfg, grid, fixed)
+        values = DEFAULT_ALPHA_GRID if alpha else DEFAULT_EPSILON_GRID
+    if alpha and cfg["model.epsilon"] is None:
+        raise ConfigError("alpha sweep requires model.epsilon")
+    # the model of the first point; it is part of every point's run_id
+    fixed = _from_config(
+        ModelParams,
+        Model.HNS_EPS_ALPHA if alpha else Model.HNS_EPS,
+        epsilon=cfg["model.epsilon"] if alpha else values[0],
+        alpha=values[0] if alpha else None,
+        s=cfg["model.s"],
+        delta=cfg["model.delta"],
+    )
+    sweep_cfg = _from_config(
+        SweepConfig,
+        sweep_variable=var,
+        values=values,
+        fixed=fixed,
+        initial_data=_init_spec_from(cfg),
+        T_final=cfg["sweep.T_final"],
+        grid=grid,
+        seed=cfg["seed"],
+        snapshot_every_t=cfg["sweep.snapshot_every_t"],
+        dt=cfg["step.dt"],
+        workers=cfg["workers"] or _default_workers(),
+        resolve=cfg["sweep.resolve"],
+    )
+    data = _sweep_data(sweep_cfg)
 
     def run(outdir: str, manifest: RunManifest) -> int:
-        result = sweep_alpha(sweep_cfg) if var == "alpha" else sweep_epsilon(sweep_cfg)
+        result = (sweep_alpha if alpha else sweep_epsilon)(sweep_cfg, data)
         _write_text(os.path.join(outdir, "sweep.csv"), result.to_csv(), manifest)
         fit_lines = ["metric,slope,intercept,r_squared"]
         for name, fit in sorted(result.fits.items()):
@@ -399,6 +384,7 @@ def _cmd_sweep(cfg: dict):
 
 def _cmd_lp_check(cfg: dict):
     grid = _grid_from(cfg)
+    _from_config(_check_trials, cfg["lp.trials"])
     names = [n.strip() for n in cfg["lp.names"].split(",") if n.strip()]
     bad = sorted(set(names) - set(INEQUALITY_NAMES))
     if bad:
@@ -458,6 +444,7 @@ def _cmd_speed_test(cfg: dict):
 
 def _cmd_gates(cfg: dict):
     grid = _grid_from(cfg)
+    _from_config(_check_trials, cfg["gates.constants_trials"], constants=True)
     params = _params_from(cfg)
     u0, u1 = _initial_data(cfg, grid, params)
 
@@ -519,7 +506,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 f"run directory exists: {outdir} (identical config); use --force to overwrite"
             )
-        run = _DISPATCH[args.subcommand](cfg)
+        try:
+            run = _DISPATCH[args.subcommand](cfg)
+        except (InvalidFieldError, OSError) as exc:  # an unreadable or mismatched init file
+            raise ConfigError(f"init.path: {type(exc).__name__}: {exc}") from exc
         if os.path.exists(outdir):
             shutil.rmtree(outdir)
         os.makedirs(outdir)

@@ -13,9 +13,13 @@ Four experiments:
   R + c1 t and the measured front speed against the branch speeds.
 * rate fitting: plain least squares on (log x, log y).
 
-Sweep points run sequentially or in a process pool; results merge by sweep
-index so output is independent of completion order, and all CSV text is
-formatted deterministically.
+Both sweeps run one driver: the data are built once, the reference runs once
+with its states kept, every point runs against those states, then the fits.
+What differs by variable is data: the reference model, the points' dt, the
+per-point epsilon cutoff, and the modulated-energy probe (alpha only).  Sweep
+points run sequentially or in a process pool; results merge by sweep index so
+output is independent of completion order, and all CSV text is formatted
+deterministically.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -84,6 +89,12 @@ DEFAULT_EPSILON_GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 SWEEP_CSV_HEADER = (
     "sweep_var,value,T_final,sup_modulated_energy,div_l2t_l2,sup_sobolev_diff_sq,run_id"
 )
+# fit name -> the SweepPoint field it fits, in the order of the CSV's rate_fit row
+_FITTED = {
+    "modulated_energy": "sup_modulated_energy",
+    "div_l2t_l2": "div_l2t_l2",
+    "sobolev_diff_sq": "sup_sobolev_diff_sq",
+}
 
 
 class InvalidWindowError(RuntimeError):
@@ -269,7 +280,9 @@ class SweepConfig:
         # construction): reference and sweep trajectories are paired slot by
         # slot, and a dt that does not divide the interval would compare
         # misaligned states
-        if self.dt:
+        if self.dt is not None:
+            if not self.dt > 0:
+                raise ValueError(f"dt must be positive, got {self.dt!r}")
             cad = max(1, round(self.snapshot_every_t / self.dt))
             if abs(cad * self.dt - self.snapshot_every_t) > 1e-9 * self.snapshot_every_t:
                 raise ValueError(
@@ -303,17 +316,10 @@ class SweepResult:
         lines = [SWEEP_CSV_HEADER]
         for p in self.points:
             lines.append(p.csv_row(var, self.config.T_final))
-        fit_mod = self.fits.get("modulated_energy")
-        fit_div = self.fits.get("div_l2t_l2")
-        fit_diff = self.fits.get("sobolev_diff_sq")
-        lines.append(
-            "rate_fit,nan,{:.17g},{},{},{},slopes".format(
-                self.config.T_final,
-                f"{fit_mod.slope:.17g}" if fit_mod else "nan",
-                f"{fit_div.slope:.17g}" if fit_div else "nan",
-                f"{fit_diff.slope:.17g}" if fit_diff else "nan",
-            )
+        slopes = ",".join(
+            f"{self.fits[name].slope:.17g}" if name in self.fits else "nan" for name in _FITTED
         )
+        lines.append(f"rate_fit,nan,{self.config.T_final:.17g},{slopes},slopes")
         return "\n".join(lines) + "\n"
 
 
@@ -325,17 +331,12 @@ def _point_run_id(cfg: SweepConfig, value: float) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _model_for(cfg: SweepConfig, value: float) -> ModelParams:
-    base = cfg.fixed
-    if cfg.sweep_variable == "alpha":
-        return ModelParams(
-            Model.HNS_EPS_ALPHA,
-            epsilon=base.epsilon,
-            alpha=value,
-            s=base.s,
-            delta=base.delta,
-        )
-    return ModelParams(Model.HNS_EPS, epsilon=value, s=base.s, delta=base.delta)
+def _model_for(cfg: SweepConfig, value: float | None) -> ModelParams:
+    """The model at a sweep value; None gives the reference: eps-only (alpha) or NS (epsilon)."""
+    alpha = value if cfg.sweep_variable == "alpha" else None
+    eps = value if cfg.sweep_variable == "epsilon" else cfg.fixed.epsilon
+    kind = Model.NS if eps is None else Model.HNS_EPS if alpha is None else Model.HNS_EPS_ALPHA
+    return ModelParams(kind, epsilon=eps, alpha=alpha, s=cfg.fixed.s, delta=cfg.fixed.delta)
 
 
 def _aligned_dt(cfg: SweepConfig, params: ModelParams) -> tuple[float, int]:
@@ -348,80 +349,25 @@ def _aligned_dt(cfg: SweepConfig, params: ModelParams) -> tuple[float, int]:
     return dt, max(1, int(round(cfg.snapshot_every_t / dt)))
 
 
-def _run_alpha_point(cfg: SweepConfig, value: float, data, ref_states, dt: float, cad: int):
-    u0, u1 = data
-    params = _model_for(cfg, value)
-    scfg = StepperConfig(dt=dt, t_end=cfg.T_final, snapshot_every=cad)
-    snap_t = cad * dt
+def _sweep_data(cfg: SweepConfig) -> tuple[SpectralField, SpectralField]:
+    """The sweep's (u0, u1), built for its reference model.
 
-    def at_ref(state):
-        return ref_states[int(round(state.time / snap_t))]
-
-    crit = cfg.grid.dim / 2.0 - 1.0
-    probes = {
-        "modulated_energy": lambda st: modulated_energy(st, at_ref(st), params).value,
-        "div_sq": lambda st: sobolev_norm(divergence(st.u), 0.0) ** 2,
-        "sobolev_diff_sq": lambda st: sobolev_norm(st.u - at_ref(st).u, crit) ** 2,
-    }
-    res = run_simulation(u0, u1, params, scfg, probes=probes)
-    div_int = float(np.trapezoid(res.probes["div_sq"], res.times))
-    return SweepPoint(
-        value=value,
-        sup_modulated_energy=max(res.probes["modulated_energy"]),
-        div_l2t_l2=div_int,
-        sup_sobolev_diff_sq=max(res.probes["sobolev_diff_sq"]),
-        run_id=_point_run_id(cfg, value),
-    )
-
-
-def sweep_alpha(cfg: SweepConfig) -> SweepResult:
-    """Penalized runs against the shared eps-reference; slopes of both metrics.
-
-    All runs share the same data, dt, and snapshot times, so pointwise
-    differences are meaningful and the sweep is deterministic down to bytes.
+    An epsilon sweep cuts u0 at each point's own epsilon, so its data carry no cutoff.
     """
-    if cfg.sweep_variable != "alpha":
-        raise ValueError("config is not an alpha sweep")
-    ref_params = ModelParams(
-        Model.HNS_EPS, epsilon=cfg.fixed.epsilon, s=cfg.fixed.s, delta=cfg.fixed.delta
-    )
-    data = build_initial_data(cfg.initial_data, cfg.grid, ref_params)
-    dt, cad = _aligned_dt(cfg, ref_params)
-    scfg = StepperConfig(dt=dt, t_end=cfg.T_final, snapshot_every=cad)
-    ref = run_simulation(data[0], data[1], ref_params, scfg, keep_states=True)
-
-    args = [(cfg, v, data, ref.states, dt, cad) for v in cfg.values]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            points = list(pool.map(_alpha_point_star, args))
-    else:
-        points = [_run_alpha_point(*a) for a in args]
-
-    fits = {
-        "modulated_energy": _safe_fit([(p.value, p.sup_modulated_energy) for p in points]),
-        "div_l2t_l2": _safe_fit([(p.value, p.div_l2t_l2) for p in points]),
-        "sobolev_diff_sq": _safe_fit([(p.value, p.sup_sobolev_diff_sq) for p in points]),
-    }
-    return SweepResult(cfg, points, {k: v for k, v in fits.items() if v is not None})
+    spec = cfg.initial_data
+    if cfg.sweep_variable == "epsilon":
+        spec = replace(spec, epsilon_cutoff=False)
+    return build_initial_data(spec, cfg.grid, _model_for(cfg, None))
 
 
-def _alpha_point_star(args):
-    return _run_alpha_point(*args)
-
-
-def _safe_fit(pts):
-    try:
-        return fit_rate(pts)
-    except ValueError:
-        return None
-
-
-def _run_epsilon_point(cfg: SweepConfig, value: float, v0: SpectralField, ref_states):
+def _run_point(cfg: SweepConfig, data, ref_states, value: float, step: tuple[float, int]):
+    """One point run with step = (dt, cadence), measured against the reference states."""
     params = _model_for(cfg, value)
-    u0 = _epsilon_cutoff(v0, value)
-    u1 = SpectralField.zeros(cfg.grid, cfg.grid.dim)
-    dt, cad = _aligned_dt(cfg, params)
-    scfg = StepperConfig(dt=dt, t_end=cfg.T_final, snapshot_every=cad)
+    u0, u1 = data
+    alpha = cfg.sweep_variable == "alpha"
+    if not alpha:  # well-prepared data: u0 without the frequencies at or above 1/sqrt(eps)
+        u0 = _epsilon_cutoff(u0, value)
+    dt, cad = step
     snap_t = cad * dt
     crit = cfg.grid.dim / 2.0 - 1.0
 
@@ -429,50 +375,79 @@ def _run_epsilon_point(cfg: SweepConfig, value: float, v0: SpectralField, ref_st
         return ref_states[int(round(state.time / snap_t))]
 
     probes = {
-        "sobolev_diff_sq": lambda st: sobolev_norm(st.u - at_ref(st).u, crit) ** 2,
         "div_sq": lambda st: sobolev_norm(divergence(st.u), 0.0) ** 2,
+        "sobolev_diff_sq": lambda st: sobolev_norm(st.u - at_ref(st).u, crit) ** 2,
     }
+    if alpha:
+        probes["modulated_energy"] = lambda st: modulated_energy(st, at_ref(st), params).value
+    scfg = StepperConfig(dt=dt, t_end=cfg.T_final, snapshot_every=cad)
     res = run_simulation(u0, u1, params, scfg, probes=probes)
     return SweepPoint(
         value=value,
-        sup_modulated_energy=float("nan"),
+        sup_modulated_energy=max(res.probes.get("modulated_energy", [math.nan])),
         div_l2t_l2=float(np.trapezoid(res.probes["div_sq"], res.times)),
         sup_sobolev_diff_sq=max(res.probes["sobolev_diff_sq"]),
         run_id=_point_run_id(cfg, value),
     )
 
 
-def sweep_epsilon(cfg: SweepConfig) -> SweepResult:
+def _sweep(cfg: SweepConfig, variable: str, data) -> SweepResult:
+    """One reference run with kept states, every point measured against it, then the rate fits.
+
+    Alpha points step with the reference's dt.  Each epsilon point has its own
+    dt, and the NS reference steps at half the finest of them (self-convergence
+    of the reference is a test concern).  An alpha sweep fits the modulated
+    energy, the divergence and the Sobolev difference, an epsilon sweep the
+    Sobolev difference; a metric without three positive points has no fit.
+    """
+    if cfg.sweep_variable != variable:
+        raise ValueError(f"config is not an {variable} sweep")
+    if data is None:
+        data = _sweep_data(cfg)
+    ref_params = _model_for(cfg, None)
+    if variable == "alpha":
+        steps = [_aligned_dt(cfg, ref_params)] * len(cfg.values)
+        dt_ref, cad_ref = steps[0]
+    else:
+        steps = [_aligned_dt(cfg, _model_for(cfg, v)) for v in cfg.values]
+        cad_ref = math.ceil(cfg.snapshot_every_t / (min(dt for dt, _ in steps) / 2.0))
+        dt_ref = cfg.snapshot_every_t / cad_ref
+    ref_cfg = StepperConfig(dt=dt_ref, t_end=cfg.T_final, snapshot_every=cad_ref)
+    ref = run_simulation(*data, ref_params, ref_cfg, keep_states=True)
+
+    point = partial(_run_point, cfg, data, ref.states)
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            points = list(pool.map(point, cfg.values, steps))
+    else:
+        points = list(map(point, cfg.values, steps))
+    fits = {}
+    for name in _FITTED if variable == "alpha" else ["sobolev_diff_sq"]:
+        try:
+            fits[name] = fit_rate([(p.value, getattr(p, _FITTED[name])) for p in points])
+        except ValueError:
+            pass
+    return SweepResult(cfg, points, fits)
+
+
+def sweep_alpha(cfg: SweepConfig, data=None) -> SweepResult:
+    """Penalized runs against the shared eps-only reference, and the slopes of their metrics.
+
+    All runs share the same data, dt, and snapshot times, so pointwise
+    differences are meaningful and the sweep is deterministic down to bytes.
+    `data` is the sweep's (u0, u1) if already built; None builds it.
+    """
+    return _sweep(cfg, "alpha", data)
+
+
+def sweep_epsilon(cfg: SweepConfig, data=None) -> SweepResult:
     """Damped-wave runs against the NS reference from the same smooth field.
 
     Per-point data is the well-prepared choice: u0 is v0 with frequencies at or
-    above 1/sqrt(eps) removed, u1 = 0.  The NS reference runs once at half the
-    finest sweep dt (self-convergence of the reference is a test concern).
+    above 1/sqrt(eps) removed, u1 = 0.  `data` is the sweep's (v0, 0) if
+    already built; None builds it.
     """
-    if cfg.sweep_variable != "epsilon":
-        raise ValueError("config is not an epsilon sweep")
-    ns = ModelParams(Model.NS, s=cfg.fixed.s, delta=cfg.fixed.delta)
-    spec = replace(cfg.initial_data, epsilon_cutoff=False)
-    v0, _ = build_initial_data(spec, cfg.grid, ns)
-
-    finest = min(_aligned_dt(cfg, _model_for(cfg, v))[0] for v in cfg.values)
-    cad_ref = math.ceil(cfg.snapshot_every_t / (finest / 2.0))
-    dt_ref = cfg.snapshot_every_t / cad_ref
-    ref_cfg = StepperConfig(dt=dt_ref, t_end=cfg.T_final, snapshot_every=cad_ref)
-    ref = run_simulation(v0, None, ns, ref_cfg, keep_states=True)
-
-    args = [(cfg, v, v0, ref.states) for v in cfg.values]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            points = list(pool.map(_epsilon_point_star, args))
-    else:
-        points = [_run_epsilon_point(*a) for a in args]
-    fits = {"sobolev_diff_sq": _safe_fit([(p.value, p.sup_sobolev_diff_sq) for p in points])}
-    return SweepResult(cfg, points, {k: v for k, v in fits.items() if v is not None})
-
-
-def _epsilon_point_star(args):
-    return _run_epsilon_point(*args)
+    return _sweep(cfg, "epsilon", data)
 
 
 # ---------------------------------------------------------------------------

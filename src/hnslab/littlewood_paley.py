@@ -346,6 +346,13 @@ _RATIO_GENERATORS = {
 }
 
 
+def _check_trials(trials: int, constants: bool = False) -> None:
+    """A sample count needs >= 1 for one inequality and >= 100 for stable constants."""
+    least, why = (100, " for stable constants") if constants else (1, "")
+    if trials < least:
+        raise ValueError(f"trials must be >= {least}{why}")
+
+
 def verify_inequality(
     name: str,
     trials: int,
@@ -362,8 +369,7 @@ def verify_inequality(
     """
     if name not in _RATIO_GENERATORS:
         raise ValueError(f"unknown inequality {name!r}; choose from {INEQUALITY_NAMES}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     if name == "ladyzhenskaya" and grid.dim != 2:
         raise ValueError("ladyzhenskaya inequality is stated for dim = 2")
     if name == "l3_embedding" and grid.dim != 3:
@@ -409,8 +415,7 @@ def estimate_constants(
     smallness thresholds (e.g. 1 / (36 K2^3)) must always be computed from one
     declared run of this oracle.
     """
-    if trials < 100:
-        raise ValueError("trials must be >= 100 for stable constants")
+    _check_trials(trials, constants=True)
     if grid2d is None:
         grid2d = GridSpec(2, 64)
     if grid3d is None:

@@ -144,6 +144,25 @@ class TestUserMistakes:
         sweep = ("sweep", "sweep.variable=alpha", "sweep.T_final=0.05")
         self.assert_rejected(["model.epsilon=0.1", "step.dt=0.007"], tmp_path, command=sweep)
 
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan"])
+    def test_simulate_nonpositive_dt(self, tmp_path, dt):
+        # checked before dt divides t_end or is rounded to a whole number of steps
+        simulate = ("simulate", "step.t_end=0.5")
+        self.assert_rejected(["model.kind=ns", f"step.dt={dt}"], tmp_path, command=simulate)
+
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan"])
+    def test_sweep_nonpositive_dt(self, tmp_path, dt):
+        # a given dt is checked, not read as "no dt" when it is 0
+        sweep = ("sweep", "sweep.variable=alpha", "sweep.T_final=0.05", "workers=1")
+        self.assert_rejected(["model.epsilon=0.1", f"step.dt={dt}"], tmp_path, command=sweep)
+
+    def test_lp_check_no_trials(self, tmp_path):
+        self.assert_rejected(["lp.trials=0"], tmp_path, command=("lp-check",))
+
+    def test_gates_too_few_constants_trials(self, tmp_path):
+        gates = ("gates", "model.kind=hns_eps", "model.epsilon=0.01")
+        self.assert_rejected(["gates.constants_trials=50"], tmp_path, command=gates)
+
     def test_removed_scheme_key(self, tmp_path):
         # ETD2 is the only stepper; step.scheme is no longer a key
         simulate = ("simulate", "step.t_end=0.01")
@@ -282,6 +301,33 @@ class TestSweepCommand:
         rundir = next((tmp_path / "runs").iterdir())
         lines = (rundir / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 7 + 1
+
+    @pytest.mark.parametrize("variable", ["alpha", "epsilon"])
+    def test_initial_data_built_once(self, tmp_path, monkeypatch, variable):
+        import hnslab.cli as cli
+        import hnslab.experiments as experiments
+
+        calls = []
+        build = experiments.build_initial_data
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_initial_data", counting)
+        monkeypatch.setattr(experiments, "build_initial_data", counting)
+        args = [
+            "sweep",
+            "seed=1",
+            "grid.n=16",
+            "model.epsilon=0.01",
+            f"sweep.variable={variable}",
+            "sweep.values=0.1,0.01,0.001",
+            "sweep.T_final=0.05",
+            "workers=1",
+        ]
+        assert run_cli(args, tmp_path) == 0
+        assert len(calls) == 1
 
 
 class TestOtherCommands:

@@ -278,6 +278,20 @@ class TestSweeps:
         assert diffs[0] > diffs[-1]  # smaller eps, closer to NS
         assert "sobolev_diff_sq" in res.fits
 
+    @pytest.mark.parametrize("variable", ["alpha", "epsilon"])
+    def test_prebuilt_data_same_csv(self, grid2d, variable):
+        # the data a caller builds give the sweep's own bytes; an epsilon sweep
+        # cuts u0 per point, so its data carry no cutoff and are built for NS
+        spec = InitialDataSpec(kind="random", seed=3, amplitude=0.5, epsilon_cutoff=True)
+        fixed = ModelParams(Model.HNS_EPS, epsilon=1e-2)
+        cfg = SweepConfig(variable, (1e-1, 1e-2, 1e-3), fixed, spec, 0.05, grid2d, 3, workers=1)
+        if variable == "alpha":
+            sweep, data = sweep_alpha, build_initial_data(spec, grid2d, fixed)
+        else:
+            spec = InitialDataSpec(kind="random", seed=3, amplitude=0.5)
+            sweep, data = sweep_epsilon, build_initial_data(spec, grid2d, ModelParams(Model.NS))
+        assert sweep(cfg, data).to_csv() == sweep(cfg).to_csv()
+
 
 class TestFiniteSpeed:
     def test_c1_formula(self):
