@@ -181,6 +181,7 @@ class RunManifest:
     status: str = "ok"
     runtime_seconds: float = 0.0
     blowup_time: float | None = None
+    steps: int | None = None  # time steps taken by `simulate`, the one that blew up included
     peak_rss_mb: float | None = None
     minor_page_faults: int | None = None
 
@@ -313,8 +314,10 @@ def _cmd_simulate(cfg: dict):
                 u0, u1, params, scfg, probes=probes, nonlinearity=bool(cfg["step.nonlinearity"])
             )
         except BlowUpError as exc:
+            manifest.steps = exc.partial.steps
             _write_probes(outdir, exc.partial, manifest)  # the series up to the blow-up
             raise
+        manifest.steps = result.steps
         _write_probes(outdir, result, manifest)
         if cfg["snapshots.save"]:
             snap = os.path.join(outdir, "final.hnsf")
@@ -333,6 +336,8 @@ def _cmd_sweep(cfg: dict):
     alpha = var == "alpha"
     if cfg["sweep.values"]:
         values = _from_config(lambda: tuple(float(t) for t in cfg["sweep.values"].split(",") if t))
+        if not values:
+            raise ConfigError(f"sweep.values names no value: {cfg['sweep.values']!r}")
     else:
         values = DEFAULT_ALPHA_GRID if alpha else DEFAULT_EPSILON_GRID
     if alpha and cfg["model.epsilon"] is None:

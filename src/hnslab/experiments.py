@@ -17,9 +17,10 @@ Both sweeps run one driver: the data are built once, the reference runs once
 with its states kept, every point runs against those states, then the fits.
 What differs by variable is data: the reference model, the points' dt, the
 per-point epsilon cutoff, and the modulated-energy probe (alpha only).  Sweep
-points run sequentially or in a process pool; results merge by sweep index so
-output is independent of completion order, and all CSV text is formatted
-deterministically.
+points run sequentially or in a process pool, whose workers receive the data
+and the reference states once, when they start, so a task carries only its
+value and step; results merge by sweep index so output is independent of
+completion order, and all CSV text is formatted deterministically.
 """
 
 from __future__ import annotations
@@ -391,6 +392,21 @@ def _run_point(cfg: SweepConfig, data, ref_states, value: float, step: tuple[flo
     )
 
 
+# a pool worker's point runner, bound to the sweep's data and reference
+# states by `_start_worker` when the worker starts
+_worker_point = None
+
+
+def _start_worker(cfg: SweepConfig, data, ref_states) -> None:
+    global _worker_point
+    _worker_point = partial(_run_point, cfg, data, ref_states)
+
+
+def _pool_point(value: float, step: tuple[float, int]):
+    """A pool task: one point run by the worker's point runner."""
+    return _worker_point(value, step)
+
+
 def _sweep(cfg: SweepConfig, variable: str, data) -> SweepResult:
     """One reference run with kept states, every point measured against it, then the rate fits.
 
@@ -415,12 +431,12 @@ def _sweep(cfg: SweepConfig, variable: str, data) -> SweepResult:
     ref_cfg = StepperConfig(dt=dt_ref, t_end=cfg.T_final, snapshot_every=cad_ref)
     ref = run_simulation(*data, ref_params, ref_cfg, keep_states=True)
 
-    point = partial(_run_point, cfg, data, ref.states)
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            points = list(pool.map(point, cfg.values, steps))
+        shared = (cfg, data, ref.states)
+        with ProcessPoolExecutor(cfg.workers, initializer=_start_worker, initargs=shared) as pool:
+            points = list(pool.map(_pool_point, cfg.values, steps))
     else:
-        points = list(map(point, cfg.values, steps))
+        points = list(map(partial(_run_point, cfg, data, ref.states), cfg.values, steps))
     fits = {}
     for name in _FITTED if variable == "alpha" else ["sobolev_diff_sq"]:
         try:

@@ -26,26 +26,39 @@ the public `nonlinear_term`.  A `SolverState` is the plain value
 (u, u_t, time); the stepper wraps its arrays in fields without copying them.
 
 Box rule: a step runs on the dealias box, the modes with every
-|j_axis| <= grid.dealias_cut that the 2/3 rule keeps.  It gathers the box of
-the state; both forcings, the Helmholtz split and the predictor and
-corrector work on box arrays, with the ETD2 tables, i k, the odd wavevector
-and 1/|k|^2 built at the dealias extent, and with transforms at that
-extent.  It scatters the result into fresh zeroed half spectra.  So `step`
-reads only the box: a state with content outside it steps exactly like its
-`dealias`, and `run_simulation` dealiases its data.  `nonlinear_term`
-transforms its whole input, prunes its forward transform to the dealias
-box and scatters once.  On a grid with `dealias_fraction=1` the box is the
-whole half spectrum.
+|j_axis| <= grid.dealias_cut that the 2/3 rule keeps.  One core,
+`_advance`, steps a box state (u, u_t) in place: both forcings, the
+Helmholtz split and the predictor and corrector work on box arrays, with
+the ETD2 tables, i k, the odd wavevector and 1/|k|^2 built at the dealias
+extent, and with transforms at that extent.  `run_simulation` gathers the
+box of its data once and keeps the state there from the first step to the
+last; the blow-up check reads the box, and the box is scattered into fresh
+zeroed half spectra only to record a snapshot, at the end and on a
+blow-up.  The public `step` is the same core between one gather and one
+scatter.  So a step reads only the box: a state with content outside it
+steps exactly like its `dealias`, and `run_simulation` dealiases its data.
+`nonlinear_term` transforms its whole input, prunes its forward transform
+to the dealias box and scatters once.  On a grid with `dealias_fraction=1`
+the box is the whole half spectrum.
 
 Workspace rule: every intermediate of a forcing and of a step is written
 with in-place ufuncs into one scratch `_Workspace` of dealias-box arrays per
 grid, cached for one grid at a time so a sweep's reference run and its
 points share it; `nonlinear_term` allocates only its input stack and its
-result.  The operation order is that of the allocating expressions, so
-outputs are unchanged to the bit.  A step allocates only the arrays of the
-state it returns.  No scratch content survives a call, and nothing returned
-aliases the workspace.  The workspace is per process and is not
-thread-safe: run concurrent solves in separate processes, as the sweeps do.
+result.  The workspace also holds what a step needs of its grid (i k, the
+transforms' pass views) and the ETD2 tables of the last (model, dt) asked
+for, dropped before others are built; a run fetches both once.
+The operation order is that of the allocating expressions, and a loop over
+components or products is one broadcast call in that per-element order, so
+outputs are unchanged to the bit.  The ETD2 tables are complex, so their
+products need no cast of the table.  Between two snapshots a run allocates
+no array: its box state lives in the workspace, and its fields are built
+only to record; after the probes of a snapshot have run it resumes from the
+recorded state, since a probe may itself step on the grid.  `step`
+allocates only the arrays of the state it returns.  No scratch content survives a
+call, and nothing returned aliases the workspace.  The workspace is per
+process and is not thread-safe: run concurrent solves in separate
+processes, as the sweeps do.
 
 The forcing takes its form from the model.  NS and HNS_EPS evolve
 Leray-projected, hence divergence-free, states, so they use the divergence
@@ -71,6 +84,7 @@ from .spectral import (
     _from_box,
     _irfft,
     _irrotational,
+    _pass_buffers,
     _pass_scratch,
     _rfft,
     _to_box,
@@ -225,7 +239,7 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
     """
     if u.ncomp != u.grid.dim:
         raise InvalidFieldError("nonlinear term expects a full velocity field")
-    return SpectralField(u.grid, _from_box(_nonlinear(u.coeffs, u.grid), u.grid))
+    return SpectralField(u.grid, _from_box(_nonlinear(u.coeffs, _workspace(u.grid)), u.grid))
 
 
 def _words(specs) -> int:
@@ -244,20 +258,31 @@ def _views(buf: np.ndarray, specs) -> list[np.ndarray]:
 
 
 class _Workspace:
-    """Scratch arrays of one grid for every intermediate of a forcing and an ETD2 step.
+    """Scratch arrays and box constants of one grid for a forcing and an ETD2 step.
 
     Spectral arrays have the dealias box's shape.  The phase region is sized
     by its largest phase and shared in time.  A forcing uses it for its
     transform buffers: the spectra `fhat`, whose first rows are also the
     inverse transform's input stack, the samples `phys`, the products
-    `prods`, one component `tmp` and the transforms' pass buffers `work`
-    (large enough for `nonlinear_term`'s inverse of a whole half spectrum).
-    The Helmholtz split of the predictor and corrector then uses it for one
-    datum's parts `q` and `p`, a product `prod`, the Q-branch sums `sums` and
-    the corrector's `increment`, and the blow-up check for |c|.  The step
-    region holds what lives across a step's two forcings: the state's box
-    (u, v), the scaled forcing g0 of the state, the predictor (au, av) and
-    the forcing g1 of au.  Nothing in it outlives the call that fills it.
+    `prods` and the transforms' pass buffers `work` (large enough for
+    `nonlinear_term`'s inverse of a whole half spectrum); the derivative
+    terms `tmp` of every component reuse the memory of `phys`, which holds
+    no samples before the inverse transform or after the forward one, the
+    only times `tmp` is used.  The Helmholtz split of the predictor
+    and corrector then uses it for one datum's parts `q` and `p`, the
+    (u, u_t) pair `prod` of one product, the Q-branch sums `sums` and the
+    corrector's `increment`, and the blow-up check for |c|.  The step region
+    holds what lives across a step's two forcings: the forcing g0 of the
+    state, the predictor pair `a` = (au, av) and the forcing g1 of au; and
+    `state`, the (u, u_t) box that `step` gathers and that a run keeps from
+    its first step to its last.  Nothing else in it outlives the call that
+    fills it.
+
+    The box constants are looked up once per grid: the dealias extent `cut`,
+    i k there, the transforms' pass views of `work` at that extent, the
+    k = 0 index, and for each i the rows of the products u_i u_j in `prods`:
+    a slice, or an index array where they are not contiguous (rows 1 and 2
+    in 3D).  `tables` keeps the ETD2 tables of one (model, dt).
     """
 
     def __init__(self, grid: GridSpec):
@@ -272,15 +297,41 @@ class _Workspace:
             _pass_scratch(npairs + d, d, n, cut, False),
         )
         spectra, samples = ((npairs + d, *H), c), ((d + 1, *R), f)
-        forcing = (spectra, samples, ((npairs + d, *R), f), (H, c), ((passes,), c))
-        split = (vec, vec, vec, pair, pair)
+        forcing = (spectra, samples, ((npairs + d, *R), f), ((passes,), c))
+        split = (vec, vec, pair, pair, pair)
         phase = np.empty(max(_words(forcing), _words(split)))
-        self.fhat, self.phys, self.prods, self.tmp, self.work = _views(phase, forcing)
+        self.fhat, self.phys, self.prods, self.work = _views(phase, forcing)
+        (self.tmp,) = _views(self.phys.reshape(-1), [vec])  # fits: n >= 2 d
         self.q, self.p, self.prod, self.sums, self.increment = _views(phase, split)
         (self.magnitude,) = _views(phase, [((d, *H), f)])
-        state = (vec,) * 6
-        views = _views(np.empty(_words(state)), state)
-        self.u, self.v, self.g0, self.au, self.av, self.g1 = views
+        step = (vec, pair, vec, pair)
+        self.g0, self.a, self.g1, self.state = _views(np.empty(_words(step)), step)
+        self.grid, self.cut = grid, cut
+        self.ik = _derivatives(grid, cut)
+        # the pass views of the dealias-extent transforms, by (components, inverse)
+        self.passes = {
+            (m, inverse): _pass_buffers(m, d, n, cut, inverse, self.work)
+            for m, inverse in ((d, True), (d + 1, True), (npairs, False), (npairs + d, False))
+        }
+        self.mean = (Ellipsis, *(0,) * d)  # the k = 0 mode of a vector or of a pair
+        self.pair_rows = [
+            slice(row[0], row[-1] + 1) if np.all(np.diff(row) == 1) else row
+            for row in _product_pairs(d)[2]
+        ]
+        self._table_key = self._tables = None
+
+    def tables(self, params: ModelParams, dt: float):
+        """The `_etd2_tables` of params and dt on this grid, built on the first request.
+
+        Only the last request's tables are kept, and they are dropped before
+        others are built, so a sweep's runs never hold two sets at once.
+        """
+        key = (params.model, params.epsilon, params.alpha, dt)
+        if key != self._table_key:
+            self._table_key = self._tables = None
+            self._tables = _etd2_tables(*key[:3], self.grid, dt)
+            self._table_key = key
+        return self._tables
 
 
 @functools.lru_cache(maxsize=1)
@@ -290,7 +341,7 @@ def _workspace(grid: GridSpec) -> _Workspace:
 
 
 def _nonlinear(
-    u: np.ndarray, grid: GridSpec, solenoidal: bool = False, out: np.ndarray | None = None
+    u: np.ndarray, ws: _Workspace, solenoidal: bool = False, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Dealias box of f(u), into out (fresh if None), from u's box of any extent: the core of `nonlinear_term`.
 
@@ -298,49 +349,53 @@ def _nonlinear(
     divergence form -sum_i d_i(u_i u), which equals f(u) only for div u = 0.
     A step passes the dealias box of u; `nonlinear_term` passes the whole
     half spectrum, whose (u, div u) stack is then allocated.  The forward
-    transform is pruned to the dealias box, so no mask is applied.  The
-    intermediates live in the grid's workspace; out must not be one of them.
+    transform is pruned to the dealias box, so no mask is applied.  Each
+    loop over i makes one call for all components j, in the per-element
+    order of a loop over (j, i).  The intermediates live in the grid's
+    workspace ws; out must not be one of them.
     """
+    grid, ik, tmp = ws.grid, ws.ik, ws.tmp
     dim, n = grid.dim, grid.n_per_axis
-    ik = _derivatives(grid, grid.dealias_cut)
-    rows, cols, pair = _product_pairs(dim)
-    npairs = rows.size
-    ws = _workspace(grid)
-    tmp = ws.tmp
+    npairs = dim * (dim + 1) // 2
     n_in, n_out = (dim, npairs) if solenoidal else (dim + 1, npairs + dim)
     phys, prods, fhat = ws.phys[:n_in], ws.prods[:n_out], ws.fhat[:n_out]
     if solenoidal:
-        _irfft(u, n, out=phys, work=ws.work)
+        _irfft(u, n, out=phys, work=ws.passes[n_in, True])
     else:
-        boxed = u.shape[1:] == tmp.shape
+        boxed = u.shape[1:] == tmp.shape[1:]
         stack = fhat[:n_in] if boxed else np.empty((n_in, *u.shape[1:]), dtype=np.complex128)
         ik_in = ik if boxed else _derivatives(grid, u.shape[-1] - 1)
         stack[:dim] = u
         np.multiply(ik_in[0], u[0], out=stack[dim])
         for i in range(1, dim):
-            stack[dim] += np.multiply(ik_in[i], u[i], out=tmp if boxed else None)
-        _irfft(stack, n, out=phys, work=ws.work)
+            stack[dim] += np.multiply(ik_in[i], u[i], out=tmp[0] if boxed else None)
+        _irfft(stack, n, out=phys, work=ws.passes[n_in, True] if boxed else ws.work)
         np.multiply(phys[dim], phys[:dim], out=prods[npairs:])
-    for k, (i, j) in enumerate(zip(rows, cols)):
-        np.multiply(phys[i], phys[j], out=prods[k])
-    _rfft(prods, grid.dealias_cut, out=fhat, work=ws.work)
+    start = 0
+    for i in range(dim):  # u_i u_j for j >= i, in triu order
+        np.multiply(phys[i], phys[i:dim], out=prods[start : start + dim - i])
+        start += dim - i
+    _rfft(prods, ws.cut, out=fhat, work=ws.passes[n_out, False])
     if out is None:
         out = np.empty((dim, *fhat.shape[1:]), dtype=np.complex128)
-    for j in range(dim):
-        for i in range(dim):
-            np.multiply(ik[i], fhat[pair[i, j]], out=tmp)
-            if i > 0:
-                out[j] -= tmp
-            elif solenoidal:
-                np.subtract(0.0, tmp, out=out[j])
-            else:
-                np.subtract(fhat[npairs + j], tmp, out=out[j])  # (div u) u_j
+    for i, rows in enumerate(ws.pair_rows):
+        # d_i (u_i u_j) for every j
+        if isinstance(rows, slice):
+            np.multiply(ik[i], fhat[rows], out=tmp)
+        else:
+            np.multiply(ik[i], np.take(fhat, rows, axis=0, out=tmp, mode="clip"), out=tmp)
+        if i > 0:
+            out -= tmp
+        elif solenoidal:
+            np.subtract(0.0, tmp, out=out)
+        else:
+            np.subtract(fhat[npairs:], tmp, out=out)  # (div u) u_j
     return out
 
 
 def _forcing(
     u: np.ndarray,
-    grid: GridSpec,
+    ws: _Workspace,
     params: ModelParams,
     nonlinearity: bool,
     out: np.ndarray | None = None,
@@ -353,7 +408,7 @@ def _forcing(
     The mean of f is discarded: evolved fields are kept mean-zero, so the
     small net force the compressible nonlinearity would exert on the torus
     (absent on the whole space) is not allowed to drive a mean flow.
-    The result goes to out, fresh if None.
+    The result goes to out, fresh if None; the intermediates live in ws.
     """
     if out is None:
         out = np.empty_like(u)
@@ -361,10 +416,10 @@ def _forcing(
         out.fill(0.0)
         return out
     constrained = params.model in (Model.NS, Model.HNS_EPS)
-    f = _nonlinear(u, grid, solenoidal=constrained, out=out)
+    f = _nonlinear(u, ws, solenoidal=constrained, out=out)
     if constrained:
-        f -= _irrotational(f, grid, out=_workspace(grid).q)
-    f[(slice(None), *(0,) * grid.dim)] = 0.0
+        f -= _irrotational(f, ws.grid, out=ws.q)
+    f[ws.mean] = 0.0
     return f
 
 
@@ -516,7 +571,7 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 
 def _etd2_branch(params: ModelParams, grid: GridSpec, dt: float, branch: str, cut: int) -> tuple:
-    """ETD2 table of one Helmholtz branch on the box of extent cut: (A, B, A', B', J0u, J0v, Ku, Kv).
+    """ETD2 table of one Helmholtz branch on the box of extent cut, as complex (u, u_t) row pairs.
 
     For y' = L y + (0, g)^T with L = [[0, 1], [-c^2 k^2, -1/eps]] the update is
 
@@ -528,6 +583,14 @@ def _etd2_branch(params: ModelParams, grid: GridSpec, dt: float, branch: str, cu
     J1 = Int_0^dt tau exp(L tau) dtau.  The integrals come from L^-1 algebra
     on the propagator entries, so the kernel integration is exact and the
     oscillatory branch costs nothing in stability.
+
+    The table is the pairs (A, A'), (B, B'), (J0u, J0v) and (Ku, Kv), which
+    multiply u, u_t, g and g(a) - g_n, each of shape (2, 1, *box): the pair
+    axis gives the (u, u_t) outputs, the unit axis broadcasts over
+    components.  They are two-row windows of one array of the rows
+    A, A', J0u, B, B', Ku, Kv, which holds J0v = B once.  Complex entries
+    spare numpy a cast of the table in every product; the cast is exact, so
+    the products are those of the real table.
     """
     A, B, Ap, Bp = _propagator(params, grid, dt, True, branch, cut=cut)
     c2k2 = _branch_c2k2(params, grid, branch, cut)
@@ -538,78 +601,119 @@ def _etd2_branch(params: ModelParams, grid: GridSpec, dt: float, branch: str, cu
     l2u = (-ge * j0u - B) / safe
     j1u = dt * l1u - l2u
     j1v = dt * B - j0u
-    return A, B, Ap, Bp, j0u, B, j0u - j1u / dt, B - j1v / dt
+    rows = (A, Ap, j0u, B, Bp, j0u - j1u / dt, B - j1v / dt)
+    rows = np.array(rows, dtype=np.complex128)[:, np.newaxis]
+    return rows[0:2], rows[3:5], rows[2:4], rows[5:7]
 
 
-@functools.lru_cache(maxsize=16)
 def _etd2_tables(model: Model, eps: float | None, alpha: float | None, grid: GridSpec, dt: float):
-    """ETD2 tables of one (model, grid, dt) on the dealias box, where a step works.
+    """ETD2 tables of one (model, grid, dt) on the dealias box, where a step works, complex.
 
     NS, u' = -k^2 u + g per mode: (E, J0, K).  The hyperbolic models: the
     (P, Q) pair of `_etd2_branch` tables; Q is the P table object unless the
-    model is penalized, since the branch speeds are then equal.
+    model is penalized, since the branch speeds are then equal.  The grid's
+    workspace keeps the tables of the last (model, dt) asked for.
     """
     cut = grid.dealias_cut
     if model is Model.NS:
         k2 = k_squared(grid, cut)
         z = -k2 * dt
         J0 = -np.expm1(z) / np.where(k2 > 0, k2, 1.0)
-        return np.exp(z), J0, dt * _phi2(z)
+        return tuple(t.astype(np.complex128) for t in (np.exp(z), J0, dt * _phi2(z)))
     params = ModelParams(model, epsilon=eps, alpha=alpha)
     P = _etd2_branch(params, grid, dt, "P", cut)
     return P, (_etd2_branch(params, grid, dt, "Q", cut) if model is Model.HNS_EPS_ALPHA else P)
 
 
-# rows of an `_etd2_branch` table per datum, for the outputs (u, u_t): the
-# predictor E (u, v) + J0 g reads (A, A'), (B, B') and (J0u, J0v); the
-# corrector K dg reads (Ku, Kv)
-_PREDICT = ((0, 2), (1, 3), (4, 5))
-_CORRECT = ((6, 7),)
+# the `_etd2_branch` row pair each datum reads: the predictor E (u, v) + J0 g
+# reads (A, A'), (B, B') and (J0u, J0v); the corrector K dg reads (Ku, Kv)
+_PREDICT = (0, 1, 2)
+_CORRECT = (3,)
 
 
-def _by_branch(tables, grid: GridSpec, rows, data, outs) -> None:
-    """outs[o] = sum over the data x and Helmholtz branches b of tab_b[row[o]] * (b part of x).
+def _by_branch(tables, ws: _Workspace, rows, data, out: np.ndarray) -> None:
+    """out = sum over the data x and Helmholtz branches b of tab_b[row] * (b part of x).
 
-    Each branch sums its data left to right, then the P sum adds the Q sum.
-    The data are dealias boxes, split into their P and Q parts only when the
-    tables differ, one datum at a time, in the grid's workspace.
+    out is a (u, u_t) pair.  Each branch sums its data left to right, then
+    the P sum adds the Q sum.  The data are dealias boxes, split into their
+    P and Q parts only when the tables differ, one datum at a time, in the
+    workspace ws.
     """
     P, Q = tables
-    ws = _workspace(grid)
     if Q is P:
-        _accumulate(P, rows, data, outs, ws.prod)
+        _accumulate(P, rows, data, out, ws.prod)
         return
-    sums = ws.sums[: len(outs)]
     for n, (x, row) in enumerate(zip(data, rows)):
-        q = _irrotational(x, grid, out=ws.q)
+        q = _irrotational(x, ws.grid, out=ws.q)
         p = np.subtract(x, q, out=ws.p)
-        _accumulate(P, (row,), (p,), outs, ws.prod, first=n == 0)
-        _accumulate(Q, (row,), (q,), sums, ws.prod, first=n == 0)
-    for o, s in zip(outs, sums):
-        o += s
+        _accumulate(P, (row,), (p,), out, ws.prod, first=n == 0)
+        _accumulate(Q, (row,), (q,), ws.sums, ws.prod, first=n == 0)
+    out += ws.sums
 
 
-def _accumulate(tab, rows, data, outs, prod, first: bool = True) -> None:
-    """outs[o] (+)= sum over the data x of tab[row[o]] * x, left to right; first overwrites outs."""
+def _accumulate(tab, rows, data, out, prod, first: bool = True) -> None:
+    """out (+)= sum over the data x of tab[row] * x, left to right, one pair per datum; first overwrites out."""
     for x, row in zip(data, rows):
-        for o, r in zip(outs, row):
-            if first:
-                np.multiply(tab[r], x, out=o)
-            else:
-                o += np.multiply(tab[r], x, out=prod)
+        if first:
+            np.multiply(tab[row], x, out=out)
+        else:
+            out += np.multiply(tab[row], x, out=prod)
         first = False
 
 
-def _check_blowup(u: SpectralField, initial_max: float, time: float, partial=None):
-    """Raise BlowUpError when max |c| of u leaves 1e12 times its initial value.
+def _check_blowup(u: np.ndarray, initial_max: float, out: np.ndarray | None = None) -> bool:
+    """Whether max |c| over the coefficients u is not finite or exceeds 1e12 times its initial value.
 
-    Only the dealias box is read: a stepped state is zero outside it.
+    A run passes the dealias box of u: a stepped state is zero outside it.
+    |c| goes to out (fresh if None).
     """
-    ws = _workspace(u.grid)
-    box = _to_box(u.coeffs, u.grid, out=ws.u[: u.ncomp])
-    m = float(np.max(np.abs(box, out=ws.magnitude[: u.ncomp])))
-    if not np.isfinite(m) or m > BLOWUP_FACTOR * max(initial_max, 1e-30):
-        raise BlowUpError(time, partial=partial)
+    m = float(np.maximum.reduce(np.abs(u, out=out), axis=None))
+    return not np.isfinite(m) or m > BLOWUP_FACTOR * max(initial_max, 1e-30)
+
+
+def _advance(ws: _Workspace, tables, params: ModelParams, nonlinearity: bool, x: np.ndarray) -> None:
+    """Advance the box state x one dt in place, with the ETD2 tables of its model and dt.
+
+    x holds the dealias boxes (u,) for NS and (u, u_t) otherwise; the result
+    has zero mean.  Both forcings, the Helmholtz splits, the predictor and
+    the corrector run in the workspace ws.
+    """
+    u = x[0]
+    if params.model is Model.NS:
+        E, J0, K = tables
+        g0 = _forcing(u, ws, params, nonlinearity, out=ws.g0)
+        a = np.multiply(E, u, out=ws.a[0])
+        a += np.multiply(J0, g0, out=ws.prod[0])
+        a[ws.mean] = 0.0
+        dg = _forcing(a, ws, params, nonlinearity, out=ws.g1)
+        dg -= g0
+        np.add(a, np.multiply(K, dg, out=dg), out=u)
+    else:
+        scale = 1.0 / params.epsilon
+        g0 = _forcing(u, ws, params, nonlinearity, out=ws.g0)
+        np.multiply(scale, g0, out=g0)
+        a = ws.a
+        _by_branch(tables, ws, _PREDICT, (u, x[1], g0), a)
+        a[0][ws.mean] = 0.0
+        dg = _forcing(a[0], ws, params, nonlinearity, out=ws.g1)
+        np.multiply(scale, dg, out=dg)
+        dg -= g0
+        _by_branch(tables, ws, _CORRECT, (dg,), ws.increment)
+        np.add(a, ws.increment, out=x)
+    x[ws.mean] = 0.0
+
+
+def _gather(state: SolverState, x: np.ndarray, grid: GridSpec) -> None:
+    """Write the dealias boxes of the state's u and, if x has a second row, u_t into x."""
+    for F, box in zip((state.u, state.u_t), x):
+        _to_box(F.coeffs, grid, out=box)
+
+
+def _fields(x: np.ndarray, grid: GridSpec, time: float) -> SolverState:
+    """The state whose dealias boxes are x, in fresh half spectra."""
+    half = _from_box(x, grid)
+    u_t = SpectralField(grid, half[1], is_mean_zero=True) if len(x) > 1 else None
+    return SolverState(SpectralField(grid, half[0], is_mean_zero=True), u_t, time)
 
 
 def step(
@@ -626,52 +730,30 @@ def step(
     its `dealias`, and `run_simulation` dealiases its data.  For NS and
     HNS_EPS the state must also be divergence-free, as `run_simulation`
     makes it: their forcing is then the divergence form (see `_forcing`).
-    The step's arithmetic and transforms run on the box, in the grid's
-    workspace; the new state's fields wrap fresh arrays, whose mean is zero.
+    The step gathers the box, advances it with the core that
+    `run_simulation` loops over, in the grid's workspace, and scatters it;
+    the new state's fields wrap fresh arrays, whose mean is zero.
     """
     grid = state.u.grid
-    dt = cfg.dt
-    tables = _etd2_tables(params.model, params.epsilon, params.alpha, grid, dt)
     ws = _workspace(grid)
-    u = _to_box(state.u.coeffs, grid, out=ws.u)
-    mean = (slice(None), *(0,) * grid.dim)
-
-    def result(x):
-        x[mean] = 0.0
-        return SpectralField(grid, _from_box(x, grid), is_mean_zero=True)
-
-    if params.model is Model.NS:
-        E, J0, K = tables
-        g0 = _forcing(u, grid, params, nonlinearity, out=ws.g0)
-        a = np.multiply(E, u, out=ws.au)
-        a += np.multiply(J0, g0, out=ws.prod)
-        a[mean] = 0.0
-        dg = _forcing(a, grid, params, nonlinearity, out=ws.g1)
-        dg -= g0
-        unew = np.add(a, np.multiply(K, dg, out=dg), out=dg)
-        return SolverState(result(unew), None, state.time + dt)
-    scale = 1.0 / params.epsilon
-    g0 = _forcing(u, grid, params, nonlinearity, out=ws.g0)
-    np.multiply(scale, g0, out=g0)
-    v = _to_box(state.u_t.coeffs, grid, out=ws.v)
-    au, av = ws.au, ws.av
-    _by_branch(tables, grid, _PREDICT, (u, v, g0), (au, av))
-    au[mean] = 0.0
-    dg = _forcing(au, grid, params, nonlinearity, out=ws.g1)
-    np.multiply(scale, dg, out=dg)
-    dg -= g0
-    du, dv = ws.increment
-    _by_branch(tables, grid, _CORRECT, (dg,), (du, dv))
-    unew, vnew = np.add(au, du, out=du), np.add(av, dv, out=dv)
-    return SolverState(result(unew), result(vnew), state.time + dt)
+    x = ws.state[: 1 if params.model is Model.NS else 2]
+    _gather(state, x, grid)
+    _advance(ws, ws.tables(params, cfg.dt), params, nonlinearity, x)
+    return _fields(x, grid, state.time + cfg.dt)
 
 
 @dataclass
 class SimulationResult:
+    """Recorded times and probe series, the last state, and the steps taken.
+
+    `steps` counts the step that blew up, if one did.
+    """
+
     times: list[float]
     probes: dict[str, list[float]]
     final: SolverState
     states: list[SolverState] = field(default_factory=list)
+    steps: int = 0
 
 
 def run_simulation(
@@ -687,7 +769,10 @@ def run_simulation(
 
     Probes are pure functions state -> float.  Deterministic given inputs.
     A blow-up raises BlowUpError with the partial series attached; its
-    `final` is the state that blew up.
+    `final` is the state that blew up.  Between snapshots the state stays
+    on the dealias box, in the grid's workspace, and is stepped in place by
+    the core of `step`; fields are built only to record, at the end and on a
+    blow-up.
     """
     grid = u0.grid
     probes = probes or {}
@@ -716,12 +801,25 @@ def run_simulation(
             result.states.append(st)
 
     record(state)
+    if n_steps == 0:
+        return result
+    ws = _workspace(grid)
+    tables = ws.tables(params, cfg.dt)
+    x = ws.state[: 1 if params.model is Model.NS else 2]
+    _gather(state, x, grid)
+    time = state.time
     for i in range(n_steps):
-        state = step(state, params, cfg, nonlinearity=nonlinearity)
-        result.final = state
-        _check_blowup(state.u, initial_max, state.time, partial=result)
+        _advance(ws, tables, params, nonlinearity, x)
+        time += cfg.dt
+        result.steps = i + 1
+        if _check_blowup(x[0], initial_max, out=ws.magnitude):
+            result.final = _fields(x, grid, time)
+            raise BlowUpError(time, partial=result)
         if (i + 1) % cfg.snapshot_every == 0 or i + 1 == n_steps:
-            record(state)
+            result.final = _fields(x, grid, time)
+            record(result.final)
+            if probes:  # a probe may step on this grid: resume from the recorded state
+                _gather(result.final, x, grid)
     return result
 
 

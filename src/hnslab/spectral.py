@@ -132,6 +132,13 @@ class GridSpec:
             raise ValueError("domain_length must be positive")
         if not (0 < self.dealias_fraction <= 1):
             raise ValueError("dealias_fraction must lie in (0, 1]")
+        fields = (self.dim, n, self.domain_length, self.dealias_fraction)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        # every table cache looks a grid up by hash; the dataclass hash
+        # would rebuild the field tuple on each lookup
+        return self._hash
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -463,14 +470,16 @@ def _rfft(
     place in the result; below it each pass transforms only the lines that
     meet the box and keeps the box rows of its axis, in `work`, a flat
     complex scratch of at least `_pass_scratch(ncomp, dim, n, cut, False)`
-    elements (fresh if None).  With `out` numpy allocates nothing.
+    elements or the list of its `_pass_buffers` views (fresh if None).  With
+    `out` numpy allocates nothing.
     """
     ncomp, dim, n = len(values), values.ndim - 1, values.shape[-1]
     cut = n // 2 if cut is None else cut
     if out is None:
         out = np.empty((ncomp, *_box_shape(n, dim, cut)), dtype=np.complex128)
     prune = 2 * cut + 1 < n
-    bufs = [*_pass_buffers(ncomp, dim, n, cut, False, work), out]
+    passes = work if isinstance(work, list) else _pass_buffers(ncomp, dim, n, cut, False, work)
+    bufs = [*passes, out]
     np.fft.rfft(values, axis=-1, norm="forward", out=bufs[0])
     x = bufs[0][..., : cut + 1]
     for ax in range(dim - 1, 0, -1):
@@ -498,12 +507,13 @@ def _irfft(
     first and only the lines that meet the box are transformed, the columns
     past the box zero for irfft.  The passes run in `work`, a flat complex
     scratch of at least `_pass_scratch(ncomp, dim, n, cut, True)` elements
-    (fresh if None); with `work` and `out` numpy allocates nothing.
+    or the list of its `_pass_buffers` views (fresh if None); with `work`
+    and `out` numpy allocates nothing.
     """
     ncomp, dim, cut = len(coeffs), coeffs.ndim - 1, coeffs.shape[-1] - 1
     n = 2 * cut if n is None else n
     pad = 2 * cut + 1 < n
-    passes = _pass_buffers(ncomp, dim, n, cut, True, work)
+    passes = work if isinstance(work, list) else _pass_buffers(ncomp, dim, n, cut, True, work)
     x = coeffs
     for ax in range(1, dim):
         buf = passes[ax - 1] if pad else passes[0]  # unpadded, one buffer for every pass

@@ -140,6 +140,11 @@ class TestUserMistakes:
         overrides = ["model.epsilon=0.01", "init.kind=file", f"init.path={path}"]
         self.assert_rejected(overrides, tmp_path, command=sweep)
 
+    @pytest.mark.parametrize("values", [",", ",,"])
+    def test_sweep_values_naming_no_value(self, tmp_path, values):
+        sweep = ("sweep", f"sweep.values={values}")
+        self.assert_rejected(["model.epsilon=0.1"], tmp_path, command=sweep)
+
     def test_sweep_dt_not_dividing_snapshot_interval(self, tmp_path):
         sweep = ("sweep", "sweep.variable=alpha", "sweep.T_final=0.05")
         self.assert_rejected(["model.epsilon=0.1", "step.dt=0.007"], tmp_path, command=sweep)
@@ -214,6 +219,7 @@ class TestManifest:
         assert m["status"] == "ok"
         assert m["run_id"] == dir_a.name
         assert "probes.csv" in m["outputs"]
+        assert m["steps"] == 0
 
     def test_blowup_leaves_partial_probes(self, tmp_path):
         args = [
@@ -232,6 +238,7 @@ class TestManifest:
         assert m["status"] == "blowup"
         assert m["outputs"] == ["probes.csv"]
         assert m["blowup_time"] == pytest.approx(0.1)
+        assert m["steps"] == 2  # the step that blew up counts
         assert m["runtime_seconds"] > 0
         rows = (run_dir / "probes.csv").read_text().splitlines()
         assert rows[0] == "time,probe_name,value"
@@ -245,10 +252,11 @@ class TestManifest:
         blowup = ["simulate", "seed=1", "grid.n=16", "model.kind=ns", "init.kind=random",
                   "init.amplitude=1000", "step.dt=0.05", "step.t_end=2.5"]  # fmt: skip
         probes = []
-        for out, argv, code in (("a", args, 0), ("b", args, 0), ("c", blowup, 3)):
+        for out, argv, code, steps in (("a", args, 0, 5), ("b", args, 0, 5), ("c", blowup, 3, 2)):
             assert run_cli(argv, tmp_path, out=out) == code
             (run_dir,) = (tmp_path / out).iterdir()
             m = json.loads((run_dir / "manifest.json").read_text())
+            assert m["steps"] == steps
             assert m["peak_rss_mb"] > 0
             assert isinstance(m["minor_page_faults"], int) and m["minor_page_faults"] >= 0
             csv = (run_dir / "probes.csv").read_bytes()

@@ -746,7 +746,7 @@ CONSTRAINED_IDS = STEP_IDS[:2]
 
 def general_forcing(u, grid):
     """`_forcing` of the constrained models from a dealias box, with the general form of the nonlinear term."""
-    f = solvers._nonlinear(u, grid)
+    f = solvers._nonlinear(u, solvers._workspace(grid))
     f -= spectral._irrotational(f, grid)
     f[(slice(None), *(0,) * grid.dim)] = 0.0
     return f
@@ -756,8 +756,8 @@ def force_general_form(monkeypatch):
     """Make every forcing evaluation take the general form, whatever the model and grid."""
     nonlinear = solvers._nonlinear
 
-    def general(u, grid, solenoidal=False, out=None):
-        return nonlinear(u, grid, out=out)
+    def general(u, ws, solenoidal=False, out=None):
+        return nonlinear(u, ws, out=out)
 
     monkeypatch.setattr(solvers, "_nonlinear", general)
 
@@ -791,7 +791,8 @@ class TestDivergenceForm:
         cfg = StepperConfig(dt=0.01, t_end=0.03)
         for _ in range(4):
             u = spectral._to_box(state.u.coeffs, grid)
-            assert_close(solvers._forcing(u, grid, params, True), general_forcing(u, grid))
+            ws = solvers._workspace(grid)
+            assert_close(solvers._forcing(u, ws, params, True), general_forcing(u, grid))
             state = solvers.step(state, params, cfg)
 
     def test_no_dealiasing_steps_are_general_form(self, grid, params, monkeypatch):
@@ -904,11 +905,21 @@ def nonlinear_half_oracle(u, grid, solenoidal):
     return out
 
 
+# (pair, output) of A, B, A', B', J0u, J0v, Ku, Kv in an `_etd2_branch` table
+BRANCH_ENTRIES = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1))
+
+
 def unbox_tables(tables, grid):
-    """Dealias-box tables scattered into zeroed half grids, the P table object kept shared."""
-    if not isinstance(tables[0], tuple):  # NS: (E, J0, K)
+    """Dealias-box tables scattered into zeroed half grids, the P table object kept shared.
+
+    A hyperbolic branch comes back as the flat tuple (A, B, A', B', J0u, J0v, Ku, Kv).
+    """
+    if len(tables) == 3:  # NS: (E, J0, K)
         return tuple(spectral._from_box(t, grid) for t in tables)
-    P, Q = (tuple(spectral._from_box(t, grid) for t in branch) for branch in tables)
+    P, Q = (
+        tuple(spectral._from_box(branch[r][o, 0], grid) for r, o in BRANCH_ENTRIES)
+        for branch in tables
+    )
     return P, (P if tables[1] is tables[0] else Q)
 
 
@@ -1010,6 +1021,98 @@ class TestWorkspaceStep:
         arrays = [c for st in res.states for c in coefficients(st)]
         assert len(res.states) == 6
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
+
+
+def step_loop_oracle(u0, u1, params, cfg):
+    """(kept states, final state, steps, blew up) of `run_simulation` as a loop of public `step` calls."""
+    u0 = helmholtz_project(dealias(u0), "P") if params.model is not Model.HNS_EPS_ALPHA else dealias(u0)
+    if params.model is Model.NS:
+        u1 = None
+    elif params.model is Model.HNS_EPS:
+        u1 = helmholtz_project(dealias(u1), "P")
+    else:
+        u1 = dealias(u1)
+    state = SolverState(u0, u1, 0.0)
+    initial_max = float(np.max(np.abs(u0.coeffs)))
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    kept = [state]
+    for i in range(n_steps):
+        state = solvers.step(state, params, cfg)
+        if solvers._check_blowup(state.u.coeffs, initial_max):
+            return kept, state, i + 1, True
+        if (i + 1) % cfg.snapshot_every == 0 or i + 1 == n_steps:
+            kept.append(state)
+    return kept, state, n_steps, False
+
+
+def assert_states_equal(got, expect):
+    assert got.time == expect.time
+    assert len(coefficients(got)) == len(coefficients(expect))
+    for a, b in zip(coefficients(got), coefficients(expect)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("params", STEP_PARAMS, ids=STEP_IDS)
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_box_resident_run_equals_step_loop(grid, params, every):
+    # the run keeps its state on the dealias box between snapshots; every
+    # kept state and the final one are those of the public step, to the bit
+    rng = np.random.default_rng(25)
+    u0, u1 = (random_band_limited(grid, rng, ncomp=grid.dim) for _ in "uv")
+    cfg = StepperConfig(dt=0.002, t_end=0.014, snapshot_every=every)
+    res = solvers.run_simulation(u0, u1, params, cfg, keep_states=True)
+    kept, final, steps, blew_up = step_loop_oracle(u0, u1, params, cfg)
+    assert not blew_up and res.steps == steps == 7
+    assert len(res.states) == len(kept) == (8 if every == 1 else 4)
+    assert res.times == [st.time for st in kept]
+    for got, expect in zip(res.states, kept):
+        assert_states_equal(got, expect)
+    assert_states_equal(res.final, final)
+    assert res.final is res.states[-1]
+
+
+@pytest.mark.parametrize("params", STEP_PARAMS, ids=STEP_IDS)
+def test_probe_stepping_on_the_grid_leaves_the_run_alone(params):
+    # the run keeps its box state in the grid's workspace, where `step` and
+    # a nested run gather theirs; it resumes from each recorded state
+    grid = GRIDS[0]
+    u0, u1 = stepper_data(grid, params, 26)
+    other = SolverState(*stepper_data(grid, params, 27), 0.0)
+    cfg = StepperConfig(dt=0.002, t_end=0.012, snapshot_every=2)
+
+    def meddling(st):
+        solvers.step(other, params, cfg)
+        solvers.run_simulation(other.u, other.u_t, params, cfg)
+        return 0.0
+
+    plain = solvers.run_simulation(u0, u1, params, cfg, keep_states=True)
+    meddled = solvers.run_simulation(u0, u1, params, cfg, probes={"m": meddling}, keep_states=True)
+    assert len(meddled.states) == len(plain.states) == 4
+    for got, expect in zip(meddled.states, plain.states):
+        assert_states_equal(got, expect)
+
+
+@pytest.mark.parametrize("params", STEP_PARAMS, ids=STEP_IDS)
+def test_box_resident_blowup_between_snapshots(params):
+    # huge data and a coarse dt: the step that blows up is not a snapshot,
+    # and the partial result's final state is the one the step loop reaches
+    grid = GridSpec(2, 16)
+    rng = np.random.default_rng(1)
+    u0 = random_band_limited(grid, rng, ncomp=2, amplitude=1000.0, divergence_free=True)
+    u1 = random_band_limited(grid, rng, ncomp=2, amplitude=1000.0)
+    cfg = StepperConfig(dt=0.2, t_end=20.0, snapshot_every=4)
+    kept, final, steps, blew_up = step_loop_oracle(u0, u1, params, cfg)
+    assert blew_up and steps % cfg.snapshot_every != 0
+    with pytest.raises(solvers.BlowUpError) as exc_info:
+        solvers.run_simulation(u0, u1, params, cfg, keep_states=True)
+    partial = exc_info.value.partial
+    assert exc_info.value.time == final.time
+    assert partial.steps == steps
+    assert len(partial.states) == len(kept)
+    for got, expect in zip(partial.states, kept):
+        assert_states_equal(got, expect)
+    assert_states_equal(partial.final, final)
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,43 @@ class TestSweeps:
             sweep, data = sweep_epsilon, build_initial_data(spec, grid2d, ModelParams(Model.NS))
         assert sweep(cfg, data).to_csv() == sweep(cfg).to_csv()
 
+    def test_pool_tasks_carry_value_and_step_only(self, grid2d, monkeypatch):
+        # a pool's workers receive the data and the reference states once, when
+        # they start; each task pickles to well under 1 KB
+        import pickle
+        from dataclasses import replace
+
+        import hnslab.experiments as experiments
+
+        sizes = []
+
+        class InlinePool:
+            """A process pool run in this process that pickles each task as the real one does."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                for args in zip(*iterables):
+                    task = pickle.dumps((fn, args))
+                    sizes.append(len(task))
+                    fn, args = pickle.loads(task)
+                    yield fn(*args)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments, "_worker_point", None)
+        cfg = self._alpha_cfg(grid2d, T=0.05)
+        pooled = sweep_alpha(replace(cfg, workers=2))
+        assert len(sizes) == len(cfg.values)
+        assert max(sizes) < 1024, sizes
+        assert pooled.to_csv() == sweep_alpha(cfg).to_csv()
+
 
 class TestFiniteSpeed:
     def test_c1_formula(self):
