@@ -39,7 +39,6 @@ from .solvers import (
     ModelParams,
     StepperConfig,
     _linear_flow,
-    _split,
     run_simulation,
 )
 from .spectral import (
@@ -47,19 +46,19 @@ from .spectral import (
     InvalidFieldError,
     PhysicalField,
     SpectralField,
+    _derivatives,
     _irfft,
+    _irrotational,
+    _pass_buffers,
+    _rfft,
     _torus_distance_sq,
     dealias,
     divergence,
-    gaussian_bump,
-    gradient,
     helmholtz_project,
     k_abs,
-    linf_norm,
     random_band_limited,
     read_snapshot,
     sobolev_norm,
-    to_physical,
     to_spectral,
 )
 
@@ -506,39 +505,118 @@ class FrontReport:
 def support_radius(f: PhysicalField, center: tuple[float, ...], threshold: float) -> float:
     """Farthest torus distance from center where the field exceeds threshold."""
     dist = np.sqrt(_torus_distance_sq(f.grid, center))
-    mag = np.sqrt(np.sum(f.values**2, axis=0))
-    above = mag > threshold
-    if not np.any(above):
-        return 0.0
-    return float(np.max(dist[above]))
+    return _radius(np.sqrt(np.sum(f.values**2, axis=0)), dist, threshold)
 
 
-def _bump_data(spec: BumpSpec, grid: GridSpec) -> tuple[SpectralField, PhysicalField]:
-    """The bump's coefficients and samples, scaled to peak magnitude spec.amplitude."""
-    sigma = spec.sigma if spec.sigma is not None else grid.domain_length / 40.0
+def _radius(mag: np.ndarray, dist: np.ndarray, threshold: float) -> float:
+    """Largest dist where mag exceeds threshold, 0 if it exceeds it nowhere."""
+    return float(np.max(dist, where=mag > threshold, initial=0.0))
+
+
+def _magnitude(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Pointwise magnitude of samples (ncomp, n, ...) into out; samples are squared in place."""
+    np.sum(np.square(samples, out=samples), axis=0, out=out)
+    return np.sqrt(out, out=out)
+
+
+@dataclass
+class _Front:
+    """A front experiment before its samples: the scaled bump's Helmholtz parts and what they define."""
+
+    parts: np.ndarray  # (P, Q) parts of the bump's dealias box, (2, dim, *grid.box_shape)
+    dist: np.ndarray  # torus distance from the bump's center at every grid point
+    threshold: float
+    initial_radius: float
+    times: np.ndarray
+
+
+def _front_setup(
+    params: ModelParams,
+    grid: GridSpec,
+    spec: BumpSpec,
+    t_end: float | None,
+    n_samples: int,
+    threshold_factor: float = 1e-8,
+) -> _Front:
+    """The bump of spec on the dealias box, scaled to peak magnitude spec.amplitude, and its window.
+
+    The Gaussian takes one pruned forward transform, its gradient (or the
+    rotated gradient) is formed on the box, and one inverse gives the peak,
+    the threshold and the initial radius.  The scaled box is split into its
+    Helmholtz parts once.  One torus distance table serves the bump and
+    every radius.
+    """
+    if params.model is not Model.HNS_EPS_ALPHA:
+        raise ValueError("the front experiment runs the penalized model")
+    if n_samples < 2:
+        raise ValueError(f"the front speed fit needs n_samples >= 2, got {n_samples}")
     center = spec.center or (grid.domain_length / 2.0,) * grid.dim
-    phi = to_spectral(gaussian_bump(grid, sigma, center)).remove_mean()
-    grad_phi = gradient(phi)
-    if grid.dim == 2:
-        gx, gy = grad_phi.coeffs
-        sol = SpectralField(grid, np.stack([-gy, gx]), is_mean_zero=True)
-    else:
-        gx, gy, _ = grad_phi.coeffs
-        zeros = np.zeros_like(gx)
-        sol = SpectralField(grid, np.stack([gy, -gx, zeros]), is_mean_zero=True)
-    if spec.kind == "gradient":
-        u0 = grad_phi
-    elif spec.kind == "solenoidal":
-        u0 = sol
-    else:  # mixed
-        u0 = grad_phi + sol
-    u0 = dealias(u0)
-    phys = to_physical(u0)
-    peak = linf_norm(phys)
-    if peak == 0:
-        return u0, phys
-    scale = spec.amplitude / peak
-    return u0 * scale, PhysicalField(grid, phys.values * scale)
+    sigma = spec.sigma if spec.sigma is not None else grid.domain_length / 40.0
+    cut = grid.dealias_cut
+    d2 = _torus_distance_sq(grid, center)
+    phi = _rfft(np.exp(-d2 / (2.0 * sigma * sigma))[np.newaxis], cut)[0]
+    box = np.stack([phi * ik for ik in _derivatives(grid, cut)])
+    if spec.kind != "gradient":
+        gx, gy = box[0], box[1]
+        sol = np.stack([-gy, gx] if grid.dim == 2 else [gy, -gx, np.zeros_like(gx)])
+        box = sol if spec.kind == "solenoidal" else box + sol
+    samples = _irfft(box, grid.n_per_axis)
+    mag = np.empty(grid.shape)
+    peak = float(np.max(_magnitude(samples.copy(), mag)))  # a copy: the samples are scaled below
+    if peak != 0:
+        scale = spec.amplitude / peak
+        box *= scale
+        samples *= scale
+    _magnitude(samples, mag)
+    theta = threshold_factor * float(np.max(mag))
+    dist = np.sqrt(d2, out=d2)
+    R0 = _radius(mag, dist, theta)
+    if t_end is None:
+        head = grid.domain_length / 2.0 - R0 - 4.0 * grid.spacing
+        if head <= 0:
+            raise InvalidWindowError("bump support already reaches the antipode")
+        t_end = 0.8 * head / (params.c2 if spec.kind == "solenoidal" else params.c1)
+    parts = np.empty((2, *box.shape), dtype=np.complex128)
+    _irrotational(box, grid, out=parts[1])
+    np.subtract(box, parts[1], out=parts[0])
+    return _Front(parts, dist, theta, R0, np.linspace(0.0, t_end, n_samples + 1))
+
+
+def _sample_front(params: ModelParams, grid: GridSpec, front: _Front, damping: bool) -> FrontReport:
+    """The support radius of the set-up bump's exact linear flow at each sample time.
+
+    Each sample evaluates the branch tables on the dealias box and makes one
+    pruned inverse transform into buffers shared by every sample.
+    """
+    n, cut, h = grid.n_per_axis, grid.dealias_cut, grid.spacing
+    samples = np.empty((grid.dim, *grid.shape))
+    work = _pass_buffers(grid.dim, grid.dim, n, cut, True, None)
+    mag = np.empty(grid.shape)
+    antipode_shell = front.dist >= grid.domain_length / 2.0 - 2.0 * h
+    theta, R0, c1 = front.threshold, front.initial_radius, params.c1
+    radii: list[float] = []
+    bounds: list[float] = []
+    for t in front.times:
+        u, _ = _linear_flow(params, grid, float(t), damping, front.parts, None, rate=False, cut=cut)  # u1 = 0
+        _magnitude(_irfft(u, n, out=samples, work=work), mag)
+        if np.any(mag[antipode_shell] > theta):
+            raise InvalidWindowError(f"wrap-around detected at t = {t:.6g}")
+        radii.append(_radius(mag, front.dist, theta))
+        bounds.append(R0 + c1 * float(t) + 2.0 * h)
+
+    # front speed from the latter half of samples (skips the threshold transient)
+    late = len(front.times) // 2
+    speed = float(np.polyfit(front.times[late:], radii[late:], 1)[0]) if radii[-1] > 0 else float("nan")
+    return FrontReport(
+        times=[float(t) for t in front.times],
+        support_radius=radii,
+        c1=c1,
+        slope_bound_satisfied=all(r <= b for r, b in zip(radii, bounds)),
+        bound_radius=bounds,
+        initial_radius=R0,
+        measured_speed=speed,
+        threshold=theta,
+    )
 
 
 def finite_speed_experiment(
@@ -552,62 +630,13 @@ def finite_speed_experiment(
 ) -> FrontReport:
     """Track the thresholded support radius of a localized linear wave.
 
-    The data of the requested bump kind is evolved exactly (nonlinearity off),
-    split into its Helmholtz parts once and propagated on the half spectrum,
-    and sampled n_samples times up to t_end, which defaults to 80% of the
-    wrap-around time (L/2 - R)/c for the bump's branch speed.  The cone bound
-    uses the fastest speed c1.  Field amplitude at the antipodal shell above
-    the threshold before t_end raises InvalidWindowError.
+    The data of the requested bump kind is built on the dealias box, evolved
+    exactly (nonlinearity off), split into its Helmholtz parts once and
+    propagated on that box, and sampled n_samples >= 2 times up to t_end,
+    which defaults to 80% of the wrap-around time (L/2 - R)/c for the bump's
+    branch speed.  The cone bound uses the fastest speed c1.  A window that
+    already reaches the antipode, or field amplitude at the antipodal shell
+    above the threshold before t_end, raises InvalidWindowError.
     """
-    if params.model is not Model.HNS_EPS_ALPHA:
-        raise ValueError("the front experiment runs the penalized model")
-    center = bump_spec.center or (grid.domain_length / 2.0,) * grid.dim
-    u0, phys0 = _bump_data(bump_spec, grid)
-    c1 = params.c1
-    branch_speed = c1 if bump_spec.kind == "gradient" else params.c2
-    if bump_spec.kind == "mixed":
-        branch_speed = c1
-
-    theta = threshold_factor * float(np.max(np.sqrt(np.sum(phys0.values**2, axis=0))))
-    R0 = support_radius(phys0, center, theta)
-    L = grid.domain_length
-    h = grid.spacing
-    if t_end is None:
-        head = L / 2.0 - R0 - 4.0 * h
-        if head <= 0:
-            raise InvalidWindowError("bump support already reaches the antipode")
-        t_end = 0.8 * head / branch_speed
-
-    dist = np.sqrt(_torus_distance_sq(grid, center))
-    antipode_shell = dist >= L / 2.0 - 2.0 * h
-
-    times = np.linspace(0.0, t_end, n_samples + 1)
-    radii: list[float] = []
-    bounds: list[float] = []
-    parts = _split(u0)  # u1 = 0: no split, no multiply
-    for t in times:
-        u, _ = _linear_flow(params, grid, float(t), damping, parts, None, rate=False)
-        mag = np.sqrt(np.sum(_irfft(u) ** 2, axis=0))
-        if np.any(mag[antipode_shell] > theta):
-            raise InvalidWindowError(f"wrap-around detected at t = {t:.6g}")
-        above = mag > theta
-        radii.append(float(np.max(dist[above])) if np.any(above) else 0.0)
-        bounds.append(R0 + c1 * float(t) + 2.0 * h)
-
-    ok = all(r <= b for r, b in zip(radii, bounds))
-    # front speed from the latter half of samples (skips the threshold transient)
-    half = len(times) // 2
-    if len(times) - half >= 2 and radii[-1] > 0:
-        speed = float(np.polyfit(times[half:], radii[half:], 1)[0])
-    else:
-        speed = float("nan")
-    return FrontReport(
-        times=[float(t) for t in times],
-        support_radius=radii,
-        c1=c1,
-        slope_bound_satisfied=ok,
-        bound_radius=bounds,
-        initial_radius=R0,
-        measured_speed=speed,
-        threshold=theta,
-    )
+    front = _front_setup(params, grid, bump_spec, t_end, n_samples, threshold_factor)
+    return _sample_front(params, grid, front, damping)

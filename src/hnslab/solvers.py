@@ -17,10 +17,11 @@ down to 1e-4 stay cheap.  It is the only time stepper.
 
 Every field here is a SpectralField, the rfftn half spectrum of a real
 field.  Every table is built on a box of some extent (see `spectral`): the
-half grid for the exact linear flow, the dealias box for a step.  The exact
-linear flow (`evolve_linear`, and the front experiment through the same
-`_linear_flow`) splits each nonzero datum into its Helmholtz parts once and
-applies the table.  One nonlinear core (`_nonlinear`) serves the stepper's
+half grid for `evolve_linear`, the dealias box for a step and for the front
+experiment, whose bump is dealiased.  One exact linear flow, `_linear_flow`
+on the box of a given extent, serves `evolve_linear` and the front
+experiment: each nonzero datum is split into its Helmholtz parts once and
+the table applied.  One nonlinear core (`_nonlinear`) serves the stepper's
 forcing (`_forcing`: with the Leray projection and the mean removal) and
 the public `nonlinear_term`.  A `SolverState` is the plain value
 (u, u_t, time); the stepper wraps its arrays in fields without copying them.
@@ -80,6 +81,7 @@ from .spectral import (
     GridSpec,
     InvalidFieldError,
     SpectralField,
+    _box_shape,
     _derivatives,
     _from_box,
     _irfft,
@@ -511,18 +513,22 @@ def _split(F: SpectralField) -> np.ndarray:
     return np.stack([(F - q).coeffs, q.coeffs])
 
 
-def _linear_flow(params: ModelParams, grid: GridSpec, t: float, damping: bool, x0, x1, rate: bool):
-    """Coefficients of u(t) and, if rate, u_t(t) of the linear flow from split data.
+def _linear_flow(
+    params: ModelParams, grid: GridSpec, t: float, damping: bool, x0, x1, rate: bool, cut: int | None = None
+):
+    """Box coefficients of u(t) and, if rate, u_t(t) of the linear flow from split data on the box of extent cut.
 
-    x0, x1 are the `_split` parts of u0 and u1 (None for zero data, which
-    costs nothing).  Without rate u_t is None, and without rate and u1 only
-    the table's A is formed.
+    x0, x1 are the split parts (P, Q) of the boxes of u0 and u1 (None for
+    zero data, which costs nothing); cut None is the whole half spectrum.
+    Without rate u_t is None, and without rate and u1 only the table's A is
+    formed.
     """
-    u = np.zeros((grid.dim, *grid.spectral_shape), dtype=np.complex128)
+    n = grid.n_per_axis
+    u = np.zeros((grid.dim, *_box_shape(n, grid.dim, n // 2 if cut is None else cut)), dtype=np.complex128)
     v = np.zeros_like(u) if rate else None
     a_only = not rate and x1 is None
     for i, branch in enumerate("PQ"):
-        A, B, Ap, Bp = _propagator(params, grid, t, damping, branch, a_only=a_only)
+        A, B, Ap, Bp = _propagator(params, grid, t, damping, branch, a_only=a_only, cut=cut)
         for x, X, Xp in ((x0, A, Ap), (x1, B, Bp)):
             if x is None:
                 continue

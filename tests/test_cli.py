@@ -178,6 +178,20 @@ class TestUserMistakes:
         overrides = ["speed.bump=bogus", "model.epsilon=0.01", "model.alpha=0.01"]
         self.assert_rejected(overrides, tmp_path, command=speed_test)
 
+    @pytest.mark.parametrize("samples", [-1, 0, 1])
+    def test_speed_test_too_few_samples(self, tmp_path, capsys, samples):
+        # the speed fit needs two late samples; a window that fits is not enough
+        overrides = ["grid.n=256", "model.epsilon=0.01", "model.alpha=0.01", f"speed.samples={samples}"]
+        self.assert_rejected(overrides, tmp_path, command=("speed-test",))
+        assert "n_samples >= 2" in capsys.readouterr().err
+
+    def test_speed_test_bump_reaches_antipode(self, tmp_path, capsys):
+        # at the default grid.n=64 the L/40 bump's thresholded support covers
+        # the torus: found when the bump is built, before the run directory
+        overrides = ["grid.n=64", "model.epsilon=0.01", "model.alpha=0.01"]
+        self.assert_rejected(overrides, tmp_path, command=("speed-test",))
+        assert "InvalidWindowError: bump support already reaches the antipode" in capsys.readouterr().err
+
     def test_epsilon_cutoff_without_epsilon(self, tmp_path):
         self.assert_rejected(["model.kind=ns", "init.epsilon_cutoff=1"], tmp_path)
 
@@ -365,6 +379,12 @@ class TestOtherCommands:
         )
         summary = (rundir / "front_summary.txt").read_text()
         assert "bound_satisfied=1" in summary
+
+    def test_speed_test_wrap_around_mid_run_exits_4(self, tmp_path, capsys):
+        # a given window is not checked up front; wrap-around in a sample is a failed run
+        args = ["speed-test", "seed=8", "grid.n=128", "model.epsilon=0.1", "model.alpha=0.1", "speed.t_end=10"]
+        assert run_cli(args, tmp_path) == 4
+        assert "InvalidWindowError: wrap-around detected" in capsys.readouterr().err
 
     def test_gates(self, tmp_path):
         args = [

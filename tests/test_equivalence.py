@@ -230,10 +230,23 @@ def evolve_linear_oracle(c0, c1, params, grid, t, damping=True):
     return remove_mean_oracle(out_u, grid), remove_mean_oracle(out_v, grid)
 
 
+def bump_oracle(spec, grid):
+    """The earlier bump: full half-spectrum fields, dealiased last, scaled to peak magnitude spec.amplitude."""
+    sigma = spec.sigma if spec.sigma is not None else grid.domain_length / 40.0
+    grad_phi = gradient(to_spectral(gaussian_bump(grid, sigma, spec.center)).remove_mean())
+    gx, gy = grad_phi.coeffs[:2]
+    rot = [-gy, gx] if grid.dim == 2 else [gy, -gx, np.zeros_like(gx)]
+    sol = SpectralField(grid, np.stack(rot), is_mean_zero=True)
+    u0 = dealias({"gradient": grad_phi, "solenoidal": sol, "mixed": grad_phi + sol}[spec.kind])
+    phys = to_physical(u0)
+    scale = spec.amplitude / linf_norm(phys)
+    return u0 * scale, PhysicalField(grid, phys.values * scale)
+
+
 def front_oracle(params, grid, spec, damping, n_samples):
-    """The earlier front sampling loop: evolve_linear_oracle and one full inverse per sample."""
+    """The earlier front: bump_oracle, evolve_linear_oracle and one full inverse per sample."""
     center = spec.center or (grid.domain_length / 2.0,) * grid.dim
-    u0, phys0 = experiments._bump_data(spec, grid)
+    u0, phys0 = bump_oracle(spec, grid)
     c0 = _full(u0.coeffs)
     theta = 1e-8 * float(np.max(np.sqrt(np.sum(phys0.values**2, axis=0))))
     R0 = support_radius(phys0, center, theta)
@@ -362,7 +375,7 @@ def test_every_transform_is_one_axis_passes(monkeypatch):
     entries = [
         lambda: to_physical(u),
         lambda: nonlinear_term(u),
-        lambda: finite_speed_experiment(params, GridSpec(2, 128), BumpSpec("mixed"), n_samples=1),
+        lambda: finite_speed_experiment(params, GridSpec(2, 128), BumpSpec("mixed"), n_samples=2),
         lambda: verify_inequality("div_lp", 1, 3, grid),
         lambda: solvers.step(SolverState(u, u, 0.0), params, StepperConfig(dt=0.01, t_end=0.01)),
     ]
@@ -492,13 +505,34 @@ class TestEvolveLinear:
             assert_close(_full(field.coeffs), expect)
 
 
-@pytest.mark.parametrize("kind, damping", [("gradient", False), ("mixed", True)])
-def test_front_report_matches_oracle(kind, damping):
-    grid = GridSpec(2, 128)
+FRONT_GRIDS = {"": GridSpec(2, 128), "full-": GridSpec(2, 128, dealias_fraction=1.0), "3d-": GridSpec(3, 64)}
+FRONT_CASES = [
+    ("", "gradient", False),
+    ("", "mixed", True),
+    ("", "solenoidal", True),
+    ("full-", "gradient", True),
+    ("full-", "mixed", False),
+    ("full-", "solenoidal", False),
+    ("3d-", "gradient", False),
+    ("3d-", "mixed", True),
+    ("3d-", "solenoidal", True),
+]
+
+
+@pytest.mark.parametrize(
+    "grid_id, kind, damping", FRONT_CASES, ids=[f"{g}{kind}-{damping}" for g, kind, damping in FRONT_CASES]
+)
+def test_front_report_matches_oracle(grid_id, kind, damping):
+    # the box-resident bump and flow against the full-spectrum bump, flow and
+    # inverses, at the dealias box of 2/3, at the whole half spectrum and in 3D
+    grid = FRONT_GRIDS[grid_id]
     params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-1, alpha=1e-1)
-    spec = BumpSpec(kind, center=(2.0, 3.5))
-    got = finite_speed_experiment(params, grid, spec, damping=damping, n_samples=4)
-    assert got == front_oracle(params, grid, spec, damping, n_samples=4)
+    if grid.dim == 2:
+        spec, n_samples = BumpSpec(kind, center=(2.0, 3.5)), 4
+    else:
+        spec, n_samples = BumpSpec(kind, sigma=grid.domain_length / 20.0, amplitude=2.5), 2
+    got = finite_speed_experiment(params, grid, spec, damping=damping, n_samples=n_samples)
+    assert got == front_oracle(params, grid, spec, damping, n_samples=n_samples)
 
 
 class TestLinearFlowCounts:
@@ -515,12 +549,22 @@ class TestLinearFlowCounts:
 
     @pytest.mark.parametrize("n_samples", [2, 6])
     def test_front_experiment_splits_once(self, monkeypatch, n_samples):
+        # the box path projects with _irrotational, never with helmholtz_project
         params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-1, alpha=1e-1)
         calls = count_projections(monkeypatch)
-        finite_speed_experiment(params, GridSpec(2, 128), BumpSpec("mixed"), n_samples=n_samples)
-        assert len(calls) <= 2, calls
+        boxes = []
+
+        def counting(x, grid, out=None):
+            boxes.append(x.shape)
+            return spectral._irrotational(x, grid, out)
+
+        monkeypatch.setattr(experiments, "_irrotational", counting)
+        grid = GridSpec(2, 128)
+        finite_speed_experiment(params, grid, BumpSpec("mixed"), n_samples=n_samples)
+        assert boxes == [(2, *grid.box_shape)] and not calls, (boxes, calls)
 
     def test_front_experiment_one_inverse_on_half_tables_per_sample(self, monkeypatch):
+        # one pruned inverse per sample, and every table on the dealias box
         grid = GridSpec(2, 128)
         params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-1, alpha=1e-1)
         shapes = []
@@ -538,8 +582,7 @@ class TestLinearFlowCounts:
             finite_speed_experiment(params, grid, BumpSpec("mixed"), n_samples=n_samples)
             counts.append(calls.count("irfft"))  # one per inverse transform
         assert counts[1] - counts[0] == 4, counts
-        half = (grid.n_per_axis, grid.n_per_axis // 2 + 1)
-        assert shapes and all(shape == half for shape in shapes), shapes
+        assert shapes and all(shape == grid.box_shape for shape in shapes), shapes
 
     def test_front_experiment_transforms_bump_once(self, monkeypatch):
         # one forward transform of the bump, one inverse of it for its peak,
@@ -549,6 +592,19 @@ class TestLinearFlowCounts:
         calls = count_transforms(monkeypatch)
         finite_speed_experiment(params, grid, BumpSpec("mixed"), n_samples=4)
         assert sorted(calls) == sorted(inverse_passes(grid) * 6 + forward_passes(grid)), calls
+
+    def test_front_experiment_traced_peak(self):
+        # box tables, box parts and one set of sample buffers: half-spectrum
+        # tables and a fresh inverse per sample traced about 10 MB here
+        params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-2, alpha=1e-2)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            finite_speed_experiment(params, GridSpec(2, 256), BumpSpec("gradient"), damping=False, n_samples=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5e6, peak
 
 
 def forcing_oracle(c, params, grid, nonlinearity):

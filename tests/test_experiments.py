@@ -384,6 +384,12 @@ class TestFiniteSpeed:
                 params, grid, BumpSpec("gradient"), damping=False, t_end=10.0
             )
 
+    @pytest.mark.parametrize("n_samples", [-1, 0, 1])
+    def test_too_few_samples_rejected(self, n_samples):
+        params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-2, alpha=1e-2)
+        with pytest.raises(ValueError, match="n_samples >= 2"):
+            finite_speed_experiment(params, GridSpec(2, 256), BumpSpec("gradient"), n_samples=n_samples)
+
     def test_front_csv(self):
         grid = GridSpec(2, 128)
         params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-1, alpha=1e-1)
