@@ -80,7 +80,7 @@ def energy(
     (1/2, 1/2 + delta) in 3D.  Extra orders passed in sigma_set are recorded in
     the components map.  If N is given the compound functional is filled in.
     div u and u + eps u_t are formed once and shared by `div_l2` and every
-    order.
+    order; each norm sums over the box its field holds.
     """
     if not params.is_hyperbolic:
         raise MissingStateError("NS has no hyperbolic energy; use sobolev_norm directly")
@@ -91,10 +91,7 @@ def energy(
     base_sigma = 0.0 if dim == 2 else 0.5
     high_sigma = base_sigma + params.delta
     div = divergence(u)
-    # u + eps u_t with one temporary, not two: the same sums, bit for bit
-    coeffs = ut.coeffs * eps
-    coeffs += u.coeffs
-    shifted = SpectralField(u.grid, coeffs, u.is_mean_zero and ut.is_mean_zero)
+    shifted = ut * eps + u
 
     def terms(sigma: float) -> dict[str, float]:
         penalty = 0.0

@@ -145,7 +145,7 @@ def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
 
 
 def _epsilon_cutoff(F: SpectralField, epsilon: float) -> SpectralField:
-    keep = np.sqrt(epsilon) * k_abs(F.grid) < 1.0
+    keep = np.sqrt(epsilon) * k_abs(F.grid, F.cut) < 1.0
     return SpectralField(F.grid, F.coeffs * keep, is_mean_zero=True)
 
 
@@ -324,9 +324,10 @@ class SweepResult:
 
 
 def _point_run_id(cfg: SweepConfig, value: float) -> str:
+    """Hash of what a point's numbers depend on, its data spec as `_sweep_data` reads it."""
     payload = (
         f"{cfg.sweep_variable}={value:.17g};seed={cfg.seed};grid={cfg.grid};"
-        f"fixed={cfg.fixed};data={cfg.initial_data};T={cfg.T_final:.17g}"
+        f"fixed={cfg.fixed};data={_data_spec(cfg)};T={cfg.T_final:.17g}"
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
@@ -349,15 +350,16 @@ def _aligned_dt(cfg: SweepConfig, params: ModelParams) -> tuple[float, int]:
     return dt, max(1, int(round(cfg.snapshot_every_t / dt)))
 
 
-def _sweep_data(cfg: SweepConfig) -> tuple[SpectralField, SpectralField]:
-    """The sweep's (u0, u1), built for its reference model.
-
-    An epsilon sweep cuts u0 at each point's own epsilon, so its data carry no cutoff.
-    """
-    spec = cfg.initial_data
+def _data_spec(cfg: SweepConfig) -> InitialDataSpec:
+    """The spec of the sweep's data: an epsilon sweep cuts u0 at each point's own epsilon, so its data carry no cutoff."""
     if cfg.sweep_variable == "epsilon":
-        spec = replace(spec, epsilon_cutoff=False)
-    return build_initial_data(spec, cfg.grid, _model_for(cfg, None))
+        return replace(cfg.initial_data, epsilon_cutoff=False)
+    return cfg.initial_data
+
+
+def _sweep_data(cfg: SweepConfig) -> tuple[SpectralField, SpectralField]:
+    """The sweep's (u0, u1), built for its reference model from `_data_spec`."""
+    return build_initial_data(_data_spec(cfg), cfg.grid, _model_for(cfg, None))
 
 
 def _run_point(cfg: SweepConfig, data, ref_states, value: float, step: tuple[float, int]):

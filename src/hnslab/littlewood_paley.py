@@ -80,10 +80,10 @@ class DyadicDecomposition:
 
 
 @lru_cache(maxsize=64)
-def _annulus_masks(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Sharp block masks, one per dyadic block."""
-    m = _index_magnitude(grid)
-    p_max = int(np.floor(np.log2(np.max(m))))
+def _annulus_masks(grid: GridSpec, cut: int | None = None) -> tuple[np.ndarray, ...]:
+    """Sharp block masks on the box of extent cut, one per dyadic block of the whole grid."""
+    m = _index_magnitude(grid, cut)
+    p_max = int(np.floor(np.log2(np.max(_index_magnitude(grid)))))
     masks = []
     for p in range(p_max + 1):
         masks.append((m >= 2.0**p) & (m < 2.0 ** (p + 1)))
@@ -91,8 +91,8 @@ def _annulus_masks(grid: GridSpec) -> tuple[np.ndarray, ...]:
 
 
 def decompose(F: SpectralField) -> DyadicDecomposition:
-    """Split a field into its full family of sharp dyadic blocks."""
-    masks = _annulus_masks(F.grid)
+    """Split a field into its full family of sharp dyadic blocks, each on the field's box."""
+    masks = _annulus_masks(F.grid, F.cut)
     blocks = [
         (p, SpectralField(F.grid, F.coeffs * mask, is_mean_zero=True))
         for p, mask in enumerate(masks)
@@ -176,7 +176,7 @@ def paraproduct_split(u: SpectralField, v: SpectralField) -> tuple[SpectralField
     # mean-times-mean has no block home; add it to half1
     mm = np.zeros((ncomp, *grid.spectral_shape), dtype=np.complex128)
     zero = (slice(None),) + (0,) * grid.dim
-    mm[zero] = (mean_u.coeffs * mean_v.coeffs)[zero]
+    mm[zero] = mean_u.coeffs[zero] * mean_v.coeffs[zero]
     half1 = half1 + SpectralField(grid, mm)
     return half1, half2
 

@@ -15,50 +15,42 @@ solver and the stepper, which couples the nonlinearity with a second-order
 exponential (ETD2) rule: no stability restriction from c1, so alpha sweeps
 down to 1e-4 stay cheap.  It is the only time stepper.
 
-Every field here is a SpectralField, the rfftn half spectrum of a real
-field.  Every table is built on a box of some extent (see `spectral`): the
-half grid for `evolve_linear`, the dealias box for a step and for the front
-experiment, whose bump is dealiased.  One exact linear flow, `_linear_flow`
-on the box of a given extent, serves `evolve_linear` and the front
-experiment: each nonzero datum is split into its Helmholtz parts once and
-the table applied.  One nonlinear core (`_nonlinear`) serves the stepper's
-forcing (`_forcing`: with the Leray projection and the mean removal) and
-the public `nonlinear_term`.  A `SolverState` is the plain value
-(u, u_t, time); the stepper wraps its arrays in fields without copying them.
+Every field here is a SpectralField, a box of the rfftn half spectrum of a
+real field, and every table is built on the box of the field it multiplies
+(see `spectral`).  One exact linear flow, `_linear_flow` on the box of a
+given extent, serves `evolve_linear` and the front experiment: each nonzero
+datum is split into its Helmholtz parts once and the table applied.
+`evolve_linear` and `picard_local_solve` work on the larger extent of their
+data.  One nonlinear core (`_nonlinear`) serves the stepper's forcing
+(`_forcing`: with the Leray projection and the mean removal) and the public
+`nonlinear_term`, which returns the dealias box.
 
 Box rule: a step runs on the dealias box, the modes with every
 |j_axis| <= grid.dealias_cut that the 2/3 rule keeps.  One core,
-`_advance`, steps a box state (u, u_t) in place: both forcings, the
-Helmholtz split and the predictor and corrector work on box arrays, with
-the ETD2 tables, i k, the odd wavevector and 1/|k|^2 built at the dealias
-extent, and with transforms at that extent.  `run_simulation` gathers the
-box of its data once and keeps the state there from the first step to the
-last; the blow-up check reads the box, and the box is scattered into fresh
-zeroed half spectra only to record a snapshot, at the end and on a
-blow-up.  The public `step` is the same core between one gather and one
-scatter.  So a step reads only the box: a state with content outside it
-steps exactly like its `dealias`, and `run_simulation` dealiases its data.
-`nonlinear_term` transforms its whole input, prunes its forward transform
-to the dealias box and scatters once.  On a grid with `dealias_fraction=1`
-the box is the whole half spectrum.
+`_advance`, steps a box state (u, u_t) in place, with the ETD2 tables, i k,
+the odd wavevector, 1/|k|^2 and the transforms at the dealias extent.
+`run_simulation` dealiases its data and copies it into its box state once;
+each recorded state (`_box_state`) wraps a copy of the box, at a snapshot,
+at the end and on a blow-up.  The public `step` is the same core between
+one `_resize` to the box and one copy, so a state with content outside the
+box steps exactly like its `dealias`.  With `dealias_fraction=1` the box is
+the whole half spectrum.
 
 Workspace rule: every intermediate of a forcing and of a step is written
 with in-place ufuncs into one scratch `_Workspace` of dealias-box arrays per
 grid, cached for one grid at a time so a sweep's reference run and its
-points share it; `nonlinear_term` allocates only its input stack and its
-result.  The workspace also holds what a step needs of its grid (i k, the
+points share it.  It also holds what a step needs of its grid (i k, the
 transforms' pass views) and the ETD2 tables of the last (model, dt) asked
-for, dropped before others are built; a run fetches both once.
-The operation order is that of the allocating expressions, and a loop over
+for, dropped before others are built; a run fetches both once.  The
+operation order is that of the allocating expressions, and a loop over
 components or products is one broadcast call in that per-element order, so
 outputs are unchanged to the bit.  The ETD2 tables are complex, so their
 products need no cast of the table.  Between two snapshots a run allocates
-no array: its box state lives in the workspace, and its fields are built
-only to record; after the probes of a snapshot have run it resumes from the
+no array; after the probes of a snapshot have run it resumes from the
 recorded state, since a probe may itself step on the grid.  `step`
-allocates only the arrays of the state it returns.  No scratch content survives a
-call, and nothing returned aliases the workspace.  The workspace is per
-process and is not thread-safe: run concurrent solves in separate
+allocates only the arrays of the state it returns.  No scratch content
+survives a call, and nothing returned aliases the workspace.  The workspace
+is per process and is not thread-safe: run concurrent solves in separate
 processes, as the sweeps do.
 
 The forcing takes its form from the model.  NS and HNS_EPS evolve
@@ -83,13 +75,12 @@ from .spectral import (
     SpectralField,
     _box_shape,
     _derivatives,
-    _from_box,
     _irfft,
     _irrotational,
     _pass_buffers,
     _pass_scratch,
+    _resize,
     _rfft,
-    _to_box,
     dealias,
     helmholtz_project,
     k_squared,
@@ -237,11 +228,11 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
     which holds for fields with nonzero divergence, with two batched
     transforms: one inverse of the whole (u, div u) and one forward of the
     d(d+1)/2 products u_i u_j and the d products (div u) u_j, pruned to the
-    dealias box and scattered once.  The mean of (div u) u is kept.
+    dealias box, where the result lives.  The mean of (div u) u is kept.
     """
     if u.ncomp != u.grid.dim:
         raise InvalidFieldError("nonlinear term expects a full velocity field")
-    return SpectralField(u.grid, _from_box(_nonlinear(u.coeffs, _workspace(u.grid)), u.grid))
+    return SpectralField(u.grid, _nonlinear(u.coeffs, _workspace(u.grid)))
 
 
 def _words(specs) -> int:
@@ -266,8 +257,7 @@ class _Workspace:
     by its largest phase and shared in time.  A forcing uses it for its
     transform buffers: the spectra `fhat`, whose first rows are also the
     inverse transform's input stack, the samples `phys`, the products
-    `prods` and the transforms' pass buffers `work` (large enough for
-    `nonlinear_term`'s inverse of a whole half spectrum); the derivative
+    `prods` and the transforms' pass buffers `work`; the derivative
     terms `tmp` of every component reuse the memory of `phys`, which holds
     no samples before the inverse transform or after the forward one, the
     only times `tmp` is used.  The Helmholtz split of the predictor
@@ -276,7 +266,7 @@ class _Workspace:
     corrector's `increment`, and the blow-up check for |c|.  The step region
     holds what lives across a step's two forcings: the forcing g0 of the
     state, the predictor pair `a` = (au, av) and the forcing g1 of au; and
-    `state`, the (u, u_t) box that `step` gathers and that a run keeps from
+    `state`, the (u, u_t) box that `step` fills and that a run keeps from
     its first step to its last.  Nothing else in it outlives the call that
     fills it.
 
@@ -293,11 +283,7 @@ class _Workspace:
         H, R = grid.box_shape, grid.shape
         c, f = np.complex128, np.float64
         vec, pair = ((d, *H), c), ((2, d, *H), c)
-        passes = max(
-            _pass_scratch(d + 1, d, n, cut, True),
-            _pass_scratch(d + 1, d, n, n // 2, True),
-            _pass_scratch(npairs + d, d, n, cut, False),
-        )
+        passes = max(_pass_scratch(d + 1, d, n, cut, True), _pass_scratch(npairs + d, d, n, cut, False))
         spectra, samples = ((npairs + d, *H), c), ((d + 1, *R), f)
         forcing = (spectra, samples, ((npairs + d, *R), f), ((passes,), c))
         split = (vec, vec, pair, pair, pair)
@@ -349,8 +335,9 @@ def _nonlinear(
 
     solenoidal drops the (div u) u products and the div u inverse, leaving the
     divergence form -sum_i d_i(u_i u), which equals f(u) only for div u = 0.
-    A step passes the dealias box of u; `nonlinear_term` passes the whole
-    half spectrum, whose (u, div u) stack is then allocated.  The forward
+    A step passes the dealias box of u; for a box of another extent, which
+    `nonlinear_term` may pass, the (u, div u) stack and the inverse
+    transform's pass buffers are allocated.  The forward
     transform is pruned to the dealias box, so no mask is applied.  Each
     loop over i makes one call for all components j, in the per-element
     order of a loop over (j, i).  The intermediates live in the grid's
@@ -371,7 +358,7 @@ def _nonlinear(
         np.multiply(ik_in[0], u[0], out=stack[dim])
         for i in range(1, dim):
             stack[dim] += np.multiply(ik_in[i], u[i], out=tmp[0] if boxed else None)
-        _irfft(stack, n, out=phys, work=ws.passes[n_in, True] if boxed else ws.work)
+        _irfft(stack, n, out=phys, work=ws.passes[n_in, True] if boxed else None)
         np.multiply(phys[dim], phys[:dim], out=prods[npairs:])
     start = 0
     for i in range(dim):  # u_i u_j for j >= i, in triu order
@@ -507,24 +494,22 @@ def _propagator(
     return _mode_functions(t, params.epsilon, gamma, c2k2, a_only)
 
 
-def _split(F: SpectralField) -> np.ndarray:
-    """Coefficients of the Helmholtz parts stacked as (P F, Q F), from one projection."""
+def _split(F: SpectralField, cut: int) -> np.ndarray:
+    """Coefficients of the Helmholtz parts stacked as (P F, Q F) on the box of extent cut >= F's, from one projection."""
+    if F.cut != cut:
+        F = SpectralField(F.grid, _resize(F.coeffs, F.grid, cut), F.is_mean_zero)
     q = helmholtz_project(F, "Q")
     return np.stack([(F - q).coeffs, q.coeffs])
 
 
-def _linear_flow(
-    params: ModelParams, grid: GridSpec, t: float, damping: bool, x0, x1, rate: bool, cut: int | None = None
-):
+def _linear_flow(params: ModelParams, grid: GridSpec, t: float, damping: bool, x0, x1, rate: bool, cut: int):
     """Box coefficients of u(t) and, if rate, u_t(t) of the linear flow from split data on the box of extent cut.
 
     x0, x1 are the split parts (P, Q) of the boxes of u0 and u1 (None for
-    zero data, which costs nothing); cut None is the whole half spectrum.
-    Without rate u_t is None, and without rate and u1 only the table's A is
-    formed.
+    zero data, which costs nothing).  Without rate u_t is None, and without
+    rate and u1 only the table's A is formed.
     """
-    n = grid.n_per_axis
-    u = np.zeros((grid.dim, *_box_shape(n, grid.dim, n // 2 if cut is None else cut)), dtype=np.complex128)
+    u = np.zeros((grid.dim, *_box_shape(grid.n_per_axis, grid.dim, cut)), dtype=np.complex128)
     v = np.zeros_like(u) if rate else None
     a_only = not rate and x1 is None
     for i, branch in enumerate("PQ"):
@@ -550,11 +535,12 @@ def evolve_linear(
     With damping the per-mode characteristic roots of
     eps l'' + l' + eps c^2 k^2 l = 0 are used; without damping this reduces to
     the pure wave propagators (used by the front-speed experiments).  Each
-    nonzero datum is split into its Helmholtz parts once.
+    nonzero datum is split into its Helmholtz parts once, on the larger
+    extent of the two, where the solution lives.
     """
-    grid = u0.grid
-    x0, x1 = (_split(F) if F.coeffs.any() else None for F in (u0, u1))
-    u, v = _linear_flow(params, grid, t, damping, x0, x1, rate=True)
+    grid, cut = u0.grid, max(u0.cut, u1.cut)
+    x0, x1 = (_split(F, cut) if F.coeffs.any() else None for F in (u0, u1))
+    u, v = _linear_flow(params, grid, t, damping, x0, x1, rate=True, cut=cut)
     return SolverState(
         SpectralField(grid, u, is_mean_zero=True), SpectralField(grid, v, is_mean_zero=True), t
     )
@@ -670,7 +656,6 @@ def _accumulate(tab, rows, data, out, prod, first: bool = True) -> None:
 def _check_blowup(u: np.ndarray, initial_max: float, out: np.ndarray | None = None) -> bool:
     """Whether max |c| over the coefficients u is not finite or exceeds 1e12 times its initial value.
 
-    A run passes the dealias box of u: a stepped state is zero outside it.
     |c| goes to out (fresh if None).
     """
     m = float(np.maximum.reduce(np.abs(u, out=out), axis=None))
@@ -709,17 +694,11 @@ def _advance(ws: _Workspace, tables, params: ModelParams, nonlinearity: bool, x:
     x[ws.mean] = 0.0
 
 
-def _gather(state: SolverState, x: np.ndarray, grid: GridSpec) -> None:
-    """Write the dealias boxes of the state's u and, if x has a second row, u_t into x."""
-    for F, box in zip((state.u, state.u_t), x):
-        _to_box(F.coeffs, grid, out=box)
-
-
-def _fields(x: np.ndarray, grid: GridSpec, time: float) -> SolverState:
-    """The state whose dealias boxes are x, in fresh half spectra."""
-    half = _from_box(x, grid)
-    u_t = SpectralField(grid, half[1], is_mean_zero=True) if len(x) > 1 else None
-    return SolverState(SpectralField(grid, half[0], is_mean_zero=True), u_t, time)
+def _box_state(x: np.ndarray, grid: GridSpec, time: float) -> SolverState:
+    """The state at time whose fields wrap a copy of the box rows x: u and, if present, u_t."""
+    x = x.copy()
+    u_t = SpectralField(grid, x[1], is_mean_zero=True) if len(x) > 1 else None
+    return SolverState(SpectralField(grid, x[0], is_mean_zero=True), u_t, time)
 
 
 def step(
@@ -731,21 +710,22 @@ def step(
     """Advance one dt with the exact-linear exponential (ETD2) rule.
 
     A step reads only the state's dealias box, the modes with every
-    |j_axis| <= grid.dealias_cut, and returns fields that are zero outside
-    it: content outside the box is dropped, so a state steps exactly like
-    its `dealias`, and `run_simulation` dealiases its data.  For NS and
-    HNS_EPS the state must also be divergence-free, as `run_simulation`
-    makes it: their forcing is then the divergence form (see `_forcing`).
-    The step gathers the box, advances it with the core that
-    `run_simulation` loops over, in the grid's workspace, and scatters it;
-    the new state's fields wrap fresh arrays, whose mean is zero.
+    |j_axis| <= grid.dealias_cut, and returns fields on that box: content
+    outside the box is dropped, so a state steps exactly like its
+    `dealias`.  For NS and HNS_EPS the state must also be divergence-free,
+    as `run_simulation` makes it: their forcing is then the divergence form
+    (see `_forcing`).  The step resizes the state to the box, advances it
+    with the core that `run_simulation` loops over, in the grid's
+    workspace, and copies it out; the new state's fields wrap fresh arrays,
+    whose mean is zero.
     """
     grid = state.u.grid
     ws = _workspace(grid)
     x = ws.state[: 1 if params.model is Model.NS else 2]
-    _gather(state, x, grid)
+    for F, box in zip((state.u, state.u_t), x):
+        _resize(F.coeffs, grid, ws.cut, out=box)
     _advance(ws, ws.tables(params, cfg.dt), params, nonlinearity, x)
-    return _fields(x, grid, state.time + cfg.dt)
+    return _box_state(x, grid, state.time + cfg.dt)
 
 
 @dataclass
@@ -775,10 +755,10 @@ def run_simulation(
 
     Probes are pure functions state -> float.  Deterministic given inputs.
     A blow-up raises BlowUpError with the partial series attached; its
-    `final` is the state that blew up.  Between snapshots the state stays
-    on the dealias box, in the grid's workspace, and is stepped in place by
-    the core of `step`; fields are built only to record, at the end and on a
-    blow-up.
+    `final` is the state that blew up.  Every state is on the dealias box.
+    Between snapshots the state stays in the grid's workspace and is
+    stepped in place by the core of `step`; fields are built only to
+    record, at the end and on a blow-up.
     """
     grid = u0.grid
     probes = probes or {}
@@ -812,20 +792,25 @@ def run_simulation(
     ws = _workspace(grid)
     tables = ws.tables(params, cfg.dt)
     x = ws.state[: 1 if params.model is Model.NS else 2]
-    _gather(state, x, grid)
+
+    def load(st):
+        for F, box in zip((st.u, st.u_t), x):
+            box[...] = F.coeffs
+
+    load(state)
     time = state.time
     for i in range(n_steps):
         _advance(ws, tables, params, nonlinearity, x)
         time += cfg.dt
         result.steps = i + 1
         if _check_blowup(x[0], initial_max, out=ws.magnitude):
-            result.final = _fields(x, grid, time)
+            result.final = _box_state(x, grid, time)
             raise BlowUpError(time, partial=result)
         if (i + 1) % cfg.snapshot_every == 0 or i + 1 == n_steps:
-            result.final = _fields(x, grid, time)
+            result.final = _box_state(x, grid, time)
             record(result.final)
             if probes:  # a probe may step on this grid: resume from the recorded state
-                _gather(result.final, x, grid)
+                load(result.final)
     return result
 
 
@@ -900,13 +885,15 @@ def picard_local_solve(
         if T > bound:
             raise ValueError(f"T = {T:.4g} exceeds the contraction bound {bound:.4g}")
     grid = u0.grid
+    # the iterates live on the larger extent of the data and the nonlinear term's dealias box
+    cut = max(u0.cut, u1.cut, grid.dealias_cut)
     eps = params.epsilon
     sig = grid.dim / 2.0 + params.delta
     times = np.linspace(0.0, T, n_mesh + 1)
-    tabs = [[_propagator(params, grid, float(t), False, b) for t in times] for b in "PQ"]
+    tabs = [[_propagator(params, grid, float(t), False, b, cut=cut) for t in times] for b in "PQ"]
     # A, B, A', B' as (branch P/Q, lag t_0..t_M, *modes); data as (branch, component, *modes)
     A, B, Ap, Bp = (np.array([[tab[i] for tab in branch] for branch in tabs]) for i in range(4))
-    x0, x1 = _split(u0), _split(u1)
+    x0, x1 = _split(u0, cut), _split(u1, cut)
     branch_sum = functools.partial(np.einsum, "bm...,bc...->mc...")
     base_u = branch_sum(A, x0) + branch_sum(B, x1)
     base_v = branch_sum(Ap, x0) + branch_sum(Bp, x1)
@@ -918,8 +905,8 @@ def picard_local_solve(
     src_w = (T / n_mesh / eps * trap).reshape(-1, *(1,) * (grid.dim + 1))
     B, Bp = (X * trap.reshape(-1, *(1,) * grid.dim) for X in (B, Bp))
 
-    us = [SpectralField.zeros(grid, grid.dim) for _ in range(n_mesh + 1)]
-    vs = [SpectralField.zeros(grid, grid.dim) for _ in range(n_mesh + 1)]
+    us = [SpectralField(grid, np.zeros_like(base_u[0]), True) for _ in range(n_mesh + 1)]
+    vs = [SpectralField(grid, np.zeros_like(base_u[0]), True) for _ in range(n_mesh + 1)]
 
     xt_norms: list[float] = []
     distances: list[float] = []
@@ -930,7 +917,7 @@ def picard_local_solve(
             src = -1.0 * vs[m]
             if nonlinearity:
                 src = src + nonlinear_term(us[m])
-            g[:, m] = _split(src)
+            g[:, m] = _split(src, cut)
         g *= src_w
         new_u, new_v = base_u.copy(), base_v.copy()
         for lag in range(n_mesh + 1):

@@ -2,56 +2,56 @@
 
 Fields live on a d-dimensional torus [0, L)^d (d = 2 or 3) sampled on a uniform
 grid with the same resolution per axis.  A `SpectralField` stores, per
-component, the rfftn half spectrum of a real field with *forward*
-normalization: the coefficient at wavevector k is the amplitude of exp(i k.x),
-kept for the last-axis indices j = 0..n/2 only.  The modes j = n/2+1..n-1 are
-the complex conjugates of their mirror images -k and are not stored, so a
-field always stands for a real field.  All differential operators are exact
-diagonal multipliers in this basis, and every operator and norm exists once,
-on this half grid; a multiplier table is built on the half grid or on a box
-(below).
+component, a box of the rfftn half spectrum of a real field with *forward*
+normalization: the coefficient at wavevector k is the amplitude of exp(i k.x).
+Modes with a negative last-axis index are the conjugates of their mirror
+images -k and are not stored, so a field always stands for a real field.
+
+Boxes and extents: the box of extent cut <= n/2 holds the modes with every
+|j_axis| <= cut, stored as (ncomp, 2 cut + 1, ..., cut + 1) in fftfreq
+order; a leading axis is whole when 2 cut + 1 >= n, so the box of extent n/2
+is the whole half spectrum.  A field's extent is read from its shape, and
+the field is zero outside its box.  The 2/3 rule keeps the dealias box, of
+extent `grid.dealias_cut` and shape `grid.box_shape`, and `dealias` returns
+a field there.  `to_spectral`, `read_snapshot`, `random_band_limited`,
+`single_mode` and `SpectralField.zeros` give extent n/2.  Where fields of
+two extents meet the result takes the larger one; `_resize` gathers a box
+from a larger one or scatters it into a larger one, zero outside.
+
+All differential operators are exact diagonal multipliers, and every
+operator and norm exists once, reading its table (index vectors, odd
+wavevector, `_derivatives`, `k_squared`, `k_abs`, `_inv_k_squared`, Sobolev
+weights) on its field's box.  Sobolev norms weight each stored mode by its
+Hermitian multiplicity: 1 on the self-conjugate planes j = 0 and j = n/2 of
+the last axis, which hold both k and -k, and 2 elsewhere.  Odd multipliers
+(the derivatives and the Helmholtz projection) use the wavevector that is
+zero at each axis's Nyquist index n/2, present only at extent n/2, where the
+modes j and -j share one coefficient: an odd multiplier has no Hermitian
+part there, and zeroing it keeps every result a real field.
 
 Every transform of the package is one of two real-to-complex helpers,
 `_rfft` and `_irfft`, and both run numpy's own one-axis passes
 (`fft`/`ifft`/`rfft`/`irfft`) in rfftn's and irfftn's order, every pass
 writing into a caller buffer, often a strided view, through `out=` (numpy
-2.0 and later).  Sobolev norms weight each stored mode by its Hermitian
-multiplicity: 1 on the self-conjugate planes j = 0 and j = n/2 of the last
-axis, which hold both k and -k, and 2 elsewhere.  Odd multipliers (the
-derivatives and the Helmholtz projection) use the wavevector that is zero at
-each axis's Nyquist index n/2, where the modes j and -j share one coefficient:
-an odd multiplier has no Hermitian part there, and zeroing it keeps every
-result a real field.
+2.0 and later).  `_rfft` returns the box of a given extent of the spectrum
+and `_irfft` reads a box of any extent; below extent n/2 their passes
+transform only the lines that meet the box.  Each line is transformed as
+rfftn/irfftn transform it, so the results are bitwise theirs.
 
 Full coefficient arrays appear only at the edges: `_full` completes a half
 spectrum to its exactly Hermitian full array and `_half` takes the half
 spectrum of a full array's Hermitian part.  `write_snapshot` writes the full
-array and `read_snapshot` keeps the half spectrum of it, so the HNSF layout
-(version 1) is unchanged; `random_band_limited` draws its normals on the full
-grid, so every seeded sample is what it was.
+array of a field lifted to extent n/2 and `read_snapshot` keeps its half
+spectrum, so the HNSF layout (version 1) is unchanged; `random_band_limited`
+draws its normals on the full grid, so every seeded sample is what it was.
 
 The private array helpers carry the hot paths that build no field:
 `_random_half` draws `random_band_limited`'s samples, `_padded_half` forms
-`padded_product` from one padded inverse transform per factor and one forward
-transform of the product, `_irrotational` is the Q projection and `_norm` is
-`sobolev_norm`.  `_rfft`, `_irfft` and `_irrotational` take an `out=` array,
-so the stepper's workspace (see `solvers`) receives their results without a
-fresh allocation.
-
-Boxes and extents: the box of extent cut holds the modes with every
-|j_axis| <= cut, stored compactly as (ncomp, 2 cut + 1, ..., cut + 1) in
-fftfreq order; a leading axis is whole when 2 cut + 1 >= n, so the box of
-extent n/2 is the half spectrum itself.  The 2/3 rule keeps the dealias box,
-of extent `grid.dealias_cut` and shape `grid.box_shape`; `_to_box` gathers
-it from half spectra and `_from_box` scatters it into zeroed ones.  `_rfft`
-returns the box of a given extent of the spectrum and `_irfft` reads a box
-of any extent; below extent n/2 their passes transform only the lines that
-meet the box.  Each line is transformed as rfftn/irfftn transform it, so the
-results are bitwise theirs: the box of rfftn's spectrum, and irfftn's
-samples of box-supported data.  The index vectors, the odd wavevector,
-`_derivatives`, `k_squared` and `_inv_k_squared` are built on the box of a
-given extent (the half grid by default), and `_irrotational` reads the
-extent from its input's shape.
+`padded_product` from one padded inverse transform per factor and one
+forward transform of the product, `_irrotational` is the Q projection and
+`_norm` is `sobolev_norm`.  `_rfft`, `_irfft`, `_irrotational` and `_resize`
+take an `out=` array, so the stepper's workspace (see `solvers`) receives
+their results without a fresh allocation.
 
 Conventions baked in here and relied on everywhere else:
 
@@ -192,7 +192,7 @@ class GridSpec:
 
 
 # ---------------------------------------------------------------------------
-# multiplier tables, all on the half grid
+# multiplier tables, on the box of a given extent (the half grid by default)
 # ---------------------------------------------------------------------------
 
 
@@ -208,7 +208,7 @@ def _index_vectors(grid: GridSpec, cut: int | None = None) -> tuple[np.ndarray, 
     n = grid.n_per_axis
     cut = n // 2 if cut is None else cut
     j = np.fft.fftfreq(n, d=1.0 / n)
-    lead = np.concatenate([j[f] for _, f in _axis_blocks(n, cut)])
+    lead = np.concatenate([j[f] for _, f in _axis_blocks(n, cut, n // 2)])
     out = []
     for ax, axis_j in enumerate((lead,) * (grid.dim - 1) + (j[: cut + 1],)):
         shape = [1] * grid.dim
@@ -271,8 +271,8 @@ def _inv_k_squared(grid: GridSpec, cut: int | None = None) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def k_abs(grid: GridSpec) -> np.ndarray:
-    return grid.k_fundamental * _index_magnitude(grid)
+def k_abs(grid: GridSpec, cut: int | None = None) -> np.ndarray:
+    return grid.k_fundamental * _index_magnitude(grid, cut)
 
 
 @lru_cache(maxsize=32)
@@ -284,31 +284,29 @@ def dealias_mask(grid: GridSpec) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=32)
-def _sobolev_weight(grid: GridSpec, sigma: float) -> np.ndarray:
-    """|k|^(2 sigma) times each stored mode's Hermitian multiplicity (read-only: shared).
+@lru_cache(maxsize=64)
+def _sobolev_weight(grid: GridSpec, sigma: float, cut: int) -> np.ndarray:
+    """|k|^(2 sigma) times each stored mode's Hermitian multiplicity on the box of extent cut (read-only: shared).
 
     |k|^(2 sigma) is 0 at k = 0 unless sigma = 0.  A coefficient off the
     self-conjugate planes j = 0 and j = n/2 of the last axis stands for
     itself and its mirror image -k, so it counts twice in the Plancherel sum.
     """
-    ka = k_abs(grid)
+    ka = k_abs(grid, cut)
     if sigma == 0:
         w = np.ones_like(ka)
     else:
         w = np.zeros_like(ka)
         nonzero = ka > 0
         w[nonzero] = ka[nonzero] ** (2.0 * sigma)
-    n = grid.n_per_axis
-    multiplicity = np.full(n // 2 + 1, 2.0)
-    multiplicity[[0, n // 2]] = 1.0
-    w = w * multiplicity
+    last = np.arange(cut + 1)
+    w = w * np.where((last == 0) | (last == grid.n_per_axis // 2), 1.0, 2.0)
     w.flags.writeable = False
     return w
 
 
 # ---------------------------------------------------------------------------
-# the dealias box
+# boxes
 # ---------------------------------------------------------------------------
 
 
@@ -317,47 +315,45 @@ def _box_shape(n: int, dim: int, cut: int) -> tuple[int, ...]:
     return (min(2 * cut + 1, n),) * (dim - 1) + (cut + 1,)
 
 
-def _axis_blocks(n: int, cut: int) -> tuple[tuple[slice, slice], ...]:
-    """(box, spectrum) slice pairs of one leading axis: j = 0..cut, then j = -cut..-1.
+def _axis_blocks(n: int, have: int, cut: int) -> tuple[tuple[slice, slice], ...]:
+    """(box of extent have, box of extent cut) slice pairs of one leading axis, for the smaller box.
 
-    When the two runs meet (2 cut + 1 >= n) the box is the whole axis.
+    Its runs j = 0..c and j = -c..-1, c = min(have, cut); when they meet
+    (2 c + 1 >= n) both boxes are the whole axis.
     """
-    if 2 * cut + 1 >= n:
+    c = min(have, cut)
+    if 2 * c + 1 >= n:
         return ((slice(None), slice(None)),)
-    return ((slice(0, cut + 1), slice(0, cut + 1)), (slice(cut + 1, None), slice(n - cut, None)))
+    a, b = min(2 * have + 1, n), min(2 * cut + 1, n)
+    return ((slice(0, c + 1),) * 2, (slice(a - c, a), slice(b - c, b)))
 
 
-@lru_cache(maxsize=32)
-def _box_blocks(grid: GridSpec) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
-    """(box, half-spectrum) index pairs of the spatial axes, one per block of the dealias box."""
-    lead = _axis_blocks(grid.n_per_axis, grid.dealias_cut)
-    last = (slice(0, grid.dealias_cut + 1),) * 2
-    return [tuple(zip(*blocks, last)) for blocks in itertools.product(lead, repeat=grid.dim - 1)]
+def _resize(x: np.ndarray, grid: GridSpec, cut: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The box of extent cut of the field whose box is x: gathered from a larger box, zero outside a smaller one.
 
-
-def _to_box(x: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
-    """The dealias box (..., *grid.box_shape) of half spectra x, into out (fresh if None)."""
+    x has shape (..., *box) with extent x.shape[-1] - 1; the result goes to
+    out (fresh if None), which must not overlap x.
+    """
+    n, dim, have = grid.n_per_axis, grid.dim, x.shape[-1] - 1
     if out is None:
-        out = np.empty((*x.shape[: -grid.dim], *grid.box_shape), dtype=np.complex128)
-    for b, h in _box_blocks(grid):
-        out[(Ellipsis, *b)] = x[(Ellipsis, *h)]
-    return out
-
-
-def _from_box(b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Fresh half spectra whose dealias box is b and which are zero outside it."""
-    out = np.zeros((*b.shape[: -grid.dim], *grid.spectral_shape), dtype=np.complex128)
-    for bi, h in _box_blocks(grid):
-        out[(Ellipsis, *h)] = b[(Ellipsis, *bi)]
+        out = np.empty((*x.shape[:-dim], *_box_shape(n, dim, cut)), dtype=np.complex128)
+    if cut > have:
+        out.fill(0.0)
+    last = (slice(0, min(have, cut) + 1),) * 2
+    for blocks in itertools.product(_axis_blocks(n, have, cut), repeat=dim - 1):
+        src, dst = zip(*blocks, last)
+        out[(Ellipsis, *dst)] = x[(Ellipsis, *src)]
     return out
 
 
 class SpectralField:
-    """rfftn half spectrum of a real field on the torus.
+    """A box of the rfftn half spectrum of a real field on the torus, zero outside it.
 
-    `coeffs` has shape (ncomp, *grid.spectral_shape) with ncomp 1 (scalar) or
-    dim (vector).  Instances are treated as immutable values: operations
-    return new fields and never mutate their inputs.
+    `coeffs` has shape (ncomp, *box) with ncomp 1 (scalar) or dim (vector)
+    and box the box of extent cut = coeffs.shape[-1] - 1 <= n/2; extent n/2
+    is the whole half spectrum, (ncomp, *grid.spectral_shape).  Instances are
+    treated as immutable values: operations return new fields and never
+    mutate their inputs.
     """
 
     __slots__ = ("grid", "coeffs", "is_mean_zero")
@@ -366,9 +362,11 @@ class SpectralField:
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim == grid.dim:
             coeffs = coeffs[np.newaxis]
-        if coeffs.shape[1:] != grid.spectral_shape or coeffs.shape[0] not in (1, grid.dim):
+        n, dim = grid.n_per_axis, grid.dim
+        cut = coeffs.shape[-1] - 1 if coeffs.ndim == dim + 1 else -1
+        if not 0 <= cut <= n // 2 or coeffs.shape[1:] != _box_shape(n, dim, cut) or len(coeffs) not in (1, dim):
             raise InvalidFieldError(
-                f"coefficient shape {coeffs.shape} incompatible with grid half spectrum "
+                f"coefficient shape {coeffs.shape} is no box of the grid's half spectrum "
                 f"{grid.spectral_shape}"
             )
         self.grid = grid
@@ -384,6 +382,11 @@ class SpectralField:
     @property
     def ncomp(self) -> int:
         return self.coeffs.shape[0]
+
+    @property
+    def cut(self) -> int:
+        """The extent of the box the coefficients hold."""
+        return self.coeffs.shape[-1] - 1
 
     @property
     def is_scalar(self) -> bool:
@@ -406,21 +409,23 @@ class SpectralField:
         if self.grid != other.grid:
             raise InvalidFieldError("grid mismatch")
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
+    def _combine(self, other: "SpectralField", op) -> "SpectralField":
+        """op of the two coefficient boxes, on the larger extent."""
         self._check_same_grid(other)
         if self.ncomp != other.ncomp:
             raise InvalidFieldError("component count mismatch")
-        return SpectralField(
-            self.grid, self.coeffs + other.coeffs, self.is_mean_zero and other.is_mean_zero
-        )
+        a, b = self.coeffs, other.coeffs
+        if a.shape[-1] < b.shape[-1]:
+            a = _resize(a, self.grid, other.cut)
+        elif b.shape[-1] < a.shape[-1]:
+            b = _resize(b, self.grid, self.cut)
+        return SpectralField(self.grid, op(a, b), self.is_mean_zero and other.is_mean_zero)
+
+    def __add__(self, other: "SpectralField") -> "SpectralField":
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
-        if self.ncomp != other.ncomp:
-            raise InvalidFieldError("component count mismatch")
-        return SpectralField(
-            self.grid, self.coeffs - other.coeffs, self.is_mean_zero and other.is_mean_zero
-        )
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar: float) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * scalar, self.is_mean_zero)
@@ -486,7 +491,7 @@ def _rfft(
         np.fft.fft(x, axis=ax, norm="forward", out=x)
         if prune:
             dst, lines = bufs[dim - ax], (slice(None),) * ax
-            for b, f in _axis_blocks(n, cut):
+            for b, f in _axis_blocks(n, cut, n // 2):
                 dst[lines + (b,)] = x[lines + (f,)]
             x = dst
     return out
@@ -522,7 +527,7 @@ def _irfft(
             buf[..., cut + 1 :] = 0.0  # the last pass's columns j > cut, read by irfft
             lines = (slice(None),) * ax
             buf[lines + (slice(cut + 1, n - cut),)] = 0.0  # j = cut+1..n-cut-1, if any
-            for b, f in _axis_blocks(n, cut):
+            for b, f in _axis_blocks(n, cut, n // 2):
                 lead[lines + (f,)] = x[lines + (b,)]
             x = lead
         np.fft.ifft(x, axis=ax, norm="forward", out=lead)
@@ -624,19 +629,19 @@ def to_spectral(f: PhysicalField) -> SpectralField:
 
 def to_physical(F: SpectralField) -> PhysicalField:
     """Samples of the real field F stands for."""
-    return PhysicalField(F.grid, _irfft(F.coeffs))
+    return PhysicalField(F.grid, _irfft(F.coeffs, F.grid.n_per_axis))
 
 
 def partial_derivative(F: SpectralField, axis: int) -> SpectralField:
     """Componentwise d/dx_axis as the multiplier i*k_axis."""
-    return SpectralField(F.grid, F.coeffs * _derivatives(F.grid)[axis], is_mean_zero=True)
+    return SpectralField(F.grid, F.coeffs * _derivatives(F.grid, F.cut)[axis], is_mean_zero=True)
 
 
 def gradient(F: SpectralField) -> SpectralField:
     """Gradient of a scalar field -> vector field."""
     if not F.is_scalar:
         raise InvalidFieldError("gradient expects a scalar field")
-    comps = [F.coeffs[0] * ik for ik in _derivatives(F.grid)]
+    comps = [F.coeffs[0] * ik for ik in _derivatives(F.grid, F.cut)]
     return SpectralField(F.grid, np.stack(comps), is_mean_zero=True)
 
 
@@ -644,14 +649,14 @@ def divergence(F: SpectralField) -> SpectralField:
     """Divergence of a vector field -> scalar field."""
     if F.ncomp != F.grid.dim:
         raise InvalidFieldError("divergence expects a full vector field")
-    out = np.zeros(F.grid.spectral_shape, dtype=np.complex128)
-    for i, ik in enumerate(_derivatives(F.grid)):
+    out = np.zeros(F.coeffs.shape[1:], dtype=np.complex128)
+    for i, ik in enumerate(_derivatives(F.grid, F.cut)):
         out += F.coeffs[i] * ik
     return SpectralField(F.grid, out[np.newaxis], is_mean_zero=True)
 
 
 def laplacian(F: SpectralField) -> SpectralField:
-    return SpectralField(F.grid, F.coeffs * (-k_squared(F.grid)), is_mean_zero=True)
+    return SpectralField(F.grid, F.coeffs * (-k_squared(F.grid, F.cut)), is_mean_zero=True)
 
 
 def _irrotational(x: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
@@ -703,7 +708,7 @@ def lambda_power(F: SpectralField, sigma: float) -> SpectralField:
         raise SingularMultiplierError(
             "lambda_power with sigma < 0 requires a mean-zero field"
         )
-    ka = k_abs(F.grid)
+    ka = k_abs(F.grid, F.cut)
     mult = np.zeros_like(ka)
     nonzero = ka > 0
     mult[nonzero] = ka[nonzero] ** sigma
@@ -722,8 +727,9 @@ def sobolev_norm(F: SpectralField, sigma: float) -> float:
 
 
 def _norm(coeffs: np.ndarray, grid: GridSpec, sigma: float) -> float:
-    """`sobolev_norm` of the real field whose half spectrum is `coeffs`."""
-    total = float(np.sum(_sobolev_weight(grid, sigma) * np.sum(np.abs(coeffs) ** 2, axis=0)))
+    """`sobolev_norm` of the real field whose box is `coeffs`."""
+    weight = _sobolev_weight(grid, sigma, coeffs.shape[-1] - 1)
+    total = float(np.sum(weight * np.sum(np.abs(coeffs) ** 2, axis=0)))
     return float(np.sqrt(grid.domain_length**grid.dim * total))
 
 
@@ -737,8 +743,8 @@ def _sample_norm(values: np.ndarray, grid: GridSpec, p: float) -> float:
 
 
 def _linf(coeffs: np.ndarray, grid: GridSpec) -> float:
-    """`linf_norm` of the real field whose half spectrum is `coeffs`."""
-    return _sample_norm(_irfft(coeffs), grid, np.inf)
+    """`linf_norm` of the real field whose box is `coeffs`."""
+    return _sample_norm(_irfft(coeffs, grid.n_per_axis), grid, np.inf)
 
 
 def lp_norm(f: PhysicalField | SpectralField, p: float) -> float:
@@ -753,8 +759,8 @@ def linf_norm(f: PhysicalField | SpectralField) -> float:
 
 
 def dealias(F: SpectralField) -> SpectralField:
-    """Zero every coefficient with any |k_j| above dealias_fraction * k_max."""
-    return SpectralField(F.grid, F.coeffs * dealias_mask(F.grid), F.is_mean_zero)
+    """F on the dealias box: every coefficient with any |k_j| above dealias_fraction * k_max dropped."""
+    return SpectralField(F.grid, _resize(F.coeffs, F.grid, F.grid.dealias_cut), F.is_mean_zero)
 
 
 def _product_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -827,10 +833,13 @@ def padded_product(F: SpectralField, G: SpectralField) -> SpectralField:
     Computes the exact product on a double-resolution grid and truncates to
     the original grid's representable modes: the Galerkin-truncated product,
     with no aliasing error for any admissible inputs.  Serves as the oracle
-    against which dealiased collocation products are checked.
+    against which dealiased collocation products are checked.  The product
+    of two boxes reaches past both, so the factors are lifted to extent n/2
+    and the result has that extent.
     """
     F._check_same_grid(G)
-    return SpectralField(F.grid, _padded_half(F.coeffs, G.coeffs, F.grid))
+    a, b = (_resize(X.coeffs, F.grid, F.grid.n_per_axis // 2) for X in (F, G))
+    return SpectralField(F.grid, _padded_half(a, b, F.grid))
 
 
 def single_mode(
@@ -945,7 +954,8 @@ def write_snapshot(path, field: SpectralField | PhysicalField, time: float = 0.0
     """Write a field snapshot: HNSF header then component-major f64 payload.
 
     A spectral payload is the full Hermitian coefficient array (n^dim complex
-    values per component), the layout of format version 1.
+    values per component) of the field lifted to extent n/2, the layout of
+    format version 1.
     """
     is_spectral = isinstance(field, SpectralField)
     grid = field.grid
@@ -961,7 +971,8 @@ def write_snapshot(path, field: SpectralField | PhysicalField, time: float = 0.0
     with open(path, "wb") as fh:
         fh.write(header)
         if is_spectral:
-            fh.write(_full(field.coeffs).astype("<c16").tobytes())
+            half = _resize(field.coeffs, grid, grid.n_per_axis // 2)
+            fh.write(_full(half).astype("<c16").tobytes())
         else:
             data = np.ascontiguousarray(field.values, dtype=np.float64)
             fh.write(data.astype("<f8").tobytes())

@@ -98,6 +98,26 @@ class TestExitCodes:
         assert run_cli(args + ["--workers", "2"], tmp_path) == 2
         assert len(list((tmp_path / "runs").iterdir())) == 1
 
+    def test_epsilon_sweep_csv_ignores_epsilon_cutoff(self, tmp_path):
+        # an epsilon sweep cuts u0 at each point's own eps, so init.epsilon_cutoff
+        # changes neither its numbers nor the point run_ids in sweep.csv
+        args = [
+            "sweep",
+            "seed=5",
+            "grid.n=16",
+            "sweep.variable=epsilon",
+            "sweep.values=1e-1,1e-2,1e-3",
+            "sweep.T_final=0.05",
+            "init.kind=random",
+        ]
+        csv = []
+        for cutoff in (0, 1):
+            out = f"runs{cutoff}"
+            assert run_cli(args + [f"init.epsilon_cutoff={cutoff}", "--workers", "1"], tmp_path, out=out) == 0
+            (run_dir,) = (tmp_path / out).iterdir()
+            csv.append((run_dir / "sweep.csv").read_bytes())
+        assert csv[0] == csv[1]
+
 
 class TestUserMistakes:
     """A bad config or unreadable initial data exits 2 before any run directory exists."""

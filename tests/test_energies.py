@@ -18,6 +18,7 @@ from hnslab.spectral import (
     GridSpec,
     SpectralField,
     _full,
+    _resize,
     dealias,
     divergence,
     helmholtz_project,
@@ -25,6 +26,8 @@ from hnslab.spectral import (
     single_mode,
     sobolev_norm,
 )
+
+from test_spectral import PARITY_GRIDS, PARITY_IDS
 
 CONSTS = {"K": 0.4, "K2": 0.6, "C2_interp": 0.6, "C3_nonlinear": 0.9, "C4_interp": 1.0}
 
@@ -41,6 +44,23 @@ def plancherel_term_oracle(field, grid, sigma):
     return grid.domain_length**grid.dim * float(
         np.sum(w * np.sum(np.abs(_full(field.coeffs)) ** 2, axis=0))
     )
+
+
+@pytest.mark.parametrize("grid", PARITY_GRIDS, ids=PARITY_IDS)
+def test_energies_on_the_box_equal_half_spectrum(grid):
+    rng = np.random.default_rng(51)
+    fields = [dealias(random_band_limited(grid, rng, ncomp=grid.dim)) for _ in range(4)]
+    half = [SpectralField(grid, _resize(F.coeffs, grid, grid.n_per_axis // 2), F.is_mean_zero) for F in fields]
+    params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=0.1, alpha=0.1)
+    on_box, on_half = ([SolverState(f[0], f[1], 0.0), SolverState(f[2], f[3], 0.0)] for f in (fields, half))
+    got, want = (energy(states[0], params, sigma_set=(1.5,), N=3) for states in (on_box, on_half))
+    for name in ("E0", "E_delta", "E_half", "E_half_delta", "div_l2", "script_E"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a is b is None or abs(a - b) <= 1e-13 * abs(b), name
+    for name, b in want.components.items():
+        assert abs(got.components[name] - b) <= 1e-13 * abs(b), name
+    got, want = (modulated_energy(*states, params).value for states in (on_box, on_half))
+    assert abs(got - want) <= 1e-13 * want
 
 
 class TestEnergy:

@@ -1,8 +1,9 @@
-"""Half-spectrum fields, transforms, linear flow, stepper and sampler against full-spectrum forms.
+"""Box fields, transforms, linear flow, stepper and sampler against full-spectrum forms.
 
-A SpectralField holds the rfftn half spectrum of a real field.  Each oracle
-here is an earlier implementation on full coefficient arrays: it completes
-its input with `_full` and keeps its own arithmetic (complex fftn/ifftn, a
+A SpectralField holds a box of the rfftn half spectrum of a real field.  Each
+oracle here is an earlier implementation on full coefficient arrays: it
+lifts its input to the half spectrum (`lift`), completes it with `_full`
+(`full`) and keeps its own arithmetic (complex fftn/ifftn, a
 Hermitian projection after every forward transform, full-grid multiplier
 tables, the nonlinear term as one collocation product per component plus
 one for (div u) u, the exact linear flow and the ETD2 step with both
@@ -75,6 +76,16 @@ def assert_close(got, expect):
 
 def axes(grid):
     return tuple(range(1, grid.dim + 1))
+
+
+def lift(F):
+    """F's coefficients on the whole half spectrum, extent n/2, whatever box F holds."""
+    return spectral._resize(F.coeffs, F.grid, F.grid.n_per_axis // 2)
+
+
+def full(F):
+    """The full Hermitian coefficient array of the real field F stands for."""
+    return _full(lift(F))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +258,7 @@ def front_oracle(params, grid, spec, damping, n_samples):
     """The earlier front: bump_oracle, evolve_linear_oracle and one full inverse per sample."""
     center = spec.center or (grid.domain_length / 2.0,) * grid.dim
     u0, phys0 = bump_oracle(spec, grid)
-    c0 = _full(u0.coeffs)
+    c0 = full(u0)
     theta = 1e-8 * float(np.max(np.sqrt(np.sum(phys0.values**2, axis=0))))
     R0 = support_radius(phys0, center, theta)
     h = grid.spacing
@@ -322,7 +333,7 @@ def count_projections(monkeypatch):
 
 def stands_for_real_field(F):
     """The coefficients are those of the real field they stand for, to_spectral(to_physical(F))."""
-    assert_close(to_spectral(to_physical(F)).coeffs, F.coeffs)
+    assert_close(to_spectral(to_physical(F)).coeffs, lift(F))
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -333,13 +344,13 @@ class TestTransforms:
         rng = np.random.default_rng(1)
         shape = (grid.dim, *grid.spectral_shape)
         F = SpectralField(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        assert_close(to_physical(F).values, samples_oracle(_full(F.coeffs), grid))
+        assert_close(to_physical(F).values, samples_oracle(full(F), grid))
 
     def test_to_physical_full_band_derivatives(self, grid):
         # the full-grid derivative is not Hermitian at the Nyquist index; the
         # real field it stands for is that of the package's derivative
         F = full_band(grid, 2)
-        c = _full(F.coeffs)
+        c = full(F)
         for ax in range(grid.dim):
             D = partial_derivative(F, ax)
             expect = samples_oracle(derivative_oracle(c, grid, ax), grid)
@@ -358,8 +369,8 @@ class TestTransforms:
         f = full_band(grid, 4)
         v = full_band(grid, 5, ncomp=grid.dim)
         for F, G in [(f, v), (v, v), (partial_derivative(v, 0), v)]:
-            expect = padded_product_oracle(_full(F.coeffs), _full(G.coeffs), grid)
-            assert_close(_full(padded_product(F, G).coeffs), expect)
+            expect = padded_product_oracle(full(F), full(G), grid)
+            assert_close(full(padded_product(F, G)), expect)
 
 
 ONE_AXIS_PASSES = {"fft", "ifft", "rfft", "irfft"}
@@ -435,24 +446,24 @@ def test_operator_returns_real_field(grid, name):
 class TestNonlinearTerm:
     def test_dealiased(self, grid):
         u = dealias(random_band_limited(grid, np.random.default_rng(6), ncomp=grid.dim))
-        assert_close(_full(nonlinear_term(u).coeffs), nonlinear_oracle(_full(u.coeffs), grid))
+        assert_close(full(nonlinear_term(u)), nonlinear_oracle(full(u), grid))
 
     def test_full_band_hermitian(self, grid):
         u = full_band(grid, 7, ncomp=grid.dim)
-        assert_close(_full(nonlinear_term(u).coeffs), nonlinear_oracle(_full(u.coeffs), grid))
+        assert_close(full(nonlinear_term(u)), nonlinear_oracle(full(u), grid))
 
     def test_projected_full_band_no_dealiasing(self, grid):
         # with dealias_fraction = 1 a Helmholtz-projected full-band field keeps
         # its Nyquist content, and stays a real field
         g = GridSpec(grid.dim, grid.n_per_axis, dealias_fraction=1.0)
         u = helmholtz_project(full_band(g, 9, ncomp=g.dim), "P")
-        assert np.max(np.abs(_full(u.coeffs)[:, ~nyquist_free(g)])) > 0
+        assert np.max(np.abs(full(u)[:, ~nyquist_free(g)])) > 0
         stands_for_real_field(u)
         got = nonlinear_term(u)
         stands_for_real_field(got)
         # the oracle's Nyquist derivatives leave a non-Hermitian part that no
         # real field has, so compare the real fields
-        expect = samples_oracle(nonlinear_oracle(_full(u.coeffs), g), g)
+        expect = samples_oracle(nonlinear_oracle(full(u), g), g)
         assert_close(to_physical(got).values, expect)
 
     def test_two_transforms_per_evaluation(self, grid, monkeypatch):
@@ -478,7 +489,7 @@ class TestEvolveLinear:
         u0 = full_band(grid, 10, ncomp=grid.dim)
         u1 = full_band(grid, 11, ncomp=grid.dim)
         got = evolve_linear(u0, u1, params, 0.3, damping=damping)
-        c0, c1 = _full(u0.coeffs), _full(u1.coeffs)
+        c0, c1 = full(u0), full(u1)
         oracle = evolve_linear_oracle(c0, c1, params, grid, 0.3, damping)
         # the full-grid projections split a Nyquist mode differently from the
         # package's, whose wavevector is zero at the Nyquist index; with equal
@@ -492,17 +503,17 @@ class TestEvolveLinear:
                 # the branches' projections leave a Nyquist part that is not
                 # Hermitian; with equal branch tables it cancels
                 assert not np.allclose(expect, real)
-            assert_close(_full(field.coeffs)[:, modes], real[:, modes])
+            assert_close(full(field)[:, modes], real[:, modes])
             stands_for_real_field(field)
 
     def test_dealiased_matches_oracle(self, grid, params, damping):
         rng = np.random.default_rng(12)
         u0, u1 = (dealias(random_band_limited(grid, rng, ncomp=grid.dim)) for _ in range(2))
         got = evolve_linear(u0, u1, params, 0.3, damping=damping)
-        c0, c1 = _full(u0.coeffs), _full(u1.coeffs)
+        c0, c1 = full(u0), full(u1)
         oracle = evolve_linear_oracle(c0, c1, params, grid, 0.3, damping)
         for field, expect in zip((got.u, got.u_t), oracle):
-            assert_close(_full(field.coeffs), expect)
+            assert_close(full(field), expect)
 
 
 FRONT_GRIDS = {"": GridSpec(2, 128), "full-": GridSpec(2, 128, dealias_fraction=1.0), "3d-": GridSpec(3, 64)}
@@ -725,7 +736,7 @@ class TestStepper:
     def test_five_steps_match_oracle(self, grid, params, scheme):
         u0, u1 = stepper_data(grid, params, 14)
         cfg = StepperConfig(dt=0.01, t_end=0.05)
-        expect = (_full(u0.coeffs), None if u1 is None else _full(u1.coeffs))
+        expect = (full(u0), None if u1 is None else full(u1))
         got = SolverState(u0, u1, 0.0)
         for _ in range(5):
             expect = step_oracle(*expect, params, cfg.dt, grid, scheme)
@@ -733,9 +744,9 @@ class TestStepper:
         res = solvers.run_simulation(u0, u1, params, cfg)
         for state in (got, res.final):
             assert state.time == pytest.approx(0.05)
-            assert_close(_full(state.u.coeffs), expect[0])
+            assert_close(full(state.u), expect[0])
             if params.is_hyperbolic:
-                assert_close(_full(state.u_t.coeffs), expect[1])
+                assert_close(full(state.u_t), expect[1])
             else:
                 assert state.u_t is None
 
@@ -769,8 +780,8 @@ class TestStepperCounts:
             return full(half)
 
         monkeypatch.setattr(spectral, "_full", counting)
-        # the states are half spectra: neither the loop nor a probe that reads
-        # them completes one
+        # the states are dealias boxes: neither the loop nor a probe that
+        # reads them completes one
         quiet = solvers.run_simulation(u0, u1, params, cfg, probes={"n": lambda st: len(calls)})
         assert quiet.probes["n"] == [0, 0, 0, 0]
         reads = {"n": lambda st: len(calls), "l2": lambda st: sobolev_norm(st.u, 0.0)}
@@ -846,7 +857,7 @@ class TestDivergenceForm:
         state = SolverState(u0, u1, 0.0)
         cfg = StepperConfig(dt=0.01, t_end=0.03)
         for _ in range(4):
-            u = spectral._to_box(state.u.coeffs, grid)
+            u = state.u.coeffs  # the dealias box
             ws = solvers._workspace(grid)
             assert_close(solvers._forcing(u, ws, params, True), general_forcing(u, grid))
             state = solvers.step(state, params, cfg)
@@ -970,10 +981,11 @@ def unbox_tables(tables, grid):
 
     A hyperbolic branch comes back as the flat tuple (A, B, A', B', J0u, J0v, Ku, Kv).
     """
+    half = grid.n_per_axis // 2
     if len(tables) == 3:  # NS: (E, J0, K)
-        return tuple(spectral._from_box(t, grid) for t in tables)
+        return tuple(spectral._resize(t, grid, half) for t in tables)
     P, Q = (
-        tuple(spectral._from_box(branch[r][o, 0], grid) for r, o in BRANCH_ENTRIES)
+        tuple(spectral._resize(branch[r][o, 0], grid, half) for r, o in BRANCH_ENTRIES)
         for branch in tables
     )
     return P, (P if tables[1] is tables[0] else Q)
@@ -1045,16 +1057,18 @@ def workspace_data(grid, params, seed):
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
 class TestWorkspaceStep:
     def test_five_steps_equal_allocating_step(self, grid, params, fraction):
+        # the oracle steps half spectra; the stepper's states are its boxes, to the bit
         g = GridSpec(grid.dim, grid.n_per_axis, dealias_fraction=fraction)
         u0, u1 = workspace_data(g, params, 23)
         cfg = StepperConfig(dt=0.002, t_end=0.01)
-        expect = (u0.coeffs, None if u1 is None else u1.coeffs)
+        expect = (lift(u0), None if u1 is None else lift(u1))
         state = SolverState(u0, u1, 0.0)
         for _ in range(5):
             expect = allocating_step_oracle(*expect, params, cfg.dt, g)
             state = solvers.step(state, params, cfg)
             for got, want in zip(coefficients(state), expect):
-                assert np.array_equal(got, want)
+                assert got.shape == (g.dim, *g.box_shape)
+                assert np.array_equal(got, spectral._resize(want, g, g.dealias_cut))
 
     def test_returned_states_are_values(self, grid, params, fraction):
         g = GridSpec(grid.dim, grid.n_per_axis, dealias_fraction=fraction)
@@ -1131,7 +1145,7 @@ def test_box_resident_run_equals_step_loop(grid, params, every):
 @pytest.mark.parametrize("params", STEP_PARAMS, ids=STEP_IDS)
 def test_probe_stepping_on_the_grid_leaves_the_run_alone(params):
     # the run keeps its box state in the grid's workspace, where `step` and
-    # a nested run gather theirs; it resumes from each recorded state
+    # a nested run put theirs; it resumes from each recorded state
     grid = GRIDS[0]
     u0, u1 = stepper_data(grid, params, 26)
     other = SolverState(*stepper_data(grid, params, 27), 0.0)
@@ -1188,16 +1202,16 @@ def test_box_transforms_equal_numpy(grid, fraction):
     g = fraction_grid(grid, fraction)
     axes = tuple(range(1, g.dim + 1))
     rng = np.random.default_rng(40)
+    n, cut = g.n_per_axis, g.dealias_cut
     for ncomp in (1, g.dim + 1, g.dim * (g.dim + 3) // 2):
         shape = (ncomp, *g.spectral_shape)
         half = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * spectral.dealias_mask(g)
-        box = spectral._to_box(half, g)
+        box = spectral._resize(half, g, cut)
         assert box.shape == (ncomp, *g.box_shape)
-        assert np.array_equal(spectral._from_box(box, g), half)
+        assert np.array_equal(spectral._resize(box, g, n // 2), half)
         values = rng.normal(size=(ncomp, *g.shape))
         inverse = np.fft.irfftn(half, s=g.shape, axes=axes, norm="forward")
-        forward = spectral._to_box(np.fft.rfftn(values, axes=axes, norm="forward"), g)
-        n, cut = g.n_per_axis, g.dealias_cut
+        forward = spectral._resize(np.fft.rfftn(values, axes=axes, norm="forward"), g, cut)
         scratch = [spectral._pass_scratch(ncomp, g.dim, n, cut, inv) for inv in (True, False)]
         nan_work = [np.full(size, np.nan + 0j) for size in scratch]
         for inverse_work, forward_work in [(None, None), nan_work]:
@@ -1217,8 +1231,10 @@ class TestBoxStep:
         state = SolverState(u0, u1, 0.0)
         for _ in range(3):
             state = solvers.step(state, params, cfg)
-            for c in coefficients(state):
-                assert not np.ascontiguousarray(c[:, outside]).view(np.uint64).any()  # +0.0 to the bit
+            for F in (state.u, state.u_t):
+                if F is not None:
+                    assert F.coeffs.shape == (g.dim, *g.box_shape)
+                    assert not np.ascontiguousarray(lift(F)[:, outside]).view(np.uint64).any()  # +0.0 to the bit
 
     def test_content_outside_the_box_is_dropped(self, grid, params, fraction):
         # a step reads only the box, so a state steps exactly like its dealias
@@ -1227,12 +1243,12 @@ class TestBoxStep:
         outside = ~spectral.dealias_mask(g)
 
         def noisy(F, seed):
-            return SpectralField(g, F.coeffs + full_band(g, seed, ncomp=g.dim).coeffs * outside)
+            return SpectralField(g, lift(F) + full_band(g, seed, ncomp=g.dim).coeffs * outside)
 
         state = SolverState(noisy(u0, 43), None if u1 is None else noisy(u1, 44), 0.0)
         clean = SolverState(dealias(state.u), None if u1 is None else dealias(state.u_t), 0.0)
         if fraction < 1:
-            assert not np.array_equal(state.u.coeffs, clean.u.coeffs)
+            assert not np.array_equal(state.u.coeffs, lift(clean.u))
         cfg = StepperConfig(dt=0.002, t_end=0.002)
         got, want = (coefficients(solvers.step(st, params, cfg)) for st in (state, clean))
         assert len(got) == len(want)
@@ -1397,7 +1413,7 @@ def test_random_band_limited_matches_full_spectrum(grid, kwargs):
     rng, rng_oracle = np.random.default_rng(8), np.random.default_rng(8)
     got = random_band_limited(grid, rng, ncomp=grid.dim, **kwargs)
     want = random_band_limited_oracle(grid, rng_oracle, ncomp=grid.dim, **kwargs)
-    assert_close(_full(got.coeffs), want)
+    assert_close(full(got), want)
     assert rng.random() == rng_oracle.random()  # the same draws
 
 
@@ -1421,7 +1437,7 @@ def test_padded_half_of_hermitian_full_band(grid):
     v = full_band(grid, 5, ncomp=grid.dim)
     for F, G in [(f, v), (v, v), (f, f)]:
         got = _full(_padded_half(F.coeffs, G.coeffs, grid))
-        assert_close(got, padded_product_oracle(_full(F.coeffs), _full(G.coeffs), grid))
+        assert_close(got, padded_product_oracle(full(F), full(G), grid))
 
 
 @pytest.mark.parametrize("name", INEQUALITY_NAMES)

@@ -39,7 +39,7 @@ def partial_sum(D, p):
 
 def sobolev_inner(F, G, sigma=0.0):
     """Real L2-type inner product with |k|^(2 sigma) weight."""
-    w = _sobolev_weight(F.grid, sigma)
+    w = _sobolev_weight(F.grid, sigma, F.cut)
     total = float(np.sum(w * np.sum((np.conj(F.coeffs) * G.coeffs).real, axis=0)))
     return F.grid.domain_length**F.grid.dim * total
 

@@ -1,4 +1,6 @@
-"""Spectral-core contracts: transforms, multipliers, projections, dealiasing, I/O."""
+"""Spectral-core contracts: transforms, multipliers, projections, dealiasing, extents, I/O."""
+
+import operator
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hnslab.spectral import (
     SingularMultiplierError,
     SpectralField,
     _full,
+    _resize,
     dealias,
     divergence,
     gradient,
@@ -34,6 +37,25 @@ def spectral_product(F, G):
     """Collocation (grid) product of two fields, dealiased with the 2/3 mask."""
     vals = to_physical(F).values * to_physical(G).values
     return dealias(to_spectral(PhysicalField(F.grid, vals)))
+
+
+def lifted(F):
+    """F on the whole half spectrum, extent n/2."""
+    return SpectralField(F.grid, _resize(F.coeffs, F.grid, F.grid.n_per_axis // 2), F.is_mean_zero)
+
+
+# the dealias box and the whole half spectrum, and a grid whose box is the half spectrum
+PARITY_GRIDS = [
+    GridSpec(2, 64),
+    GridSpec(2, 64, dealias_fraction=1.0),
+    GridSpec(3, 32),
+    GridSpec(3, 32, dealias_fraction=1.0),
+]
+PARITY_IDS = ["2d64", "2d64-nodealias", "3d32", "3d32-nodealias"]
+
+
+def assert_parity(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestGridSpec:
@@ -234,7 +256,8 @@ class TestDealias:
     def test_band_limited_unchanged(self, grid2d):
         F = single_mode(grid2d, (3, 2))
         out = dealias(F)
-        assert np.max(np.abs(out.coeffs - F.coeffs)) == 0.0
+        assert out.coeffs.shape == (1, *grid2d.box_shape)
+        assert np.max(np.abs((out - F).coeffs)) == 0.0
 
     def test_supercutoff_zeroed(self, grid2d):
         # cutoff index is floor(2/3 * 16) = 10
@@ -262,6 +285,56 @@ class TestDealias:
         got = spectral_product(u, v)
         want = dealias(padded_product(u, v))
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13
+
+
+class TestExtents:
+    @pytest.mark.parametrize(
+        "shape",
+        [(2, 85, 40), (2, 85, 44), (2, 127, 65), (2, 128, 66), (2, 43, 85), (2, 85, 0), (3, 85, 43), (2, 85, 43, 1)],
+    )
+    def test_shape_that_is_no_box_rejected(self, shape):
+        with pytest.raises(InvalidFieldError):
+            SpectralField(GridSpec(2, 128), np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(2, 85, 43), (2, 128, 65), (1, 1, 1), (85, 43)])
+    def test_every_box_accepted(self, shape):
+        F = SpectralField(GridSpec(2, 128), np.ones(shape, dtype=complex))
+        assert F.cut == shape[-1] - 1 and F.coeffs.ndim == 3
+
+    def test_mixed_extents_equal_half_spectrum_result(self, grid2d, rng):
+        G = random_band_limited(grid2d, rng, ncomp=2)
+        F = dealias(random_band_limited(grid2d, rng, ncomp=2))
+        H = SpectralField(grid2d, _resize(G.coeffs, grid2d, 3))
+        for a, b in [(F, G), (G, F), (F, H), (H, F)]:
+            for op in (operator.add, operator.sub):
+                got = op(a, b)
+                assert got.cut == max(a.cut, b.cut)
+                assert np.array_equal(lifted(got).coeffs, op(lifted(a).coeffs, lifted(b).coeffs))
+
+
+@pytest.mark.parametrize("grid", PARITY_GRIDS, ids=PARITY_IDS)
+def test_operators_on_the_box_equal_half_spectrum(grid):
+    # the same field on its dealias box and on the half spectrum: every norm
+    # and operator agrees, each on its own extent
+    box = dealias(random_band_limited(grid, np.random.default_rng(50), ncomp=grid.dim, kmax=grid.n_per_axis))
+    half = lifted(box)
+    assert box.coeffs.shape == (grid.dim, *grid.box_shape) and half.cut == grid.n_per_axis // 2
+    for sigma in (-0.5, 0.0, 0.5, 1.5):
+        want = sobolev_norm(half, sigma)
+        assert abs(sobolev_norm(box, sigma) - want) <= 1e-13 * want
+    ops = [
+        divergence,
+        lambda F: helmholtz_project(F, "P"),
+        lambda F: helmholtz_project(F, "Q"),
+        laplacian,
+        lambda F: lambda_power(F, 0.5),
+        lambda F: lambda_power(F, -1.0),
+    ]
+    for op in ops:
+        got = op(box)
+        assert got.cut == box.cut
+        assert_parity(lifted(got).coeffs, op(half).coeffs)
+    assert_parity(to_physical(box).values, to_physical(half).values)
 
 
 class TestLpNorms:
@@ -307,6 +380,15 @@ class TestSnapshotIO:
         new = tmp_path / "new.hnsf"
         write_snapshot(new, F, time=0.75)
         assert new.read_bytes() == old.read_bytes()
+
+    def test_box_writes_the_bytes_of_its_half_spectrum(self, grid2d, rng, tmp_path):
+        box = dealias(random_band_limited(grid2d, rng, ncomp=2))
+        write_snapshot(tmp_path / "box.hnsf", box, 0.5)
+        write_snapshot(tmp_path / "half.hnsf", lifted(box), 0.5)
+        assert (tmp_path / "box.hnsf").read_bytes() == (tmp_path / "half.hnsf").read_bytes()
+        back, t = read_snapshot(tmp_path / "box.hnsf")
+        assert t == 0.5 and back.cut == grid2d.n_per_axis // 2
+        assert sobolev_norm(back - box, 0.0) <= 1e-14 * sobolev_norm(box, 0.0)
 
     def test_physical_round_trip(self, grid2d, rng, tmp_path):
         f = PhysicalField(grid2d, rng.normal(size=(2, *grid2d.shape)))
