@@ -183,6 +183,7 @@ class RunManifest:
     status: str = "ok"
     runtime_seconds: float = 0.0
     blowup_time: float | None = None
+    error: str | None = None  # "Type: message" of the exception that failed the run
     steps: int | None = None  # time steps taken by `simulate`, the one that blew up included
     peak_rss_mb: float | None = None
     minor_page_faults: int | None = None
@@ -497,6 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     started = time.time()
+    manifest = None  # exists once the run directory does
     try:
         cfg = load_config(args.config, args.overrides)
         if args.workers is not None:
@@ -536,14 +538,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
-        try:
+        if manifest is not None:
             manifest.blowup_time = exc.time
             manifest.finish("blowup", started, os.path.join(outdir, "manifest.json"))
-        except Exception:
-            pass
         return 3
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if manifest is not None:
+            manifest.error = f"{type(exc).__name__}: {exc}"
+            manifest.finish("error", started, os.path.join(outdir, "manifest.json"))
         return 4
 
 

@@ -12,7 +12,9 @@ constants; they cannot certify sharp analytic constants.  The sampler, the
 ratio generators and the C3 loop of `estimate_constants` work on coefficient
 arrays: a sample is drawn by `_random_half`, its products are `_padded_half`
 and its norms `_norm` or quadratures of one inverse transform, and no
-`SpectralField` is built per sample.
+`SpectralField` is built per sample.  The samples live on the dealias box,
+the random draws' support, and each generator reads its tables at its
+sample's extent.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from .spectral import (
     GridSpec,
     SpectralField,
+    _box_shape,
     _derivatives,
     _index_magnitude,
     _irfft,
@@ -33,9 +36,9 @@ from .spectral import (
     _norm,
     _padded_half,
     _random_half,
+    _resize,
     _rfft,
     _sample_norm,
-    dealias_mask,
     gaussian_bump,
     padded_product,
     sobolev_norm,
@@ -80,7 +83,7 @@ class DyadicDecomposition:
 
 
 @lru_cache(maxsize=64)
-def _annulus_masks(grid: GridSpec, cut: int | None = None) -> tuple[np.ndarray, ...]:
+def _annulus_masks(grid: GridSpec, cut: int) -> tuple[np.ndarray, ...]:
     """Sharp block masks on the box of extent cut, one per dyadic block of the whole grid."""
     m = _index_magnitude(grid, cut)
     p_max = int(np.floor(np.log2(np.max(_index_magnitude(grid)))))
@@ -146,8 +149,7 @@ def paraproduct_split(u: SpectralField, v: SpectralField) -> tuple[SpectralField
     grid = u.grid
     ncomp = max(u.ncomp, v.ncomp)
 
-    mean_u = SpectralField(grid, u.coeffs - u.remove_mean().coeffs)
-    mean_v = SpectralField(grid, v.coeffs - v.remove_mean().coeffs)
+    mean_u, mean_v = (SpectralField(grid, _resize(X.coeffs, grid, 0)) for X in (u, v))
 
     # cumulative partial sums, built once; S_p includes the mean part
     lows_v = {}
@@ -174,10 +176,7 @@ def paraproduct_split(u: SpectralField, v: SpectralField) -> tuple[SpectralField
         if np.any(blk.coeffs) and np.any(low.coeffs):
             half2 = half2 + padded_product(blk, low)
     # mean-times-mean has no block home; add it to half1
-    mm = np.zeros((ncomp, *grid.spectral_shape), dtype=np.complex128)
-    zero = (slice(None),) + (0,) * grid.dim
-    mm[zero] = mean_u.coeffs[zero] * mean_v.coeffs[zero]
-    half1 = half1 + SpectralField(grid, mm)
+    half1 = half1 + SpectralField(grid, mean_u.coeffs * mean_v.coeffs)
     return half1, half2
 
 
@@ -226,44 +225,43 @@ def _probe_fields(grid: GridSpec, ncomp: int) -> list[np.ndarray]:
 
     Gaussians of a few widths are near-optimizers of the Gagliardo-Nirenberg
     family; including them pins the empirical maxima so reported constants are
-    reproducible across seeds.  The two single modes sin(k x_0) sit on the
-    plane j = 0 of the last axis, where the half spectrum holds both k and -k.
+    reproducible across seeds; one pruned forward transform gives each one's
+    dealias box.  The two single modes sin(k x_0), on the dealias box if it
+    holds them, sit on the plane j = 0 of the last axis, which holds k and -k.
     """
     L = grid.domain_length
-    n = grid.n_per_axis
     mean = (slice(None), *(0,) * grid.dim)
     probes = []
     for frac in (8.0, 16.0, 32.0):
-        bump = _rfft(gaussian_bump(grid, sigma=L / frac).values)
+        bump = _rfft(gaussian_bump(grid, sigma=L / frac).values, grid.dealias_cut)
         bump[mean] = 0.0
-        bump *= dealias_mask(grid)
         probes.append(np.concatenate([bump] * ncomp))
     for kidx in (1, 2):
-        mode = np.zeros((ncomp, *grid.spectral_shape), dtype=np.complex128)
+        box = _box_shape(grid.n_per_axis, grid.dim, max(kidx, grid.dealias_cut))
+        mode = np.zeros((ncomp, *box), dtype=np.complex128)
         rest = (0,) * (grid.dim - 1)
         mode[(0, kidx, *rest)] = 1.0 / 2j
-        mode[(0, n - kidx, *rest)] = -1.0 / 2j
+        mode[(0, -kidx, *rest)] = -1.0 / 2j
         probes.append(mode)
     return probes
 
 
 def _sample_stream(grid, rng, trials, ncomp=1, divergence_free=False):
-    """Coefficients of the probes, then of dealiased `random_band_limited` draws."""
+    """Coefficients of the probes, then of `random_band_limited` draws on the dealias box."""
     probes = [] if divergence_free else _probe_fields(grid, ncomp)
     for t in range(trials):
         if t < len(probes):
             yield probes[t]
         else:
             decay = rng.uniform(0.6, 3.0)
-            f = _random_half(grid, rng, ncomp=ncomp, decay=decay, divergence_free=divergence_free)
-            yield f * dealias_mask(grid)
+            yield _random_half(grid, rng, ncomp=ncomp, decay=decay, divergence_free=divergence_free)
 
 
 def _ratio_div_lp(grid, rng, trials, delta, divergence_free=False, **_):
     sigma_hi = grid.dim / 2.0 + delta
     sigma_lo = sigma_hi - 1.0
-    ik = _derivatives(grid)
     for u in _sample_stream(grid, rng, trials, ncomp=grid.dim, divergence_free=divergence_free):
+        ik = _derivatives(grid, u.shape[-1] - 1)
         div_u = ik[0] * u[0]
         for i in range(1, grid.dim):
             div_u += ik[i] * u[i]
@@ -275,7 +273,7 @@ def _ratio_div_lp(grid, rng, trials, delta, divergence_free=False, **_):
 
 def _ratio_ladyzhenskaya(grid, rng, trials, **_):
     for f in _sample_stream(grid, rng, trials, ncomp=1):
-        samples = _irfft(f)
+        samples = _irfft(f, grid.n_per_axis)
         lhs = _sample_norm(samples, grid, 4) ** 2
         rhs = _sample_norm(samples, grid, 2) * _norm(f, grid, 1.0)
         yield lhs, rhs
@@ -292,9 +290,8 @@ def _ratio_besov_interp(grid, rng, trials, delta=0.5, **_):
 
 
 def _ratio_tame(grid, rng, trials, s=1.5, **_):
-    mask = dealias_mask(grid)
     for f in _sample_stream(grid, rng, trials, ncomp=1):
-        g = _random_half(grid, rng, ncomp=1, decay=rng.uniform(0.6, 3.0)) * mask
+        g = _random_half(grid, rng, ncomp=1, decay=rng.uniform(0.6, 3.0))
         lhs = _norm(_padded_half(f, g, grid), grid, s)
         rhs = _linf(f, grid) * _norm(g, grid, s)
         rhs += _norm(f, grid, s) * _linf(g, grid)
@@ -303,10 +300,9 @@ def _ratio_tame(grid, rng, trials, s=1.5, **_):
 
 def _ratio_bernstein(grid, rng, trials, **_):
     k0 = grid.k_fundamental
-    masks = _annulus_masks(grid)
     for f in _sample_stream(grid, rng, trials, ncomp=1):
         best = 0.0
-        for q, mask in enumerate(masks):
+        for q, mask in enumerate(_annulus_masks(grid, f.shape[-1] - 1)):
             blk = f * mask
             l2 = _norm(blk, grid, 0.0)
             if l2 <= _RHS_FLOOR:
@@ -319,15 +315,15 @@ def _ratio_bernstein(grid, rng, trials, **_):
 
 def _ratio_l3_embedding(grid, rng, trials, **_):
     for f in _sample_stream(grid, rng, trials, ncomp=1):
-        lhs = _sample_norm(_irfft(f), grid, 3)
+        lhs = _sample_norm(_irfft(f, grid.n_per_axis), grid, 3)
         rhs = _norm(f, grid, 0.5)
         yield lhs, rhs
 
 
 def _ratio_nonlinear(grid, rng, trials, delta=0.5, **_):
     """2D nonlinearity bound |(u.grad)u|_{H^delta} <= C3 |u|_inf |u|_{H^(1+delta)}."""
-    ik = _derivatives(grid)
     for u in _sample_stream(grid, rng, trials, ncomp=grid.dim):
+        ik = _derivatives(grid, u.shape[-1] - 1)
         conv = _padded_half(u[:1], ik[0] * u, grid)
         for i in range(1, grid.dim):
             conv += _padded_half(u[i : i + 1], ik[i] * u, grid)

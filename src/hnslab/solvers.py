@@ -466,7 +466,7 @@ def _mode_functions(t: float, eps: float, gamma: float, c2k2: np.ndarray, a_only
     return A, B, Ap, Bp
 
 
-def _branch_c2k2(params: ModelParams, grid: GridSpec, branch: str, cut: int | None = None) -> np.ndarray:
+def _branch_c2k2(params: ModelParams, grid: GridSpec, branch: str, cut: int) -> np.ndarray:
     """c^2 k^2 of a Helmholtz branch on the box of extent cut: speed c2 on P; on Q, c1 if penalized, else c2."""
     c = params.c1 if branch == "Q" and params.model is Model.HNS_EPS_ALPHA else params.c2
     return c * c * k_squared(grid, cut)
@@ -478,8 +478,8 @@ def _propagator(
     t: float,
     damping: bool,
     branch: str,
+    cut: int,
     a_only: bool = False,
-    cut: int | None = None,
 ):
     """The per-mode propagator table (A, B, A', B') at t of one Helmholtz branch, on the box of extent cut.
 

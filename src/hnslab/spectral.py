@@ -13,10 +13,13 @@ order; a leading axis is whole when 2 cut + 1 >= n, so the box of extent n/2
 is the whole half spectrum.  A field's extent is read from its shape, and
 the field is zero outside its box.  The 2/3 rule keeps the dealias box, of
 extent `grid.dealias_cut` and shape `grid.box_shape`, and `dealias` returns
-a field there.  `to_spectral`, `read_snapshot`, `random_band_limited`,
-`single_mode` and `SpectralField.zeros` give extent n/2.  Where fields of
-two extents meet the result takes the larger one; `_resize` gathers a box
-from a larger one or scatters it into a larger one, zero outside.
+a field there.  `to_spectral` and `read_snapshot` give extent n/2, their
+data being full band; every other constructor gives the smallest box that
+holds its field: `SpectralField.zeros` extent 0 (the mean alone),
+`random_band_limited` min(kmax, n/2), `single_mode` min(max |index|, n/2).
+Where fields of two extents meet the result takes the larger one; `_resize`
+gathers a box from a larger one or scatters it into a larger one, zero
+outside.
 
 All differential operators are exact diagonal multipliers, and every
 operator and norm exists once, reading its table (index vectors, odd
@@ -42,16 +45,18 @@ Full coefficient arrays appear only at the edges: `_full` completes a half
 spectrum to its exactly Hermitian full array and `_half` takes the half
 spectrum of a full array's Hermitian part.  `write_snapshot` writes the full
 array of a field lifted to extent n/2 and `read_snapshot` keeps its half
-spectrum, so the HNSF layout (version 1) is unchanged; `random_band_limited`
-draws its normals on the full grid, so every seeded sample is what it was.
+spectrum, so the HNSF layout (version 1) is unchanged.  `single_mode` and
+`random_band_limited` gather their box from the `_half` of a full array;
+the latter draws its normals on the full grid, so seeded samples are kept.
 
 The private array helpers carry the hot paths that build no field:
 `_random_half` draws `random_band_limited`'s samples, `_padded_half` forms
-`padded_product` from one padded inverse transform per factor and one
-forward transform of the product, `_irrotational` is the Q projection and
-`_norm` is `sobolev_norm`.  `_rfft`, `_irfft`, `_irrotational` and `_resize`
-take an `out=` array, so the stepper's workspace (see `solvers`) receives
-their results without a fresh allocation.
+`padded_product` from one padded inverse transform per factor, read from
+its own box, and one forward transform of the product, `_irrotational` is
+the Q projection and `_norm` is `sobolev_norm`.  `_rfft`, `_irfft`,
+`_irrotational` and `_resize` take an `out=` array, so the stepper's
+workspace (see `solvers`) receives their results without a fresh
+allocation.
 
 Conventions baked in here and relied on everywhere else:
 
@@ -192,7 +197,7 @@ class GridSpec:
 
 
 # ---------------------------------------------------------------------------
-# multiplier tables, on the box of a given extent (the half grid by default)
+# multiplier tables, each on the box of a given extent
 # ---------------------------------------------------------------------------
 
 
@@ -228,20 +233,20 @@ def wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
     return tuple(grid.k_fundamental * j for j in _index_vectors(grid))
 
 
-def _odd_indices(grid: GridSpec, cut: int | None) -> tuple[np.ndarray, ...]:
+def _odd_indices(grid: GridSpec, cut: int) -> tuple[np.ndarray, ...]:
     """`_index_vectors` with 0 in place of the Nyquist index -n/2 (present only at extent n/2)."""
     nyquist = -(grid.n_per_axis // 2)
     return tuple(np.where(j == nyquist, 0.0, j) for j in _index_vectors(grid, cut))
 
 
 @lru_cache(maxsize=32)
-def _odd_wavenumbers(grid: GridSpec, cut: int | None = None) -> tuple[np.ndarray, ...]:
+def _odd_wavenumbers(grid: GridSpec, cut: int) -> tuple[np.ndarray, ...]:
     """`wavenumbers` with 0 at each axis's Nyquist index, on the box of extent cut: the odd multipliers' wavevector."""
     return tuple(grid.k_fundamental * j for j in _odd_indices(grid, cut))
 
 
 @lru_cache(maxsize=32)
-def _derivatives(grid: GridSpec, cut: int | None = None) -> tuple[np.ndarray, ...]:
+def _derivatives(grid: GridSpec, cut: int) -> tuple[np.ndarray, ...]:
     """Multipliers i k_axis of d/dx_axis on the box of extent cut, zero at the Nyquist index.
 
     There the modes j and -j share one coefficient, so i k X of a real
@@ -252,12 +257,12 @@ def _derivatives(grid: GridSpec, cut: int | None = None) -> tuple[np.ndarray, ..
 
 
 @lru_cache(maxsize=32)
-def k_squared(grid: GridSpec, cut: int | None = None) -> np.ndarray:
+def k_squared(grid: GridSpec, cut: int) -> np.ndarray:
     return (grid.k_fundamental * _index_magnitude(grid, cut)) ** 2
 
 
 @lru_cache(maxsize=32)
-def _inv_k_squared(grid: GridSpec, cut: int | None = None) -> np.ndarray:
+def _inv_k_squared(grid: GridSpec, cut: int) -> np.ndarray:
     """1/|k|^2 of the odd multipliers' wavevector, 0 where it vanishes (read-only: shared).
 
     Built from the integer indices as `k_squared` is, so off the Nyquist
@@ -271,17 +276,8 @@ def _inv_k_squared(grid: GridSpec, cut: int | None = None) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def k_abs(grid: GridSpec, cut: int | None = None) -> np.ndarray:
+def k_abs(grid: GridSpec, cut: int) -> np.ndarray:
     return grid.k_fundamental * _index_magnitude(grid, cut)
-
-
-@lru_cache(maxsize=32)
-def dealias_mask(grid: GridSpec) -> np.ndarray:
-    """Boolean mask keeping modes with |k_j| <= dealias_fraction * k_max on every axis."""
-    mask = np.ones(grid.spectral_shape, dtype=bool)
-    for j in _index_vectors(grid):
-        mask &= np.abs(j) <= grid.dealias_cut
-    return mask
 
 
 @lru_cache(maxsize=64)
@@ -394,7 +390,8 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: GridSpec, ncomp: int = 1) -> "SpectralField":
-        return cls(grid, np.zeros((ncomp, *grid.spectral_shape), dtype=np.complex128), True)
+        """The zero field on the box of extent 0, the mean mode alone."""
+        return cls(grid, np.zeros((ncomp, *(1,) * grid.dim), dtype=np.complex128), True)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy(), self.is_mean_zero)
@@ -464,11 +461,11 @@ class PhysicalField:
 
 def _rfft(
     values: np.ndarray,
-    cut: int | None = None,
+    cut: int,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Box of extent cut (None: n/2, the whole half spectrum) of the rfftn spectrum of real samples (ncomp, n, ...).
+    """Box of extent cut of the rfftn spectrum of real samples (ncomp, n, ...).
 
     numpy's own passes run in rfftn's order: rfft over the last axis, then
     fft over the leading axes, last to first.  At extent n/2 they run in
@@ -479,7 +476,6 @@ def _rfft(
     `out` numpy allocates nothing.
     """
     ncomp, dim, n = len(values), values.ndim - 1, values.shape[-1]
-    cut = n // 2 if cut is None else cut
     if out is None:
         out = np.empty((ncomp, *_box_shape(n, dim, cut)), dtype=np.complex128)
     prune = 2 * cut + 1 < n
@@ -499,24 +495,22 @@ def _rfft(
 
 def _irfft(
     coeffs: np.ndarray,
-    n: int | None = None,
+    n: int,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Real samples on the n-grid of the field whose box of extent cut = coeffs.shape[-1] - 1 is coeffs.
 
-    n defaults to 2 cut: coeffs is then the whole half spectrum.  numpy's
-    own passes run in irfftn's order: ifft over the leading axes, first to
-    last, then irfft over the last axis of all n/2 + 1 columns, into `out`
-    (fresh if None).  Below extent n/2 each leading axis is padded to n
-    first and only the lines that meet the box are transformed, the columns
-    past the box zero for irfft.  The passes run in `work`, a flat complex
-    scratch of at least `_pass_scratch(ncomp, dim, n, cut, True)` elements
-    or the list of its `_pass_buffers` views (fresh if None); with `work`
-    and `out` numpy allocates nothing.
+    numpy's own passes run in irfftn's order: ifft over the leading axes,
+    first to last, then irfft over the last axis of all n/2 + 1 columns,
+    into `out` (fresh if None).  Below extent n/2 each leading axis is
+    padded to n first and only the lines that meet the box are transformed,
+    the columns past the box zero for irfft.  The passes run in `work`, a
+    flat complex scratch of at least `_pass_scratch(ncomp, dim, n, cut, True)`
+    elements or the list of its `_pass_buffers` views (fresh if None); with
+    `work` and `out` numpy allocates nothing.
     """
     ncomp, dim, cut = len(coeffs), coeffs.ndim - 1, coeffs.shape[-1] - 1
-    n = 2 * cut if n is None else n
     pad = 2 * cut + 1 < n
     passes = work if isinstance(work, list) else _pass_buffers(ncomp, dim, n, cut, True, work)
     x = coeffs
@@ -624,7 +618,7 @@ def to_spectral(f: PhysicalField) -> SpectralField:
     """Forward DFT; coefficients are mode amplitudes (forward normalization)."""
     if not np.all(np.isfinite(f.values)):
         raise InvalidFieldError("physical samples contain non-finite values")
-    return SpectralField(f.grid, _rfft(f.values))
+    return SpectralField(f.grid, _rfft(f.values, f.grid.n_per_axis // 2))
 
 
 def to_physical(F: SpectralField) -> PhysicalField:
@@ -786,14 +780,17 @@ def _padded_samples(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Samples on the 2n grid of the real field ifftn(P).real of the zero-padded coefficients P.
 
     P holds each n-grid mode at the same index and the Nyquist index n/2 at
-    -n/2.  Its Hermitian part (P(K) + conj P(-K))/2 therefore keeps every
+    -n/2.  Below extent n/2 the box c has no Nyquist mode and is P's box on
+    the 2n grid.  At n/2 the Hermitian part (P(K) + conj P(-K))/2 keeps every
     mode |j| < n/2 and halves each Nyquist mode between -n/2 (from P) and
     +n/2 (from conj P(-K)) on the leading axes; the last axis stores only
-    +n/2.  For a half spectrum c, P and conj P(-K) read the same array.  P
-    lies in the 2n grid's box of extent n/2, so the inverse is pruned to it.
+    +n/2, so P and conj P(-K) read the same array.  The inverse is pruned to
+    P's box, of extent n/2 at most.
     """
     n = grid.n_per_axis
     h = n // 2 + 1
+    if c.shape[-1] < h:
+        return _irfft(c, 2 * n)
     big = np.zeros((c.shape[0], *_box_shape(2 * n, grid.dim, n // 2)), dtype=np.complex128)
     for up, last in ((0, slice(0, h - 1)), (1, slice(0, h))):
         for small, large in _lead_blocks(grid, up):
@@ -803,7 +800,7 @@ def _padded_samples(c: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def _padded_half(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Half spectrum of the alias-free truncated product of two half spectra.
+    """Half spectrum of the alias-free truncated product of two boxes.
 
     The factors are zero-padded to the 2n grid (`_padded_samples`),
     multiplied there and transformed once, pruned to the box of extent n/2
@@ -833,13 +830,12 @@ def padded_product(F: SpectralField, G: SpectralField) -> SpectralField:
     Computes the exact product on a double-resolution grid and truncates to
     the original grid's representable modes: the Galerkin-truncated product,
     with no aliasing error for any admissible inputs.  Serves as the oracle
-    against which dealiased collocation products are checked.  The product
-    of two boxes reaches past both, so the factors are lifted to extent n/2
-    and the result has that extent.
+    against which dealiased collocation products are checked.  Each factor
+    is padded from its own box; the product reaches past both, so the
+    result is the whole half spectrum, extent n/2.
     """
     F._check_same_grid(G)
-    a, b = (_resize(X.coeffs, F.grid, F.grid.n_per_axis // 2) for X in (F, G))
-    return SpectralField(F.grid, _padded_half(a, b, F.grid))
+    return SpectralField(F.grid, _padded_half(F.coeffs, G.coeffs, F.grid))
 
 
 def single_mode(
@@ -850,7 +846,7 @@ def single_mode(
     amplitude: float = 1.0,
     phase: str = "sin",
 ) -> SpectralField:
-    """Field amplitude * sin(k.x) or cos(k.x) in one component; k = (2*pi/L)*index."""
+    """Field amplitude * sin(k.x) or cos(k.x) in one component, k = (2*pi/L)*index, on its box."""
     if ncomp is None:
         ncomp = 1
     coeffs = np.zeros((ncomp, *grid.shape), dtype=np.complex128)
@@ -864,7 +860,8 @@ def single_mode(
         coeffs[(component, *neg)] = amplitude / 2
     else:
         raise ValueError("phase must be 'sin' or 'cos'")
-    return SpectralField(grid, _half(coeffs))
+    cut = min(max(abs(i) for i in index), grid.n_per_axis // 2)
+    return SpectralField(grid, _resize(_half(coeffs), grid, cut))
 
 
 def random_band_limited(
@@ -881,10 +878,11 @@ def random_band_limited(
 
     Complex Gaussian coefficients with an isotropic |j|^-decay envelope,
     Hermitian-symmetrized, optionally Leray-projected, and rescaled so the
-    max pointwise magnitude equals `amplitude`.
+    max pointwise magnitude equals `amplitude`.  On its support, the box of
+    extent min(kmax, n/2); kmax defaults to `grid.dealias_cut`.
     """
-    half = _random_half(grid, rng, ncomp, kmin, kmax, decay, amplitude, divergence_free)
-    return SpectralField(grid, half, is_mean_zero=True)
+    box = _random_half(grid, rng, ncomp, kmin, kmax, decay, amplitude, divergence_free)
+    return SpectralField(grid, box, is_mean_zero=True)
 
 
 def _random_half(
@@ -897,9 +895,10 @@ def _random_half(
     amplitude: float = 1.0,
     divergence_free: bool = False,
 ) -> np.ndarray:
-    """Half spectrum of `random_band_limited`, drawn as full-grid normals and halved."""
+    """Box of `random_band_limited`, drawn as full-grid normals, halved and gathered to its support."""
     if kmax is None:
         kmax = grid.dealias_cut
+    cut = max(0, min(int(kmax), grid.n_per_axis // 2))
     m = _index_magnitude(grid)
     m = np.concatenate([m, m[..., -2:0:-1]], axis=-1)  # full grid: |j| is even in j_last
     band = (m >= kmin) & (m <= kmax)
@@ -909,14 +908,14 @@ def _random_half(
     raw = np.empty(shape, dtype=np.complex128)
     raw.real = rng.normal(size=shape)
     raw.imag = rng.normal(size=shape)
-    half = _half(raw * envelope)
-    half[(slice(None), *(0,) * grid.dim)] = 0.0
+    box = _resize(_half(raw * envelope), grid, cut)
+    box[(slice(None), *(0,) * grid.dim)] = 0.0
     if divergence_free:
-        half -= _irrotational(half, grid)
-    peak = _linf(half, grid)
+        box -= _irrotational(box, grid)
+    peak = _linf(box, grid)
     if peak > 0:
-        half *= amplitude / peak
-    return half
+        box *= amplitude / peak
+    return box
 
 
 def _torus_distance_sq(grid: GridSpec, center: tuple[float, ...]) -> np.ndarray:

@@ -405,6 +405,12 @@ class TestOtherCommands:
         args = ["speed-test", "seed=8", "grid.n=128", "model.epsilon=0.1", "model.alpha=0.1", "speed.t_end=10"]
         assert run_cli(args, tmp_path) == 4
         assert "InvalidWindowError: wrap-around detected" in capsys.readouterr().err
+        # the failed run leaves a manifest that says so
+        rundir = next((tmp_path / "runs").iterdir())
+        manifest = json.loads((rundir / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("InvalidWindowError: wrap-around detected")
+        assert manifest["outputs"] == []
 
     def test_gates(self, tmp_path):
         args = [

@@ -61,6 +61,8 @@ from hnslab.spectral import (
     to_spectral,
 )
 
+from test_spectral import PARITY_GRIDS, PARITY_IDS
+
 RTOL = 1e-12
 GRIDS = [GridSpec(2, 16), GridSpec(3, 8)]
 GRID_IDS = ["2d16", "3d8"]
@@ -114,12 +116,21 @@ def full_k_squared(grid):
     return (grid.k_fundamental * full_index_magnitude(grid)) ** 2
 
 
-def full_dealias(c, grid):
+def full_dealias_mask(grid):
     cut = np.floor(grid.dealias_fraction * (grid.n_per_axis // 2))
     mask = np.ones(grid.shape, dtype=bool)
     for j in full_index_vectors(grid):
         mask &= np.abs(j) <= cut
-    return c * mask
+    return mask
+
+
+def full_dealias(c, grid):
+    return c * full_dealias_mask(grid)
+
+
+def dealias_mask(grid):
+    """The dealias box as a mask on the half spectrum."""
+    return full_dealias_mask(grid)[..., : grid.n_per_axis // 2 + 1]
 
 
 def nyquist_free(grid):
@@ -404,11 +415,11 @@ def test_whole_inverse_into_out_allocates_nothing():
     half = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     out = np.empty((4, 16, 16, 16))
     work = np.empty(spectral._pass_scratch(4, 3, 16, 8, True), dtype=np.complex128)
-    spectral._irfft(half, out=out, work=work)  # builds the cached pass shapes
+    spectral._irfft(half, 16, out=out, work=work)  # builds the cached pass shapes
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        spectral._irfft(half, out=out, work=work)
+        spectral._irfft(half, 16, out=out, work=work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -935,18 +946,19 @@ def test_forcing_transform_batches(grid, params, fraction, solenoidal, monkeypat
 
 def irrotational_oracle(x, grid):
     """The allocating Q projection k (k.x)/|k|^2 on the half spectrum."""
-    ks = spectral._odd_wavenumbers(grid)
+    half = grid.n_per_axis // 2
+    ks = spectral._odd_wavenumbers(grid, half)
     kdot = ks[0] * x[0]
     for i in range(1, grid.dim):
         kdot += ks[i] * x[i]
-    kdot *= spectral._inv_k_squared(grid)
+    kdot *= spectral._inv_k_squared(grid, half)
     return np.stack([k * kdot for k in ks])
 
 
 def nonlinear_half_oracle(u, grid, solenoidal):
     """The allocating half-spectrum nonlinear term, one expression per intermediate."""
     dim = grid.dim
-    ik = spectral._derivatives(grid)
+    ik = spectral._derivatives(grid, grid.n_per_axis // 2)
     rows, cols, pair = solvers._product_pairs(dim)
     npairs = rows.size
     inverse = functools.partial(np.fft.irfftn, s=grid.shape, axes=axes(grid), norm="forward")
@@ -968,7 +980,7 @@ def nonlinear_half_oracle(u, grid, solenoidal):
     for j in range(dim):
         for i in range(dim):
             out[j] -= ik[i] * prods[pair[i, j]]
-    out *= spectral.dealias_mask(grid)
+    out *= dealias_mask(grid)
     return out
 
 
@@ -1205,7 +1217,7 @@ def test_box_transforms_equal_numpy(grid, fraction):
     n, cut = g.n_per_axis, g.dealias_cut
     for ncomp in (1, g.dim + 1, g.dim * (g.dim + 3) // 2):
         shape = (ncomp, *g.spectral_shape)
-        half = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * spectral.dealias_mask(g)
+        half = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * dealias_mask(g)
         box = spectral._resize(half, g, cut)
         assert box.shape == (ncomp, *g.box_shape)
         assert np.array_equal(spectral._resize(box, g, n // 2), half)
@@ -1227,7 +1239,7 @@ class TestBoxStep:
         g = fraction_grid(grid, fraction)
         u0, u1 = workspace_data(g, params, 41)
         cfg = StepperConfig(dt=0.002, t_end=0.006)
-        outside = ~spectral.dealias_mask(g)
+        outside = ~dealias_mask(g)
         state = SolverState(u0, u1, 0.0)
         for _ in range(3):
             state = solvers.step(state, params, cfg)
@@ -1240,7 +1252,7 @@ class TestBoxStep:
         # a step reads only the box, so a state steps exactly like its dealias
         g = fraction_grid(grid, fraction)
         u0, u1 = workspace_data(g, params, 42)
-        outside = ~spectral.dealias_mask(g)
+        outside = ~dealias_mask(g)
 
         def noisy(F, seed):
             return SpectralField(g, lift(F) + full_band(g, seed, ncomp=g.dim).coeffs * outside)
@@ -1306,6 +1318,60 @@ def sample_stream_oracle(grid, rng, trials, ncomp=1, divergence_free=False):
                 grid, rng, ncomp=ncomp, decay=decay, divergence_free=divergence_free
             )
             yield full_dealias(c, grid)
+
+
+def random_half_oracle(grid, rng, ncomp, decay, divergence_free):
+    """A sampler draw as the whole half spectrum, dealiased by its mask; `_random_half` at extent n/2."""
+    m = full_index_magnitude(grid)
+    band = (m >= 1) & (m <= grid.dealias_cut)
+    envelope = np.zeros_like(m)
+    envelope[band] = m[band] ** (-decay)
+    shape = (ncomp, *grid.shape)
+    raw = np.empty(shape, dtype=np.complex128)
+    raw.real = rng.normal(size=shape)
+    raw.imag = rng.normal(size=shape)
+    half = _half(raw * envelope)
+    half[(slice(None), *(0,) * grid.dim)] = 0.0
+    if divergence_free:
+        half -= spectral._irrotational(half, grid)
+    half *= 1.0 / spectral._linf(half, grid)
+    return half * dealias_mask(grid)
+
+
+def sample_stream_half_oracle(grid, rng, trials, ncomp, divergence_free):
+    """The sampler's stream as masked half spectra: dealiased Gaussians, two single modes, then draws."""
+    n = grid.n_per_axis
+    probes = []
+    for frac in () if divergence_free else (8.0, 16.0, 32.0):
+        values = gaussian_bump(grid, sigma=grid.domain_length / frac).values
+        bump = np.fft.rfftn(values, axes=axes(grid), norm="forward")
+        bump[(slice(None), *(0,) * grid.dim)] = 0.0
+        probes.append(np.concatenate([bump * dealias_mask(grid)] * ncomp))
+    for kidx in () if divergence_free else (1, 2):
+        mode = np.zeros((ncomp, *grid.spectral_shape), dtype=np.complex128)
+        rest = (0,) * (grid.dim - 1)
+        mode[(0, kidx, *rest)] = 1.0 / 2j
+        mode[(0, n - kidx, *rest)] = -1.0 / 2j
+        probes.append(mode)
+    for t in range(trials):
+        if t < len(probes):
+            yield probes[t]
+        else:
+            yield random_half_oracle(grid, rng, ncomp, rng.uniform(0.6, 3.0), divergence_free)
+
+
+@pytest.mark.parametrize("divergence_free", [False, True], ids=["scalar", "div_free"])
+@pytest.mark.parametrize("grid", PARITY_GRIDS, ids=PARITY_IDS)
+def test_sample_stream_is_the_masked_half_spectrum_draw(grid, divergence_free):
+    # every sample lives on the dealias box; lifted, it is the masked half-spectrum draw, to the bit
+    ncomp = grid.dim if divergence_free else 1
+    got = littlewood_paley._sample_stream(grid, np.random.default_rng(32), 8, ncomp, divergence_free)
+    want = sample_stream_half_oracle(grid, np.random.default_rng(32), 8, ncomp, divergence_free)
+    pairs = list(zip(got, want))
+    assert len(pairs) == 8
+    for box, half in pairs:
+        assert box.shape == (ncomp, *grid.box_shape)
+        assert np.array_equal(spectral._resize(box, grid, grid.n_per_axis // 2), half)
 
 
 def div_lp_oracle(grid, rng, trials, delta, divergence_free=False, **_):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hnslab.experiments import InitialDataSpec, build_initial_data
 from hnslab.solvers import (
     BlowUpError,
     ContractionFailureError,
@@ -38,7 +39,8 @@ from hnslab.spectral import (
     to_physical,
     to_spectral,
 )
-from test_equivalence import full, lift, step_oracle
+from test_equivalence import assert_close, full, lift, step_oracle
+from test_spectral import PARITY_GRIDS, PARITY_IDS
 
 
 def damped_mode_oracle(t, eps, c2k2, a0, b0):
@@ -541,10 +543,27 @@ class TestPicard:
         T = 0.1
         res = picard_local_solve(u0, z, params, T=T, tol=1e-12, n_mesh=96, nonlinearity=False)
         a, b = damped_mode_oracle(T, params.epsilon, 1.0 / params.epsilon, 1.0, 0.0)
-        c0 = lift(u0)  # the iterates live on the extent of z, the half spectrum
+        c0 = lift(u0)  # compared on the half spectrum
         nz = np.abs(c0) > 1e-14
-        assert np.allclose(res.state.u.coeffs[nz] / c0[nz], a, atol=1e-6)
-        assert np.allclose(res.state.u_t.coeffs[nz] / c0[nz], b, atol=1e-6)
+        assert np.allclose(lift(res.state.u)[nz] / c0[nz], a, atol=1e-6)
+        assert np.allclose(lift(res.state.u_t)[nz] / c0[nz], b, atol=1e-6)
+
+    @pytest.mark.parametrize("grid", PARITY_GRIDS, ids=PARITY_IDS)
+    def test_initial_data_iterates_on_the_dealias_box(self, grid):
+        # build_initial_data's u1 is the empty box, so the iterates live on the
+        # dealias box; they are the iterates of the half-spectrum run
+        params = self._params()
+        spec = InitialDataSpec(kind="random", seed=5, kmax=4, amplitude=0.02)
+        u0, u1 = build_initial_data(spec, grid, params)
+        T = 0.5 * picard_time_bound(u0, u1, params)
+        res = picard_local_solve(u0, u1, params, T=T, tol=1e-11, n_mesh=4)
+        assert res.state.u.cut == res.state.u_t.cut == grid.dealias_cut
+        half = SpectralField(grid, lift(u1), is_mean_zero=True)
+        ref = picard_local_solve(u0, half, params, T=T, tol=1e-11, n_mesh=4)
+        assert ref.state.u.cut == grid.n_per_axis // 2 and res.iterations == ref.iterations
+        assert_close(lift(res.state.u), ref.state.u.coeffs)
+        assert_close(lift(res.state.u_t), ref.state.u_t.coeffs)
+        assert np.allclose(res.distances, ref.distances, rtol=1e-10, atol=0.0)
 
     def test_geometric_contraction_small_data(self, grid2d, rng):
         params = self._params()

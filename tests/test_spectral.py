@@ -301,6 +301,14 @@ class TestExtents:
         F = SpectralField(GridSpec(2, 128), np.ones(shape, dtype=complex))
         assert F.cut == shape[-1] - 1 and F.coeffs.ndim == 3
 
+    def test_constructors_return_their_boxes(self, grid2d, rng):
+        # every band-limited field is born on the smallest box that holds it
+        half = grid2d.n_per_axis // 2
+        for kmax, cut in [(None, grid2d.dealias_cut), (4, 4), (half, half), (2 * half, half), (-1, 0)]:
+            assert random_band_limited(grid2d, rng, kmax=kmax).cut == cut
+        for index, cut in [((1, 0), 1), ((0, -3), 3), ((2, 5), 5), ((half, 1), half)]:
+            assert single_mode(grid2d, index).cut == cut
+
     def test_mixed_extents_equal_half_spectrum_result(self, grid2d, rng):
         G = random_band_limited(grid2d, rng, ncomp=2)
         F = dealias(random_band_limited(grid2d, rng, ncomp=2))
@@ -310,6 +318,20 @@ class TestExtents:
                 got = op(a, b)
                 assert got.cut == max(a.cut, b.cut)
                 assert np.array_equal(lifted(got).coeffs, op(lifted(a).coeffs, lifted(b).coeffs))
+
+
+@pytest.mark.parametrize("grid", PARITY_GRIDS, ids=PARITY_IDS)
+def test_zeros_is_the_empty_box(grid, tmp_path):
+    Z = SpectralField.zeros(grid, grid.dim)
+    assert Z.cut == 0 and Z.coeffs.shape == (grid.dim, *(1,) * grid.dim)
+    F = random_band_limited(grid, np.random.default_rng(52), ncomp=grid.dim)
+    for got in (Z + F, F + Z):
+        assert got.cut == F.cut and np.array_equal(got.coeffs, F.coeffs)
+    # a snapshot of it is the snapshot of the zero half spectrum
+    half = SpectralField(grid, np.zeros((grid.dim, *grid.spectral_shape), dtype=complex))
+    write_snapshot(tmp_path / "box.hnsf", Z, 0.5)
+    write_snapshot(tmp_path / "half.hnsf", half, 0.5)
+    assert (tmp_path / "box.hnsf").read_bytes() == (tmp_path / "half.hnsf").read_bytes()
 
 
 @pytest.mark.parametrize("grid", PARITY_GRIDS, ids=PARITY_IDS)
@@ -335,6 +357,11 @@ def test_operators_on_the_box_equal_half_spectrum(grid):
         assert got.cut == box.cut
         assert_parity(lifted(got).coeffs, op(half).coeffs)
     assert_parity(to_physical(box).values, to_physical(half).values)
+    # a padded product pads each factor from its own box, to the bit
+    scalar = dealias(random_band_limited(grid, np.random.default_rng(53), kmax=grid.n_per_axis))
+    for a, b in [(box, box), (scalar, box), (single_mode(grid, (1, 2)), scalar)]:
+        got = padded_product(a, b)
+        assert np.array_equal(got.coeffs, padded_product(lifted(a), lifted(b)).coeffs)
 
 
 class TestLpNorms:
@@ -358,7 +385,7 @@ class TestSnapshotIO:
         G, t = read_snapshot(p)
         assert t == 1.25
         assert isinstance(G, SpectralField)
-        assert np.array_equal(G.coeffs, F.coeffs)
+        assert np.array_equal(G.coeffs, lifted(F).coeffs)
 
     def test_version1_full_payload_loads_and_rewrites(self, grid2d, rng, tmp_path):
         # a version-1 spectral snapshot holds the full Hermitian coefficient
