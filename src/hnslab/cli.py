@@ -2,15 +2,19 @@
 
 Configuration is a flat key=value file with dotted namespaces, overridable by
 key=value tokens on the command line.  Every run writes a manifest and its
-CSV outputs under <out>/<run_id>/, where run_id is a content hash of the
-resolved configuration and the package version, so identical configs land in
-identical directories and re-running is refused without --force.
+CSV outputs under <out>/<run_id>/.  The run_id hashes the subcommand, the
+package version and the keys the command read (workers aside), which
+config.resolved lists, so identical configs land in identical
+directories, a key the command does not read leaves its run_id alone, and
+re-running is refused without --force.
 
-Each command first validates its configuration and builds its inputs, and
-only then creates the run directory, so a user mistake exits 2 and leaves no
-directory behind.
+Each command first validates its configuration, reads every key it uses and
+builds its inputs, and only then is the run directory created, so a user
+mistake exits 2 and leaves no directory behind.  Every outcome after that
+leaves manifest.json with status ok, blowup, error or interrupted.
 
-Exit codes: 0 ok, 2 validation error, 3 blow-up, 4 internal error.
+Exit codes: 0 ok, 2 validation error, 3 blow-up, 4 internal error,
+130 interrupted.
 """
 
 from __future__ import annotations
@@ -43,23 +47,33 @@ from .experiments import (
     sweep_alpha,
     sweep_epsilon,
 )
-from .littlewood_paley import INEQUALITY_NAMES, _check_trials, estimate_constants, verify_inequality
-from .solvers import (
-    BlowUpError,
-    Model,
-    ModelParams,
-    StepperConfig,
-    run_simulation,
-)
+from .littlewood_paley import INEQUALITY_NAMES, InequalityReport, _check_inequality, _check_trials
+from .littlewood_paley import estimate_constants, verify_inequality
+from .solvers import BlowUpError, Model, ModelParams, StepperConfig, run_simulation
 from .spectral import GridSpec, InvalidFieldError, divergence, sobolev_norm, write_snapshot
 
 __all__ = ["main", "RunManifest", "ConfigError"]
 
-SUBCOMMANDS = ("simulate", "sweep", "lp-check", "speed-test", "gates", "version")
-
 
 class ConfigError(ValueError):
     pass
+
+
+class _Config(dict):
+    """The key table of one run.  It records every key read through [], and
+    once frozen, after the run_id is hashed, it refuses a key not yet read."""
+
+    def __init__(self, table: dict):
+        super().__init__(table)
+        self.read: set[str] = set()
+        self.frozen = False
+
+    def __getitem__(self, key: str):
+        if key not in self.read:
+            if self.frozen:
+                raise RuntimeError(f"config key {key} read after the run_id was hashed")
+            self.read.add(key)
+        return super().__getitem__(key)
 
 
 # key -> (type, default, help); None default means required when used
@@ -104,14 +118,6 @@ _KEY_TABLE: dict[str, tuple] = {
     "snapshots.save": (int, 0),
 }
 
-_REQUIRED = {
-    "simulate": ("seed",),
-    "sweep": ("seed",),
-    "lp-check": ("seed",),
-    "speed-test": ("seed",),
-    "gates": ("seed",),
-}
-
 
 def _parse_value(key: str, raw: str):
     typ = _KEY_TABLE[key][0]
@@ -125,7 +131,7 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
 
-def load_config(path: str | None, overrides: list[str]) -> dict:
+def load_config(path: str | None, overrides: list[str]) -> _Config:
     """Flat key=value config plus overrides; unknown keys are an error."""
     raw: dict[str, str] = {}
     if path:
@@ -148,28 +154,18 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     unknown = sorted(set(raw) - set(_KEY_TABLE))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    cfg = {k: default for k, (_, default) in _KEY_TABLE.items()}
+    cfg = _Config({k: default for k, (_, default) in _KEY_TABLE.items()})
     for k, v in raw.items():
         cfg[k] = _parse_value(k, v)
     return cfg
 
 
-def _require(cfg: dict, subcommand: str):
-    missing = [k for k in _REQUIRED.get(subcommand, ()) if cfg.get(k) is None]
-    if missing:
-        raise ConfigError(f"missing required keys for {subcommand}: {', '.join(missing)}")
-
-
-def _canonical_config_text(cfg: dict, subcommand: str) -> str:
+def _canonical_config_text(cfg: _Config, subcommand: str) -> str:
+    """config.resolved and the run_id's input: the keys the command read, None for one left unset."""
     lines = [f"subcommand={subcommand}", f"version={__version__}"]
-    for k in sorted(cfg):
+    for k in sorted(cfg.read - {"workers"}):  # workers changes how a run executes, not its outputs
         v = cfg[k]
-        if v is None or k == "workers":  # changes how a run executes, not its outputs
-            continue
-        if isinstance(v, float):
-            lines.append(f"{k}={v:.17g}")
-        else:
-            lines.append(f"{k}={v}")
+        lines.append(f"{k}={v:.17g}" if isinstance(v, float) else f"{k}={v}")
     return "\n".join(lines) + "\n"
 
 
@@ -188,8 +184,37 @@ class RunManifest:
     peak_rss_mb: float | None = None
     minor_page_faults: int | None = None
 
-    def finish(self, status: str, started: float, path: str):
-        """Stamp the status, end time and the process's resource use, then write to path.
+
+class _Run:
+    """One run directory, from its creation to its manifest.
+
+    Made after validation: it refuses an existing directory unless force,
+    which removes it, then writes config.resolved.
+    """
+
+    def __init__(self, root: str, canon: str, force: bool, started: float):
+        run_id = hashlib.sha256(canon.encode()).hexdigest()[:16]
+        self.dir, self.started = os.path.join(root, run_id), started
+        if os.path.exists(self.dir):
+            if not force:
+                raise ConfigError(
+                    f"run directory exists: {self.dir} (identical config); use --force to overwrite"
+                )
+            shutil.rmtree(self.dir)
+        os.makedirs(self.dir)
+        config_path = os.path.join(self.dir, "config.resolved")
+        with open(config_path, "w") as fh:
+            fh.write(canon)
+        started_at = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started))
+        self.manifest = RunManifest(run_id=run_id, config_path=config_path, started=started_at)
+
+    def write(self, name: str, text: str):
+        with open(os.path.join(self.dir, name), "w") as fh:
+            fh.write(text)
+        self.manifest.outputs.append(name)
+
+    def finish(self, status: str):
+        """Stamp the status, end time and the process's resource use, then write manifest.json.
 
         peak_rss_mb and minor_page_faults come from getrusage(RUSAGE_SELF) at
         the end of the run; like the timings they stay out of every CSV.
@@ -197,13 +222,14 @@ class RunManifest:
         import resource  # imported at the end of a run, so `import hnslab` costs nothing more
 
         usage = resource.getrusage(resource.RUSAGE_SELF)
-        self.status = status
-        self.finished = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-        self.runtime_seconds = round(time.time() - started, 3)
-        self.peak_rss_mb = round(usage.ru_maxrss / 1024.0, 1)  # Linux reports KiB
-        self.minor_page_faults = usage.ru_minflt
-        with open(path, "w") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
+        m = self.manifest
+        m.status = status
+        m.finished = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+        m.runtime_seconds = round(time.time() - self.started, 3)
+        m.peak_rss_mb = round(usage.ru_maxrss / 1024.0, 1)  # Linux reports KiB
+        m.minor_page_faults = usage.ru_minflt
+        with open(os.path.join(self.dir, "manifest.json"), "w") as fh:
+            json.dump(m.__dict__, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -256,18 +282,12 @@ def _initial_data(cfg: dict, grid: GridSpec, params: ModelParams):
     return build_initial_data(spec, grid, params)
 
 
-def _write_text(path: str, text: str, manifest: RunManifest):
-    with open(path, "w") as fh:
-        fh.write(text)
-    manifest.outputs.append(os.path.basename(path))
-
-
-def _write_probes(outdir: str, result, manifest: RunManifest):
+def _probes_csv(result) -> str:
     lines = ["time,probe_name,value"]
     for name in sorted(result.probes):
         for t, v in zip(result.times, result.probes[name]):
             lines.append(f"{t:.17g},{name},{v:.17g}")
-    _write_text(os.path.join(outdir, "probes.csv"), "\n".join(lines) + "\n", manifest)
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_simulate(cfg: dict):
@@ -292,6 +312,7 @@ def _cmd_simulate(cfg: dict):
     scfg = _from_config(
         StepperConfig, dt=dt, t_end=cfg["step.t_end"], snapshot_every=cfg["step.snapshot_every"]
     )
+    nonlinearity, save = bool(cfg["step.nonlinearity"]), cfg["snapshots.save"]
 
     probes = {
         "l2_norm": lambda st: sobolev_norm(st.u, 0.0),
@@ -311,22 +332,18 @@ def _cmd_simulate(cfg: dict):
         probes["E_base"] = lambda st: report(st).base
         probes["E_high"] = lambda st: report(st).high
 
-    def run(outdir: str, manifest: RunManifest) -> int:
+    def run(out: _Run):
         try:
-            result = run_simulation(
-                u0, u1, params, scfg, probes=probes, nonlinearity=bool(cfg["step.nonlinearity"])
-            )
+            result = run_simulation(u0, u1, params, scfg, probes=probes, nonlinearity=nonlinearity)
         except BlowUpError as exc:
-            manifest.steps = exc.partial.steps
-            _write_probes(outdir, exc.partial, manifest)  # the series up to the blow-up
+            out.manifest.steps = exc.partial.steps
+            out.write("probes.csv", _probes_csv(exc.partial))  # the series up to the blow-up
             raise
-        manifest.steps = result.steps
-        _write_probes(outdir, result, manifest)
-        if cfg["snapshots.save"]:
-            snap = os.path.join(outdir, "final.hnsf")
-            write_snapshot(snap, result.final.u, result.final.time)
-            manifest.outputs.append("final.hnsf")
-        return 0
+        out.manifest.steps = result.steps
+        out.write("probes.csv", _probes_csv(result))
+        if save:
+            write_snapshot(os.path.join(out.dir, "final.hnsf"), result.final.u, result.final.time)
+            out.manifest.outputs.append("final.hnsf")
 
     return run
 
@@ -365,54 +382,48 @@ def _cmd_sweep(cfg: dict):
         seed=cfg["seed"],
         snapshot_every_t=cfg["sweep.snapshot_every_t"],
         dt=cfg["step.dt"],
-        workers=cfg["workers"] or _default_workers(),
+        workers=cfg["workers"] or os.cpu_count() or 1,
         resolve=cfg["sweep.resolve"],
     )
     data = _sweep_data(sweep_cfg)
 
-    def run(outdir: str, manifest: RunManifest) -> int:
+    def run(out: _Run):
         result = (sweep_alpha if alpha else sweep_epsilon)(sweep_cfg, data)
-        _write_text(os.path.join(outdir, "sweep.csv"), result.to_csv(), manifest)
+        out.write("sweep.csv", result.to_csv())
         fit_lines = ["metric,slope,intercept,r_squared"]
         for name, fit in sorted(result.fits.items()):
             fit_lines.append(fit.csv_row(name))
-        _write_text(os.path.join(outdir, "rates.csv"), "\n".join(fit_lines) + "\n", manifest)
+        out.write("rates.csv", "\n".join(fit_lines) + "\n")
         for name, fit in sorted(result.fits.items()):
             pts = "\n".join(f"{x:.17g} {y:.17g}" for x, y in fit.points)
-            _write_text(os.path.join(outdir, f"plot_{name}.dat"), pts + "\n", manifest)
-            _write_text(
-                os.path.join(outdir, f"plot_{name}.caption"),
+            out.write(f"plot_{name}.dat", pts + "\n")
+            out.write(
+                f"plot_{name}.caption",
                 f"log-log {name} vs {var}; slope {fit.slope:.4f}, r^2 {fit.r_squared:.4f}\n",
-                manifest,
             )
-        return 0
 
     return run
 
 
 def _cmd_lp_check(cfg: dict):
     grid = _grid_from(cfg)
-    _from_config(_check_trials, cfg["lp.trials"])
-    names = [n.strip() for n in cfg["lp.names"].split(",") if n.strip()]
-    bad = sorted(set(names) - set(INEQUALITY_NAMES))
-    if bad:
-        raise ConfigError(f"unknown inequality names: {', '.join(bad)}")
-    from .littlewood_paley import InequalityReport
+    trials, seed, delta = cfg["lp.trials"], cfg["seed"], cfg["model.delta"]
+    _from_config(_check_trials, trials)
+    checks = []  # (name, the grid it is sampled on)
+    for name in filter(None, (n.strip() for n in cfg["lp.names"].split(","))):
+        g = grid
+        if name == "l3_embedding" and grid.dim != 3:
+            g = GridSpec(3, 32, grid.domain_length)
+        if name == "ladyzhenskaya" and grid.dim != 2:
+            g = GridSpec(2, 64, grid.domain_length)
+        _from_config(_check_inequality, name, g)
+        checks.append((name, g))
 
-    def run(outdir: str, manifest: RunManifest) -> int:
+    def run(out: _Run):
         lines = [InequalityReport.csv_header()]
-        for name in names:
-            g = grid
-            if name == "l3_embedding" and grid.dim != 3:
-                g = GridSpec(3, 32, grid.domain_length)
-            if name == "ladyzhenskaya" and grid.dim != 2:
-                g = GridSpec(2, 64, grid.domain_length)
-            rep = verify_inequality(
-                name, cfg["lp.trials"], cfg["seed"], g, {"delta": cfg["model.delta"]}
-            )
-            lines.append(rep.csv_row(g))
-        _write_text(os.path.join(outdir, "inequalities.csv"), "\n".join(lines) + "\n", manifest)
-        return 0
+        for name, g in checks:
+            lines.append(verify_inequality(name, trials, seed, g, {"delta": delta}).csv_row(g))
+        out.write("inequalities.csv", "\n".join(lines) + "\n")
 
     return run
 
@@ -433,43 +444,43 @@ def _cmd_speed_test(cfg: dict):
         front = _from_config(_front_setup, params, grid, spec, t_end, cfg["speed.samples"])
     except InvalidWindowError as exc:
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
+    damping = bool(cfg["speed.damping"])
 
-    def run(outdir: str, manifest: RunManifest) -> int:
-        report = _sample_front(params, grid, front, damping=bool(cfg["speed.damping"]))
-        _write_text(os.path.join(outdir, "front.csv"), report.to_csv(), manifest)
+    def run(out: _Run):
+        report = _sample_front(params, grid, front, damping=damping)
+        out.write("front.csv", report.to_csv())
         summary = (
             f"c1={report.c1:.17g}\nmeasured_speed={report.measured_speed:.17g}\n"
             f"initial_radius={report.initial_radius:.17g}\n"
             f"bound_satisfied={int(report.slope_bound_satisfied)}\n"
         )
-        _write_text(os.path.join(outdir, "front_summary.txt"), summary, manifest)
-        return 0
+        out.write("front_summary.txt", summary)
 
     return run
 
 
 def _cmd_gates(cfg: dict):
     grid = _grid_from(cfg)
-    _from_config(_check_trials, cfg["gates.constants_trials"], constants=True)
+    seed, trials = cfg["seed"], cfg["gates.constants_trials"]
+    _from_config(_check_trials, trials, constants=True)
     params = _params_from(cfg)
     u0, u1 = _initial_data(cfg, grid, params)
 
-    def run(outdir: str, manifest: RunManifest) -> int:
-        constants = estimate_constants(cfg["seed"], cfg["gates.constants_trials"])
+    def run(out: _Run):
+        constants = estimate_constants(seed, trials)
         report = smallness_gates(u0, u1, params, constants)
-        _write_text(os.path.join(outdir, "gates.txt"), report.to_table() + "\n", manifest)
-        csv = [report.csv_header()] + report.to_csv_rows()
-        _write_text(os.path.join(outdir, "gates.csv"), "\n".join(csv) + "\n", manifest)
+        out.write("gates.txt", report.to_table() + "\n")
+        out.write("gates.csv", "\n".join([report.csv_header()] + report.to_csv_rows()) + "\n")
         const_lines = ["name,value"] + [f"{k},{v:.17g}" for k, v in sorted(constants.items())]
-        _write_text(os.path.join(outdir, "constants.csv"), "\n".join(const_lines) + "\n", manifest)
+        out.write("constants.csv", "\n".join(const_lines) + "\n")
         print(report.to_table())
-        return 0
 
     return run
 
 
-# subcommand -> command: cfg -> run(outdir, manifest) -> exit code.  Calling the
-# command validates cfg and builds the inputs; run does the work and writes.
+# subcommand -> command: cfg -> run(out).  Calling the command validates cfg,
+# reads every key the run depends on and builds the inputs; run does the work
+# and writes its outputs through the _Run, without reading cfg.
 _DISPATCH = {
     "simulate": _cmd_simulate,
     "sweep": _cmd_sweep,
@@ -479,13 +490,9 @@ _DISPATCH = {
 }
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="hnslab", description=__doc__)
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=[*_DISPATCH, "version"])
     parser.add_argument("overrides", nargs="*", help="key=value config overrides")
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default=None, help="output root (default $HNS_OUT_DIR or ./runs)")
@@ -498,56 +505,43 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     started = time.time()
-    manifest = None  # exists once the run directory does
+    out, status, code = None, "ok", 0  # out exists once the run directory does
     try:
         cfg = load_config(args.config, args.overrides)
         if args.workers is not None:
             cfg["workers"] = args.workers
-        _require(cfg, args.subcommand)
-
-        out_root = args.out or os.environ.get("HNS_OUT_DIR") or "runs"
-        canon = _canonical_config_text(cfg, args.subcommand)
-        run_id = hashlib.sha256(canon.encode()).hexdigest()[:16]
-        outdir = os.path.join(out_root, run_id)
-        if os.path.exists(outdir) and not args.force:
-            raise ConfigError(
-                f"run directory exists: {outdir} (identical config); use --force to overwrite"
-            )
+        if cfg["seed"] is None:
+            raise ConfigError(f"missing required key for {args.subcommand}: seed")
         try:
             run = _DISPATCH[args.subcommand](cfg)
         except (InvalidFieldError, OSError) as exc:  # an unreadable or mismatched init file
             raise ConfigError(f"init.path: {type(exc).__name__}: {exc}") from exc
-        if os.path.exists(outdir):
-            shutil.rmtree(outdir)
-        os.makedirs(outdir)
-
-        config_path = os.path.join(outdir, "config.resolved")
-        with open(config_path, "w") as fh:
-            fh.write(canon)
-        manifest = RunManifest(
-            run_id=run_id,
-            config_path=config_path,
-            started=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started)),
-        )
-        code = run(outdir, manifest)
-        manifest.finish("ok", started, os.path.join(outdir, "manifest.json"))
-        print(f"run {run_id} ok -> {outdir}")
-        return code
+        canon = _canonical_config_text(cfg, args.subcommand)
+        cfg.frozen = True
+        root = args.out or os.environ.get("HNS_OUT_DIR") or "runs"
+        out = _Run(root, canon, args.force, started)
+        run(out)
+        print(f"run {out.manifest.run_id} ok -> {out.dir}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        status, code = "error", 2
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
-        if manifest is not None:
-            manifest.blowup_time = exc.time
-            manifest.finish("blowup", started, os.path.join(outdir, "manifest.json"))
-        return 3
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if manifest is not None:
-            manifest.error = f"{type(exc).__name__}: {exc}"
-            manifest.finish("error", started, os.path.join(outdir, "manifest.json"))
-        return 4
+        status, code = "blowup", 3
+        if out is not None:
+            out.manifest.blowup_time = exc.time
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        status, code = "interrupted", 130
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        print(f"error: {error}", file=sys.stderr)
+        status, code = "error", 4
+        if out is not None:
+            out.manifest.error = error
+    if out is not None:
+        out.finish(status)
+    return code
 
 
 if __name__ == "__main__":

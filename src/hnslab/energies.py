@@ -54,7 +54,6 @@ class EnergyReport:
     E_half: float | None = None
     E_half_delta: float | None = None
     div_l2: float = 0.0
-    script_E: float | None = None
     components: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -68,19 +67,12 @@ class EnergyReport:
         return self.E_delta if self.E_delta is not None else self.E_half_delta
 
 
-def energy(
-    state: SolverState,
-    params: ModelParams,
-    sigma_set: tuple[float, ...] | None = None,
-    N: int | None = None,
-) -> EnergyReport:
+def energy(state: SolverState, params: ModelParams) -> EnergyReport:
     """Evaluate the model energies of a state.
 
-    The defaults follow the dimension: orders (0, delta) in 2D and
-    (1/2, 1/2 + delta) in 3D.  Extra orders passed in sigma_set are recorded in
-    the components map.  If N is given the compound functional is filled in.
-    div u and u + eps u_t are formed once and shared by `div_l2` and every
-    order; each norm sums over the box its field holds.
+    The orders follow the dimension: (0, delta) in 2D and (1/2, 1/2 + delta)
+    in 3D.  div u and u + eps u_t are formed once and shared by `div_l2` and
+    both orders; each norm sums over the box its field holds.
     """
     if not params.is_hyperbolic:
         raise MissingStateError("NS has no hyperbolic energy; use sobolev_norm directly")
@@ -117,10 +109,6 @@ def energy(
         report.components[f"base_{name}"] = v
     for name, v in high_terms.items():
         report.components[f"high_{name}"] = v
-    for sigma in sigma_set or ():
-        report.components[f"E_sigma_{sigma:g}"] = sum(terms(sigma).values())
-    if N is not None:
-        report.script_E = script_E(report, N)
     return report
 
 
@@ -210,7 +198,6 @@ class ModulatedEnergyReport:
     time: float
     value: float
     components: dict[str, float]
-    reference_run_id: str = ""
 
 
 @dataclass

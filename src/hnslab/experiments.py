@@ -189,22 +189,17 @@ def build_initial_data(
     return u0, SpectralField.zeros(grid, grid.dim)
 
 
-def suggest_dt(
-    params: ModelParams, grid: GridSpec, t_snap: float, resolve: float = 0.5, u_scale: float = 1.0
-) -> float:
+def suggest_dt(params: ModelParams, grid: GridSpec, t_snap: float, resolve: float = 0.5) -> float:
     """Snapshot-aligned dt resolving the divergence-free branch oscillations.
 
     The exponential stepper integrates the linear part exactly, so only the
     frequencies carrying observable amplitude need resolving: the P-branch
-    rate c2 * k for hyperbolic models, the advective rate for NS.  The fast
-    penalized branch is quasistatic under the exact source kernels and does
-    not constrain dt.
+    rate c2 * k for hyperbolic models, the advective rate k of a unit
+    velocity for NS.  The fast penalized branch is quasistatic under the
+    exact source kernels and does not constrain dt.
     """
     kmax = grid.k_max_dealiased
-    if params.is_hyperbolic:
-        rate = params.c2 * kmax
-    else:
-        rate = max(u_scale, 1e-6) * kmax
+    rate = params.c2 * kmax if params.is_hyperbolic else kmax
     dt_target = resolve / rate
     return t_snap / math.ceil(t_snap / dt_target)
 
@@ -324,10 +319,15 @@ class SweepResult:
 
 
 def _point_run_id(cfg: SweepConfig, value: float) -> str:
-    """Hash of what a point's numbers depend on, its data spec as `_sweep_data` reads it."""
+    """Hash of what a point's numbers depend on, its data spec as `_sweep_data` reads it.
+
+    The model is hashed as its repr read while `ModelParams` had a viscosity
+    field (always 1), so the ids stay those of earlier versions.
+    """
+    fixed = repr(cfg.fixed).replace(", s=", ", viscosity=1.0, s=")
     payload = (
         f"{cfg.sweep_variable}={value:.17g};seed={cfg.seed};grid={cfg.grid};"
-        f"fixed={cfg.fixed};data={_data_spec(cfg)};T={cfg.T_final:.17g}"
+        f"fixed={fixed};data={_data_spec(cfg)};T={cfg.T_final:.17g}"
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
@@ -538,15 +538,14 @@ def _front_setup(
     spec: BumpSpec,
     t_end: float | None,
     n_samples: int,
-    threshold_factor: float = 1e-8,
 ) -> _Front:
     """The bump of spec on the dealias box, scaled to peak magnitude spec.amplitude, and its window.
 
     The Gaussian takes one pruned forward transform, its gradient (or the
     rotated gradient) is formed on the box, and one inverse gives the peak,
-    the threshold and the initial radius.  The scaled box is split into its
-    Helmholtz parts once.  One torus distance table serves the bump and
-    every radius.
+    the threshold (1e-8 of the peak magnitude) and the initial radius.  The
+    scaled box is split into its Helmholtz parts once.  One torus distance
+    table serves the bump and every radius.
     """
     if params.model is not Model.HNS_EPS_ALPHA:
         raise ValueError("the front experiment runs the penalized model")
@@ -570,7 +569,7 @@ def _front_setup(
         box *= scale
         samples *= scale
     _magnitude(samples, mag)
-    theta = threshold_factor * float(np.max(mag))
+    theta = 1e-8 * float(np.max(mag))
     dist = np.sqrt(d2, out=d2)
     R0 = _radius(mag, dist, theta)
     if t_end is None:
@@ -628,7 +627,6 @@ def finite_speed_experiment(
     damping: bool = True,
     t_end: float | None = None,
     n_samples: int = 12,
-    threshold_factor: float = 1e-8,
 ) -> FrontReport:
     """Track the thresholded support radius of a localized linear wave.
 
@@ -640,5 +638,5 @@ def finite_speed_experiment(
     already reaches the antipode, or field amplitude at the antipodal shell
     above the threshold before t_end, raises InvalidWindowError.
     """
-    front = _front_setup(params, grid, bump_spec, t_end, n_samples, threshold_factor)
+    front = _front_setup(params, grid, bump_spec, t_end, n_samples)
     return _sample_front(params, grid, front, damping)

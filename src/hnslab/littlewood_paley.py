@@ -349,6 +349,18 @@ def _check_trials(trials: int, constants: bool = False) -> None:
         raise ValueError(f"trials must be >= {least}{why}")
 
 
+def _check_inequality(name: str, grid: GridSpec) -> None:
+    """name is an inequality stated in grid's dimension, and grid's dealias box has a mode to draw."""
+    if name not in _RATIO_GENERATORS:
+        raise ValueError(f"unknown inequality {name!r}; choose from {INEQUALITY_NAMES}")
+    if name == "ladyzhenskaya" and grid.dim != 2:
+        raise ValueError("ladyzhenskaya inequality is stated for dim = 2")
+    if name == "l3_embedding" and grid.dim != 3:
+        raise ValueError("l3_embedding requires dim = 3")
+    if grid.dealias_cut < 1:  # every draw would be the zero field
+        raise ValueError(f"the dealias box of {grid} holds no nonzero mode to sample")
+
+
 def verify_inequality(
     name: str,
     trials: int,
@@ -359,17 +371,13 @@ def verify_inequality(
     """Measure empirical LHS/RHS ratios of a named inequality over seeded samples.
 
     `params` may supply delta, s, or divergence_free as the inequality needs.
-    Samples with vanishing right side are skipped and counted; if every sample
-    degenerates the report would be meaningless and InconclusiveReportError is
-    raised.
+    A grid whose dealias box holds only the mean raises ValueError before
+    sampling.  Samples with vanishing right side are skipped and counted; if
+    every sample degenerates the report would be meaningless and
+    InconclusiveReportError is raised.
     """
-    if name not in _RATIO_GENERATORS:
-        raise ValueError(f"unknown inequality {name!r}; choose from {INEQUALITY_NAMES}")
+    _check_inequality(name, grid)
     _check_trials(trials)
-    if name == "ladyzhenskaya" and grid.dim != 2:
-        raise ValueError("ladyzhenskaya inequality is stated for dim = 2")
-    if name == "l3_embedding" and grid.dim != 3:
-        raise ValueError("l3_embedding requires dim = 3")
     params = dict(params or {})
     params.setdefault("delta", 0.5)
     params.setdefault("s", 1.0 + params["delta"] if grid.dim == 2 else 0.5 + params["delta"])

@@ -140,14 +140,11 @@ class ModelParams:
     model: Model
     epsilon: float | None = None
     alpha: float | None = None
-    viscosity: float = 1.0
     s: float = 0.5
     delta: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "model", Model(self.model))
-        if self.viscosity != 1.0:
-            raise ValueError("viscosity is fixed at 1")
         if not (0 < self.s < 1 and 0 < self.delta < 1):
             raise ValueError("regularity indices s, delta must lie in (0, 1)")
         if self.model is Model.NS:
@@ -199,9 +196,9 @@ class StepperConfig:
     snapshot_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:  # nan included
             raise ValueError("dt must be positive")
-        if self.t_end < 0:
+        if not self.t_end >= 0:
             raise ValueError("t_end must be nonnegative")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
@@ -835,14 +832,12 @@ class PicardResult:
     iterations: int
 
 
-def picard_time_bound(
-    u0: SpectralField, u1: SpectralField, params: ModelParams, safety: float = 0.5
-) -> float:
+def picard_time_bound(u0: SpectralField, u1: SpectralField, params: ModelParams) -> float:
     """Largest horizon on which the Duhamel map is expected to contract.
 
     The damping source enters the fixed-point map through kernels carrying a
-    1/eps factor, so the contraction window scales like eps divided by the
-    data bracket of the local-existence estimate (all four A/B data terms).
+    1/eps factor, so the contraction window is taken as half of eps divided by
+    the data bracket of the local-existence estimate (all four A/B data terms).
     """
     eps = params.epsilon
     alpha = params.alpha if params.model is Model.HNS_EPS_ALPHA else math.inf
@@ -853,7 +848,7 @@ def picard_time_bound(
         + 2.0 * sobolev_norm(u0, sig - 1.0)
         + (2.0 + math.sqrt(eps)) * sobolev_norm(u1, sig - 1.0)
     )
-    return safety * eps / (1.0 + bracket)
+    return 0.5 * eps / (1.0 + bracket)
 
 
 def picard_local_solve(

@@ -429,3 +429,69 @@ class TestOtherCommands:
         )
         assert (rundir / "constants.csv").exists()
         assert (rundir / "gates.txt").exists()
+
+
+class TestRunLifecycle:
+    """One manifest for every outcome after the run directory exists; a run_id from the keys read."""
+
+    SIMULATE = ["simulate", "seed=1", "grid.n=16", "model.kind=ns", "step.t_end=0.05"]
+
+    def failed_manifest(self, tmp_path, argv, code):
+        assert run_cli(argv, tmp_path) == code
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        return json.loads((run_dir / "manifest.json").read_text())
+
+    def test_interrupt_exits_130_with_manifest(self, tmp_path, monkeypatch):
+        import hnslab.cli as cli
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_simulation", interrupted)
+        m = self.failed_manifest(tmp_path, self.SIMULATE, 130)
+        assert m["status"] == "interrupted"
+        assert m["outputs"] == []
+
+    def test_type_error_exits_4_with_manifest(self, tmp_path, monkeypatch):
+        import hnslab.cli as cli
+
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, "run_simulation", broken)
+        m = self.failed_manifest(tmp_path, self.SIMULATE, 4)
+        assert m["status"] == "error"
+        assert m["error"].startswith("TypeError: unsupported operand")
+
+    def test_run_id_hashes_only_the_keys_read(self, tmp_path):
+        lp = ["lp-check", "seed=1", "grid.n=16", "lp.trials=5"]
+        assert run_cli(lp + ["step.dt=0.01"], tmp_path, out="lp") == 0
+        assert run_cli(lp + ["step.dt=0.02"], tmp_path, out="lp") == 2  # the same run directory
+        assert run_cli(self.SIMULATE + ["step.dt=0.01"], tmp_path, out="sim") == 0
+        assert run_cli(self.SIMULATE + ["step.dt=0.025"], tmp_path, out="sim") == 0
+        assert len(list((tmp_path / "sim").iterdir())) == 2
+
+    def test_lp_check_config_lists_the_keys_read(self, tmp_path):
+        argv = ["lp-check", "seed=1", "grid.n=16", "lp.trials=5", "step.dt=0.01", "speed.samples=3"]
+        assert run_cli(argv, tmp_path) == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        keys = [ln.split("=")[0] for ln in (run_dir / "config.resolved").read_text().splitlines()]
+        assert "lp.trials" in keys and "seed" in keys and "grid.n" in keys
+        assert not [k for k in keys if k.startswith(("step.", "speed."))]
+
+    def test_key_read_after_hashing_fails_the_run(self, tmp_path, monkeypatch):
+        import hnslab.cli as cli
+
+        def late_reader(cfg):
+            cfg["grid.n"]
+            return lambda out: cfg["lp.trials"]
+
+        monkeypatch.setitem(cli._DISPATCH, "lp-check", late_reader)
+        m = self.failed_manifest(tmp_path, ["lp-check", "seed=1"], 4)
+        assert m["status"] == "error"
+        assert m["error"].startswith("RuntimeError") and "lp.trials" in m["error"]
+
+    def test_lp_check_on_an_empty_dealias_box_is_a_user_mistake(self, tmp_path):
+        argv = ["lp-check", "seed=1", "grid.n=8", "grid.dealias=0.1", "lp.trials=10"]
+        assert run_cli(argv, tmp_path) == 2
+        assert not (tmp_path / "runs").exists()

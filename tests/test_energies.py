@@ -52,8 +52,8 @@ def test_energies_on_the_box_equal_half_spectrum(grid):
     half = [SpectralField(grid, _resize(F.coeffs, grid, grid.n_per_axis // 2), F.is_mean_zero) for F in fields]
     params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=0.1, alpha=0.1)
     on_box, on_half = ([SolverState(f[0], f[1], 0.0), SolverState(f[2], f[3], 0.0)] for f in (fields, half))
-    got, want = (energy(states[0], params, sigma_set=(1.5,), N=3) for states in (on_box, on_half))
-    for name in ("E0", "E_delta", "E_half", "E_half_delta", "div_l2", "script_E"):
+    got, want = (energy(states[0], params) for states in (on_box, on_half))
+    for name in ("E0", "E_delta", "E_half", "E_half_delta", "div_l2"):
         a, b = getattr(got, name), getattr(want, name)
         assert a is b is None or abs(a - b) <= 1e-13 * abs(b), name
     for name, b in want.components.items():
@@ -127,7 +127,7 @@ class TestEnergy:
             params = ModelParams(Model.HNS_EPS, epsilon=eps)
         u = random_band_limited(grid, rng, ncomp=grid.dim)
         v = random_band_limited(grid, rng, ncomp=grid.dim)
-        rep = energy(SolverState(u, v, 0.3), params, sigma_set=(0.25,))
+        rep = energy(SolverState(u, v, 0.3), params)
 
         def formula(sigma):
             value = 0.5 * sobolev_norm(u + eps * v, sigma) ** 2
@@ -140,7 +140,6 @@ class TestEnergy:
         base = 0.0 if grid.dim == 2 else 0.5
         assert rep.base == formula(base)
         assert rep.high == formula(base + params.delta)
-        assert rep.components["E_sigma_0.25"] == formula(0.25)
         assert rep.div_l2 == sobolev_norm(divergence(u), 0.0)
 
     def test_sum_of_components(self, grid2d, rng):

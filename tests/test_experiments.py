@@ -151,6 +151,16 @@ class TestSweepConfig:
             SweepConfig("alpha", (1e-1, 1e-2, 1e-3), fixed, data, 0.11, grid2d, 1,
                         snapshot_every_t=0.025)
 
+    def test_point_run_ids_are_pinned(self):
+        # sweep.csv's run_id column and the benchmark reference depend on these
+        from hnslab.experiments import _point_run_id
+
+        fixed = ModelParams(Model.HNS_EPS_ALPHA, epsilon=0.01, alpha=0.1)
+        data = InitialDataSpec(kind="taylor_green", seed=5)
+        cfg = SweepConfig("alpha", (1e-1, 1e-2, 1e-3), fixed, data, 0.1, GridSpec(2, 32), 5)
+        ids = [_point_run_id(cfg, v) for v in cfg.values]
+        assert ids == ["cc4f10ed6d4f", "316abb03bfa5", "8ff90abb75e3"]
+
     def test_misaligned_explicit_dt_rejected(self, grid2d):
         # the config itself is rejected, before any run
         fixed = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-2, alpha=1e-1)

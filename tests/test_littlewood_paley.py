@@ -245,6 +245,11 @@ class TestVerifyInequality:
         with pytest.raises(ValueError):
             verify_inequality("nope", 5, 0, grid2d)
 
+    def test_empty_dealias_box_raises_before_sampling(self):
+        # dealias_cut 0: every draw would be the zero field
+        with pytest.raises(ValueError, match="no nonzero mode"):
+            verify_inequality("tame", 10, 1, GridSpec(2, 8, dealias_fraction=0.1))
+
     def test_csv_row_schema(self, grid2d):
         rep = verify_inequality("ladyzhenskaya", 5, 9, grid2d)
         row = rep.csv_row(grid2d)

@@ -89,14 +89,21 @@ class TestModelParams:
             ModelParams(Model.HNS_EPS, epsilon=0.1, alpha=0.1)
         with pytest.raises(ValueError):
             ModelParams(Model.HNS_EPS_ALPHA, epsilon=0.1)
-        with pytest.raises(ValueError):
-            ModelParams(Model.HNS_EPS, epsilon=0.1, viscosity=2.0)
 
     def test_speeds(self):
         p = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-2, alpha=1e-2)
         assert np.isclose(p.c1, np.sqrt(1.01 / 1e-4))
         assert np.isclose(p.c2, 10.0)
         assert p.c1 > p.c2
+
+
+class TestStepperConfig:
+    @pytest.mark.parametrize(
+        "dt, t_end", [(0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (0.1, -1.0), (0.1, np.nan)]
+    )
+    def test_rejects_nonpositive_or_nan(self, dt, t_end):
+        with pytest.raises(ValueError):
+            StepperConfig(dt=dt, t_end=t_end)
 
 
 class TestNonlinearTerm:
