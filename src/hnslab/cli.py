@@ -26,7 +26,7 @@ import os
 import shutil
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -261,6 +261,7 @@ def _params_from(cfg: dict) -> ModelParams:
 
 
 def _init_spec_from(cfg: dict) -> InitialDataSpec:
+    """The init.* keys but init.epsilon_cutoff, which an epsilon sweep does not read."""
     return _from_config(
         InitialDataSpec,
         kind=cfg["init.kind"],
@@ -269,14 +270,13 @@ def _init_spec_from(cfg: dict) -> InitialDataSpec:
         kmin=cfg["init.kmin"],
         kmax=cfg["init.kmax"] or None,
         decay=cfg["init.decay"],
-        epsilon_cutoff=bool(cfg["init.epsilon_cutoff"]),
         path=cfg["init.path"] or None,
     )
 
 
 def _initial_data(cfg: dict, grid: GridSpec, params: ModelParams):
     """(u0, u1) from the init.* keys."""
-    spec = _init_spec_from(cfg)
+    spec = replace(_init_spec_from(cfg), epsilon_cutoff=bool(cfg["init.epsilon_cutoff"]))
     if spec.epsilon_cutoff and params.epsilon is None:
         raise ConfigError("init.epsilon_cutoff needs a hyperbolic model")
     return build_initial_data(spec, grid, params)
@@ -371,12 +371,15 @@ def _cmd_sweep(cfg: dict):
         s=cfg["model.s"],
         delta=cfg["model.delta"],
     )
+    spec = _init_spec_from(cfg)
+    if alpha:  # an epsilon sweep cuts u0 at each point's own eps
+        spec = replace(spec, epsilon_cutoff=bool(cfg["init.epsilon_cutoff"]))
     sweep_cfg = _from_config(
         SweepConfig,
         sweep_variable=var,
         values=values,
         fixed=fixed,
-        initial_data=_init_spec_from(cfg),
+        initial_data=spec,
         T_final=cfg["sweep.T_final"],
         grid=grid,
         seed=cfg["seed"],
@@ -406,16 +409,21 @@ def _cmd_sweep(cfg: dict):
 
 
 def _cmd_lp_check(cfg: dict):
-    grid = _grid_from(cfg)
+    dim, length = cfg["grid.dim"], cfg["grid.length"]
+    if dim not in (2, 3):
+        raise ConfigError(f"grid.dim must be 2 or 3, got {dim}")
     trials, seed, delta = cfg["lp.trials"], cfg["seed"], cfg["model.delta"]
     _from_config(_check_trials, trials)
+    grid = None  # the configured grid, read only if some name samples on it
     checks = []  # (name, the grid it is sampled on)
     for name in filter(None, (n.strip() for n in cfg["lp.names"].split(","))):
-        g = grid
-        if name == "l3_embedding" and grid.dim != 3:
-            g = GridSpec(3, 32, grid.domain_length)
-        if name == "ladyzhenskaya" and grid.dim != 2:
-            g = GridSpec(2, 64, grid.domain_length)
+        if name == "l3_embedding" and dim != 3:
+            g = _from_config(GridSpec, 3, 32, length)
+        elif name == "ladyzhenskaya" and dim != 2:
+            g = _from_config(GridSpec, 2, 64, length)
+        else:
+            grid = grid or _grid_from(cfg)
+            g = grid
         _from_config(_check_inequality, name, g)
         checks.append((name, g))
 

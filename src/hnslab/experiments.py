@@ -38,6 +38,7 @@ from .solvers import (
     Model,
     ModelParams,
     StepperConfig,
+    _helmholtz_parts,
     _linear_flow,
     run_simulation,
 )
@@ -48,7 +49,6 @@ from .spectral import (
     SpectralField,
     _derivatives,
     _irfft,
-    _irrotational,
     _pass_buffers,
     _rfft,
     _torus_distance_sq,
@@ -577,10 +577,7 @@ def _front_setup(
         if head <= 0:
             raise InvalidWindowError("bump support already reaches the antipode")
         t_end = 0.8 * head / (params.c2 if spec.kind == "solenoidal" else params.c1)
-    parts = np.empty((2, *box.shape), dtype=np.complex128)
-    _irrotational(box, grid, out=parts[1])
-    np.subtract(box, parts[1], out=parts[0])
-    return _Front(parts, dist, theta, R0, np.linspace(0.0, t_end, n_samples + 1))
+    return _Front(_helmholtz_parts(box, grid), dist, theta, R0, np.linspace(0.0, t_end, n_samples + 1))
 
 
 def _sample_front(params: ModelParams, grid: GridSpec, front: _Front, damping: bool) -> FrontReport:

@@ -76,11 +76,6 @@ class DyadicDecomposition:
     p_min: int
     p_max: int
 
-    def block(self, p: int) -> SpectralField:
-        if p < self.p_min or p > self.p_max:
-            return SpectralField.zeros(self.source.grid, self.source.ncomp)
-        return self.blocks[p - self.p_min][1]
-
 
 @lru_cache(maxsize=64)
 def _annulus_masks(grid: GridSpec, cut: int) -> tuple[np.ndarray, ...]:
@@ -151,30 +146,23 @@ def paraproduct_split(u: SpectralField, v: SpectralField) -> tuple[SpectralField
 
     mean_u, mean_v = (SpectralField(grid, _resize(X.coeffs, grid, 0)) for X in (u, v))
 
-    # cumulative partial sums, built once; S_p includes the mean part
-    lows_v = {}
-    acc = mean_v
-    for p in range(dv.p_min, dv.p_max + 2):
-        lows_v[p] = acc
-        if p <= dv.p_max:
-            acc = acc + dv.block(p)
-    lows_u = {}
-    acc = mean_u
-    for p in range(du.p_min, du.p_max + 2):
-        lows_u[p] = acc
-        if p <= du.p_max:
-            acc = acc + du.block(p)
+    def partial_sums(mean: SpectralField, D: DyadicDecomposition) -> list[SpectralField]:
+        """S_p for p = p_min .. p_max + 1: the mean part plus every block below p."""
+        sums = [mean]
+        for _, blk in D.blocks:
+            sums.append(sums[-1] + blk)
+        return sums
 
-    half1 = SpectralField.zeros(grid, ncomp)
-    for p, blk in du.blocks:
-        low = lows_v.get(p + 1, lows_v[max(lows_v)])
-        if np.any(blk.coeffs) and np.any(low.coeffs):
-            half1 = half1 + padded_product(blk, low)
-    half2 = SpectralField.zeros(grid, ncomp)
-    for q, blk in dv.blocks:
-        low = lows_u[q]
-        if np.any(blk.coeffs) and np.any(low.coeffs):
-            half2 = half2 + padded_product(blk, low)
+    def half(blocks, lows) -> SpectralField:
+        """Sum of the padded products of each nonzero block with its nonzero partial sum."""
+        total = SpectralField.zeros(grid, ncomp)
+        for (_, blk), low in zip(blocks, lows):
+            if np.any(blk.coeffs) and np.any(low.coeffs):
+                total = total + padded_product(blk, low)
+        return total
+
+    half1 = half(du.blocks, partial_sums(mean_v, dv)[1:])  # D_p u against S_(p+1) v
+    half2 = half(dv.blocks, partial_sums(mean_u, du))  # D_q v against S_q u
     # mean-times-mean has no block home; add it to half1
     half1 = half1 + SpectralField(grid, mean_u.coeffs * mean_v.coeffs)
     return half1, half2

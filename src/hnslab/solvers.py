@@ -18,12 +18,12 @@ down to 1e-4 stay cheap.  It is the only time stepper.
 Every field here is a SpectralField, a box of the rfftn half spectrum of a
 real field, and every table is built on the box of the field it multiplies
 (see `spectral`).  One exact linear flow, `_linear_flow` on the box of a
-given extent, serves `evolve_linear` and the front experiment: each nonzero
-datum is split into its Helmholtz parts once and the table applied.
+given extent, serves `evolve_linear` and the front experiment, and one
+Helmholtz split, `_helmholtz_parts`, their data and Picard's sources.
 `evolve_linear` and `picard_local_solve` work on the larger extent of their
-data.  One nonlinear core (`_nonlinear`) serves the stepper's forcing
-(`_forcing`: with the Leray projection and the mean removal) and the public
-`nonlinear_term`, which returns the dealias box.
+data.  One forcing, `_forcing` (Leray-projected and mean-free), serves the
+stepper and `picard_local_solve`, so both solve one equation; its core
+`_nonlinear` also serves the public `nonlinear_term`.
 
 Box rule: a step runs on the dealias box, the modes with every
 |j_axis| <= grid.dealias_cut that the 2/3 rule keeps.  One core,
@@ -77,6 +77,7 @@ from .spectral import (
     _derivatives,
     _irfft,
     _irrotational,
+    _norm,
     _pass_buffers,
     _pass_scratch,
     _resize,
@@ -265,7 +266,7 @@ class _Workspace:
     state, the predictor pair `a` = (au, av) and the forcing g1 of au; and
     `state`, the (u, u_t) box that `step` fills and that a run keeps from
     its first step to its last.  Nothing else in it outlives the call that
-    fills it.
+    fills it; Picard borrows g0 and g1 for an iterate's box and its forcing.
 
     The box constants are looked up once per grid: the dealias extent `cut`,
     i k there, the transforms' pass views of `work` at that extent, the
@@ -491,12 +492,18 @@ def _propagator(
     return _mode_functions(t, params.epsilon, gamma, c2k2, a_only)
 
 
+def _helmholtz_parts(x: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """The Helmholtz parts (x - Q x, Q x) of the vector box x, into out (fresh if None; x may be out[0])."""
+    if out is None:
+        out = np.empty((2, *x.shape), dtype=np.complex128)
+    _irrotational(x, grid, out=out[1])
+    np.subtract(x, out[1], out=out[0])
+    return out
+
+
 def _split(F: SpectralField, cut: int) -> np.ndarray:
-    """Coefficients of the Helmholtz parts stacked as (P F, Q F) on the box of extent cut >= F's, from one projection."""
-    if F.cut != cut:
-        F = SpectralField(F.grid, _resize(F.coeffs, F.grid, cut), F.is_mean_zero)
-    q = helmholtz_project(F, "Q")
-    return np.stack([(F - q).coeffs, q.coeffs])
+    """The Helmholtz parts (P F, Q F) of F's box of extent cut >= F's, stacked."""
+    return _helmholtz_parts(_resize(F.coeffs, F.grid, cut), F.grid)
 
 
 def _linear_flow(params: ModelParams, grid: GridSpec, t: float, damping: bool, x0, x1, rate: bool, cut: int):
@@ -816,14 +823,6 @@ def run_simulation(
 # ---------------------------------------------------------------------------
 
 
-def xt_norm(us: list[SpectralField], vs: list[SpectralField], n_over_2_delta: float) -> float:
-    """sup-in-time H^(n/2+d) + H^(n/2+d-1) of u plus H^(n/2+d-1) of du/dt."""
-    hi = max(sobolev_norm(u, n_over_2_delta) for u in us)
-    lo = max(sobolev_norm(u, n_over_2_delta - 1.0) for u in us)
-    vt = max(sobolev_norm(v, n_over_2_delta - 1.0) for v in vs)
-    return hi + lo + vt
-
-
 @dataclass
 class PicardResult:
     state: SolverState
@@ -866,10 +865,12 @@ def picard_local_solve(
 
     phi(u)(t) = A(t) u0 + B(t) u1 + (1/eps) Int_0^t B(t-s) (f(u) - du/dt)(s) ds
 
-    with the undamped branch propagators A, B and composite-trapezoid
-    quadrature for the integral.  Iteration stops when successive iterates are
-    closer than tol in the X_T norm; three consecutive distance increases
-    raise ContractionFailureError, exhaustion raises NoConvergenceError.
+    with the undamped branch propagators A, B, composite-trapezoid
+    quadrature for the integral and the stepper's forcing f, `_forcing` of
+    each iterate's dealias box.  Iteration stops when successive iterates
+    are closer than tol in the X_T norm; three consecutive distance
+    increases raise ContractionFailureError, exhaustion raises
+    NoConvergenceError.
     """
     if not params.is_hyperbolic:
         raise ValueError("the Picard solver addresses the hyperbolic models")
@@ -880,7 +881,7 @@ def picard_local_solve(
         if T > bound:
             raise ValueError(f"T = {T:.4g} exceeds the contraction bound {bound:.4g}")
     grid = u0.grid
-    # the iterates live on the larger extent of the data and the nonlinear term's dealias box
+    ws = _workspace(grid)
     cut = max(u0.cut, u1.cut, grid.dealias_cut)
     eps = params.epsilon
     sig = grid.dim / 2.0 + params.delta
@@ -900,19 +901,23 @@ def picard_local_solve(
     src_w = (T / n_mesh / eps * trap).reshape(-1, *(1,) * (grid.dim + 1))
     B, Bp = (X * trap.reshape(-1, *(1,) * grid.dim) for X in (B, Bp))
 
-    us = [SpectralField(grid, np.zeros_like(base_u[0]), True) for _ in range(n_mesh + 1)]
-    vs = [SpectralField(grid, np.zeros_like(base_u[0]), True) for _ in range(n_mesh + 1)]
+    def xt_norm(us: np.ndarray, vs: np.ndarray) -> float:
+        """sup over the mesh of H^(n/2+d) + H^(n/2+d-1) of u plus H^(n/2+d-1) of du/dt."""
+        hi = max(_norm(u, grid, sig) for u in us)
+        lo = max(_norm(u, grid, sig - 1.0) for u in us)
+        vt = max(_norm(v, grid, sig - 1.0) for v in vs)
+        return hi + lo + vt
 
+    us, vs = np.zeros_like(base_u), np.zeros_like(base_v)  # (mesh point, component, *box)
     xt_norms: list[float] = []
     distances: list[float] = []
     increases = 0
     g = np.empty((2, *base_u.shape), dtype=np.complex128)  # weighted sources, per branch
     for it in range(max_iter):
         for m in range(n_mesh + 1):
-            src = -1.0 * vs[m]
-            if nonlinearity:
-                src = src + nonlinear_term(us[m])
-            g[:, m] = _split(src, cut)
+            f = _forcing(_resize(us[m], grid, ws.cut, out=ws.g0), ws, params, nonlinearity, out=ws.g1)
+            src = np.subtract(_resize(f, grid, cut, out=g[0, m]), vs[m], out=g[0, m])
+            _helmholtz_parts(src, grid, out=g[:, m])
         g *= src_w
         new_u, new_v = base_u.copy(), base_v.copy()
         for lag in range(n_mesh + 1):
@@ -920,13 +925,9 @@ def picard_local_solve(
             j = slice(first - lag, n_mesh + 1 - lag)
             new_u[first:] += np.einsum("b...,bjc...->jc...", B[:, lag], g[:, j])
             new_v[first:] += np.einsum("b...,bjc...->jc...", Bp[:, lag], g[:, j])
-        new_u = [SpectralField(grid, c) for c in new_u]
-        new_v = [SpectralField(grid, c) for c in new_v]
-        dist = xt_norm(
-            [a - b for a, b in zip(new_u, us)], [a - b for a, b in zip(new_v, vs)], sig
-        )
+        dist = xt_norm(np.subtract(new_u, us, out=us), np.subtract(new_v, vs, out=vs))  # into the old iterates
         us, vs = new_u, new_v
-        xt_norms.append(xt_norm(us, vs, sig))
+        xt_norms.append(xt_norm(us, vs))
         distances.append(dist)
         if len(distances) >= 2 and dist > distances[-2]:
             increases += 1
@@ -935,7 +936,6 @@ def picard_local_solve(
         else:
             increases = 0
         if dist <= tol:
-            # copies: views would keep the whole mesh of iterates alive
-            state = SolverState(us[-1].copy(), vs[-1].copy(), T)
+            state = _box_state(np.stack((us[-1], vs[-1])), grid, T)
             return PicardResult(state, xt_norms, distances, it + 1)
     raise NoConvergenceError((xt_norms, distances))

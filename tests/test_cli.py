@@ -471,6 +471,30 @@ class TestRunLifecycle:
         assert run_cli(self.SIMULATE + ["step.dt=0.025"], tmp_path, out="sim") == 0
         assert len(list((tmp_path / "sim").iterdir())) == 2
 
+    def test_epsilon_sweep_run_id_ignores_epsilon_cutoff(self, tmp_path):
+        # an epsilon sweep does not read init.epsilon_cutoff, so both values name one run directory
+        args = [
+            "sweep",
+            "seed=5",
+            "grid.n=16",
+            "sweep.variable=epsilon",
+            "sweep.values=1e-1,1e-2,1e-3",
+            "sweep.T_final=0.05",
+            "init.kind=random",
+        ]
+        assert run_cli(args + ["init.epsilon_cutoff=0", "--workers", "1"], tmp_path) == 0
+        assert run_cli(args + ["init.epsilon_cutoff=1", "--workers", "1"], tmp_path) == 2
+
+    def test_lp_check_on_substitute_grids_ignores_the_grid(self, tmp_path):
+        # l3_embedding on a 2D configuration samples on its own 3D 32^3 grid,
+        # so grid.n and grid.dealias are not read
+        lp = ["lp-check", "seed=1", "lp.names=l3_embedding", "lp.trials=5"]
+        assert run_cli(lp + ["grid.n=16"], tmp_path) == 0
+        assert run_cli(lp + ["grid.n=32", "grid.dealias=0.5"], tmp_path) == 2
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        keys = [ln.split("=")[0] for ln in (run_dir / "config.resolved").read_text().splitlines()]
+        assert "grid.dim" in keys and "grid.n" not in keys and "grid.dealias" not in keys
+
     def test_lp_check_config_lists_the_keys_read(self, tmp_path):
         argv = ["lp-check", "seed=1", "grid.n=16", "lp.trials=5", "step.dt=0.01", "speed.samples=3"]
         assert run_cli(argv, tmp_path) == 0

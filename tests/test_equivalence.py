@@ -330,15 +330,25 @@ def forward_passes(grid):
 
 
 def count_projections(monkeypatch):
-    """The which-arguments of helmholtz_project calls from solvers and experiments from now on."""
-    calls = []
+    """The Helmholtz splits solvers and experiments make from now on.
 
-    def counting(F, which):
+    A `_helmholtz_parts` call records the box shape it splits, a
+    helmholtz_project call its which-argument.
+    """
+    calls = []
+    helmholtz_parts = solvers._helmholtz_parts
+
+    def splitting(x, grid, out=None):
+        calls.append(x.shape)
+        return helmholtz_parts(x, grid, out)
+
+    def projecting(F, which):
         calls.append(which)
         return helmholtz_project(F, which)
 
     for module in (solvers, experiments):
-        monkeypatch.setattr(module, "helmholtz_project", counting)
+        monkeypatch.setattr(module, "_helmholtz_parts", splitting)
+        monkeypatch.setattr(module, "helmholtz_project", projecting)
     return calls
 
 
@@ -571,19 +581,12 @@ class TestLinearFlowCounts:
 
     @pytest.mark.parametrize("n_samples", [2, 6])
     def test_front_experiment_splits_once(self, monkeypatch, n_samples):
-        # the box path projects with _irrotational, never with helmholtz_project
+        # the box path splits its bump once with _helmholtz_parts, never with helmholtz_project
         params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=1e-1, alpha=1e-1)
         calls = count_projections(monkeypatch)
-        boxes = []
-
-        def counting(x, grid, out=None):
-            boxes.append(x.shape)
-            return spectral._irrotational(x, grid, out)
-
-        monkeypatch.setattr(experiments, "_irrotational", counting)
         grid = GridSpec(2, 128)
         finite_speed_experiment(params, grid, BumpSpec("mixed"), n_samples=n_samples)
-        assert boxes == [(2, *grid.box_shape)] and not calls, (boxes, calls)
+        assert calls == [(2, *grid.box_shape)], calls
 
     def test_front_experiment_one_inverse_on_half_tables_per_sample(self, monkeypatch):
         # one pruned inverse per sample, and every table on the dealias box
