@@ -50,7 +50,8 @@ from .experiments import (
 from .littlewood_paley import INEQUALITY_NAMES, InequalityReport, _check_inequality, _check_trials
 from .littlewood_paley import estimate_constants, verify_inequality
 from .solvers import BlowUpError, Model, ModelParams, StepperConfig, run_simulation
-from .spectral import GridSpec, InvalidFieldError, divergence, sobolev_norm, write_snapshot
+from .spectral import GridSpec, InvalidFieldError, divergence, random_band_limited, sobolev_norm
+from .spectral import write_snapshot
 
 __all__ = ["main", "RunManifest", "ConfigError"]
 
@@ -296,11 +297,7 @@ def _cmd_simulate(cfg: dict):
     u0, u1 = _initial_data(cfg, grid, params)
     if cfg["init.u1_scale"] and params.is_hyperbolic:
         rng = np.random.default_rng(cfg["seed"] + 1)
-        from .spectral import dealias, random_band_limited
-
-        u1 = dealias(
-            random_band_limited(grid, rng, ncomp=grid.dim, amplitude=cfg["init.u1_scale"])
-        )
+        u1 = random_band_limited(grid, rng, ncomp=grid.dim, amplitude=cfg["init.u1_scale"])
     dt = cfg["step.dt"]
     if dt is None:
         dt = suggest_dt(params, grid, max(cfg["step.t_end"], 1e-9) / 40.0)
@@ -523,6 +520,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             run = _DISPATCH[args.subcommand](cfg)
         except (InvalidFieldError, OSError) as exc:  # an unreadable or mismatched init file
+            if "init.kind" not in cfg.read or cfg["init.kind"] != "file":
+                raise
             raise ConfigError(f"init.path: {type(exc).__name__}: {exc}") from exc
         canon = _canonical_config_text(cfg, args.subcommand)
         cfg.frozen = True

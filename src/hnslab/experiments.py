@@ -130,6 +130,10 @@ class InitialDataSpec:
             raise ValueError("random initial data requires a seed")
         if self.kind == "file" and self.path is None:
             raise ValueError("file initial data requires a path")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.decay)):
+            raise ValueError(f"amplitude and decay must be finite, got {self.amplitude!r} and {self.decay!r}")
+        if self.kmin < 1:  # the |j|^-decay envelope is infinite at the mean, j = 0
+            raise ValueError(f"kmin must be >= 1, got {self.kmin}")
 
 
 def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
@@ -146,7 +150,7 @@ def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
 
 def _epsilon_cutoff(F: SpectralField, epsilon: float) -> SpectralField:
     keep = np.sqrt(epsilon) * k_abs(F.grid, F.cut) < 1.0
-    return SpectralField(F.grid, F.coeffs * keep, is_mean_zero=True)
+    return SpectralField(F.grid, F.coeffs * keep)
 
 
 def build_initial_data(
@@ -179,9 +183,8 @@ def build_initial_data(
         if isinstance(loaded, PhysicalField):
             loaded = to_spectral(loaded)
         # on the configured grid, so that its dealias fraction applies
-        loaded = SpectralField(grid, loaded.coeffs)
-        u0 = helmholtz_project(loaded.remove_mean(), "P")
-    u0 = dealias(u0)
+        u0 = helmholtz_project(SpectralField(grid, loaded.coeffs), "P")
+    u0 = dealias(u0).remove_mean()
     if spec.epsilon_cutoff:
         if params.epsilon is None:
             raise ValueError("epsilon_cutoff needs a hyperbolic model")

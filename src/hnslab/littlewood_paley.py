@@ -33,6 +33,7 @@ from .spectral import (
     _index_magnitude,
     _irfft,
     _linf,
+    _mean,
     _norm,
     _padded_half,
     _random_half,
@@ -92,7 +93,7 @@ def decompose(F: SpectralField) -> DyadicDecomposition:
     """Split a field into its full family of sharp dyadic blocks, each on the field's box."""
     masks = _annulus_masks(F.grid, F.cut)
     blocks = [
-        (p, SpectralField(F.grid, F.coeffs * mask, is_mean_zero=True))
+        (p, SpectralField(F.grid, F.coeffs * mask))
         for p, mask in enumerate(masks)
     ]
     return DyadicDecomposition(source=F, blocks=blocks, p_min=0, p_max=len(masks) - 1)
@@ -218,11 +219,10 @@ def _probe_fields(grid: GridSpec, ncomp: int) -> list[np.ndarray]:
     holds them, sit on the plane j = 0 of the last axis, which holds k and -k.
     """
     L = grid.domain_length
-    mean = (slice(None), *(0,) * grid.dim)
     probes = []
     for frac in (8.0, 16.0, 32.0):
         bump = _rfft(gaussian_bump(grid, sigma=L / frac).values, grid.dealias_cut)
-        bump[mean] = 0.0
+        bump[_mean(grid)] = 0.0
         probes.append(np.concatenate([bump] * ncomp))
     for kidx in (1, 2):
         box = _box_shape(grid.n_per_axis, grid.dim, max(kidx, grid.dealias_cut))

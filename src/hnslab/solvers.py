@@ -77,6 +77,8 @@ from .spectral import (
     _derivatives,
     _irfft,
     _irrotational,
+    _mean,
+    _mean_free,
     _norm,
     _pass_buffers,
     _pass_scratch,
@@ -151,16 +153,13 @@ class ModelParams:
         if self.model is Model.NS:
             if self.epsilon is not None or self.alpha is not None:
                 raise ValueError("NS takes neither epsilon nor alpha")
-        elif self.model is Model.HNS_EPS:
-            if self.epsilon is None or self.epsilon <= 0:
-                raise ValueError("HNS_EPS requires epsilon > 0")
-            if self.alpha is not None:
-                raise ValueError("HNS_EPS takes no alpha")
-        else:
-            if self.epsilon is None or self.epsilon <= 0:
-                raise ValueError("HNS_EPS_ALPHA requires epsilon > 0")
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("HNS_EPS_ALPHA requires alpha > 0")
+            return
+        if self.epsilon is None or not 0 < self.epsilon < math.inf:  # NaN fails every comparison
+            raise ValueError(f"{self.model.name} requires a finite epsilon > 0, got {self.epsilon!r}")
+        if self.model is Model.HNS_EPS and self.alpha is not None:
+            raise ValueError("HNS_EPS takes no alpha")
+        if self.model is Model.HNS_EPS_ALPHA and (self.alpha is None or not 0 < self.alpha < math.inf):
+            raise ValueError(f"HNS_EPS_ALPHA requires a finite alpha > 0, got {self.alpha!r}")
 
     @property
     def is_hyperbolic(self) -> bool:
@@ -299,7 +298,7 @@ class _Workspace:
             (m, inverse): _pass_buffers(m, d, n, cut, inverse, self.work)
             for m, inverse in ((d, True), (d + 1, True), (npairs, False), (npairs + d, False))
         }
-        self.mean = (Ellipsis, *(0,) * d)  # the k = 0 mode of a vector or of a pair
+        self.mean = _mean(grid)  # the k = 0 mode of a vector or of a pair
         self.pair_rows = [
             slice(row[0], row[-1] + 1) if np.all(np.diff(row) == 1) else row
             for row in _product_pairs(d)[2]
@@ -545,9 +544,8 @@ def evolve_linear(
     grid, cut = u0.grid, max(u0.cut, u1.cut)
     x0, x1 = (_split(F, cut) if F.coeffs.any() else None for F in (u0, u1))
     u, v = _linear_flow(params, grid, t, damping, x0, x1, rate=True, cut=cut)
-    return SolverState(
-        SpectralField(grid, u, is_mean_zero=True), SpectralField(grid, v, is_mean_zero=True), t
-    )
+    u[_mean(grid)] = v[_mean(grid)] = 0.0
+    return SolverState(SpectralField(grid, u), SpectralField(grid, v), t)
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +699,8 @@ def _advance(ws: _Workspace, tables, params: ModelParams, nonlinearity: bool, x:
 def _box_state(x: np.ndarray, grid: GridSpec, time: float) -> SolverState:
     """The state at time whose fields wrap a copy of the box rows x: u and, if present, u_t."""
     x = x.copy()
-    u_t = SpectralField(grid, x[1], is_mean_zero=True) if len(x) > 1 else None
-    return SolverState(SpectralField(grid, x[0], is_mean_zero=True), u_t, time)
+    u_t = SpectralField(grid, x[1]) if len(x) > 1 else None
+    return SolverState(SpectralField(grid, x[0]), u_t, time)
 
 
 def step(
@@ -867,14 +865,15 @@ def picard_local_solve(
 
     with the undamped branch propagators A, B, composite-trapezoid
     quadrature for the integral and the stepper's forcing f, `_forcing` of
-    each iterate's dealias box.  Iteration stops when successive iterates
-    are closer than tol in the X_T norm; three consecutive distance
-    increases raise ContractionFailureError, exhaustion raises
-    NoConvergenceError.
+    each iterate's dealias box, on the data less their mean and, for HNS_EPS,
+    less their gradient part, as `run_simulation` projects its data.
+    Iteration stops when successive iterates are closer than tol in the X_T
+    norm; three consecutive distance increases raise ContractionFailureError,
+    exhaustion raises NoConvergenceError.
     """
     if not params.is_hyperbolic:
         raise ValueError("the Picard solver addresses the hyperbolic models")
-    if not (u0.is_mean_zero and u1.is_mean_zero):
+    if not (_mean_free(u0) and _mean_free(u1)):
         raise InvalidFieldError("Picard data must be mean-zero")
     if enforce_time_bound:
         bound = picard_time_bound(u0, u1, params)
@@ -890,6 +889,9 @@ def picard_local_solve(
     # A, B, A', B' as (branch P/Q, lag t_0..t_M, *modes); data as (branch, component, *modes)
     A, B, Ap, Bp = (np.array([[tab[i] for tab in branch] for branch in tabs]) for i in range(4))
     x0, x1 = _split(u0, cut), _split(u1, cut)
+    x0[ws.mean] = x1[ws.mean] = 0.0  # a mean within the check's tolerance of 0 is 0
+    if params.model is Model.HNS_EPS:  # the divergence-free parts alone, as run_simulation projects them
+        x0[1] = x1[1] = 0.0
     branch_sum = functools.partial(np.einsum, "bm...,bc...->mc...")
     base_u = branch_sum(A, x0) + branch_sum(B, x1)
     base_v = branch_sum(Ap, x0) + branch_sum(Bp, x1)

@@ -63,8 +63,9 @@ Conventions baked in here and relied on everywhere else:
 * wavenumber along an axis is (2*pi/L) * j with integer j in [-n/2, n/2)
 * the k = 0 mode belongs to the divergence-free (P) part of the Helmholtz
   split and is excluded from every |k|^sigma multiplier
-* homogeneous Sobolev norms are mean-zero Plancherel sums scaled to agree
-  with the physical-space L2 norm at sigma = 0
+* a field's mean is its k = 0 coefficient, and whoever needs it zero writes it
+* homogeneous Sobolev norms are Plancherel sums scaled to agree with the
+  physical-space L2 norm at sigma = 0, the one order that counts the mean
 """
 
 from __future__ import annotations
@@ -280,6 +281,14 @@ def k_abs(grid: GridSpec, cut: int) -> np.ndarray:
     return grid.k_fundamental * _index_magnitude(grid, cut)
 
 
+def _k_power(grid: GridSpec, p: float, cut: int) -> np.ndarray:
+    """|k|^p on the box of extent cut, 0 at k = 0."""
+    ka = k_abs(grid, cut)
+    out = np.zeros_like(ka)
+    out[ka > 0] = ka[ka > 0] ** p
+    return out
+
+
 @lru_cache(maxsize=64)
 def _sobolev_weight(grid: GridSpec, sigma: float, cut: int) -> np.ndarray:
     """|k|^(2 sigma) times each stored mode's Hermitian multiplicity on the box of extent cut (read-only: shared).
@@ -288,13 +297,7 @@ def _sobolev_weight(grid: GridSpec, sigma: float, cut: int) -> np.ndarray:
     self-conjugate planes j = 0 and j = n/2 of the last axis stands for
     itself and its mirror image -k, so it counts twice in the Plancherel sum.
     """
-    ka = k_abs(grid, cut)
-    if sigma == 0:
-        w = np.ones_like(ka)
-    else:
-        w = np.zeros_like(ka)
-        nonzero = ka > 0
-        w[nonzero] = ka[nonzero] ** (2.0 * sigma)
+    w = np.ones_like(k_abs(grid, cut)) if sigma == 0 else _k_power(grid, 2.0 * sigma, cut)
     last = np.arange(cut + 1)
     w = w * np.where((last == 0) | (last == grid.n_per_axis // 2), 1.0, 2.0)
     w.flags.writeable = False
@@ -347,14 +350,15 @@ class SpectralField:
 
     `coeffs` has shape (ncomp, *box) with ncomp 1 (scalar) or dim (vector)
     and box the box of extent cut = coeffs.shape[-1] - 1 <= n/2; extent n/2
-    is the whole half spectrum, (ncomp, *grid.spectral_shape).  Instances are
-    treated as immutable values: operations return new fields and never
-    mutate their inputs.
+    is the whole half spectrum, (ncomp, *grid.spectral_shape).  A field is
+    its coefficients, its mean the k = 0 ones: the constructor wraps `coeffs`
+    and writes nothing.  Instances are treated as immutable values:
+    operations return new fields and never mutate their inputs.
     """
 
-    __slots__ = ("grid", "coeffs", "is_mean_zero")
+    __slots__ = ("grid", "coeffs")
 
-    def __init__(self, grid: GridSpec, coeffs: np.ndarray, is_mean_zero: bool | None = None):
+    def __init__(self, grid: GridSpec, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim == grid.dim:
             coeffs = coeffs[np.newaxis]
@@ -367,13 +371,6 @@ class SpectralField:
             )
         self.grid = grid
         self.coeffs = coeffs
-        zero = (slice(None), *(0,) * grid.dim)
-        if is_mean_zero is None:
-            scale = np.max(np.abs(coeffs)) or 1.0
-            is_mean_zero = bool(np.all(np.abs(coeffs[zero]) <= _MEAN_TOL * scale))
-        if is_mean_zero:
-            coeffs[zero] = 0.0
-        self.is_mean_zero = is_mean_zero
 
     @property
     def ncomp(self) -> int:
@@ -384,23 +381,19 @@ class SpectralField:
         """The extent of the box the coefficients hold."""
         return self.coeffs.shape[-1] - 1
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.ncomp == 1
-
     @classmethod
     def zeros(cls, grid: GridSpec, ncomp: int = 1) -> "SpectralField":
         """The zero field on the box of extent 0, the mean mode alone."""
-        return cls(grid, np.zeros((ncomp, *(1,) * grid.dim), dtype=np.complex128), True)
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy(), self.is_mean_zero)
+        return cls(grid, np.zeros((ncomp, *(1,) * grid.dim), dtype=np.complex128))
 
     def component(self, i: int) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs[i : i + 1].copy(), self.is_mean_zero)
+        return SpectralField(self.grid, self.coeffs[i : i + 1].copy())
 
     def remove_mean(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy(), is_mean_zero=True)
+        """The field minus its mean: a copy whose k = 0 coefficients are 0."""
+        coeffs = self.coeffs.copy()
+        coeffs[_mean(self.grid)] = 0.0
+        return SpectralField(self.grid, coeffs)
 
     def _check_same_grid(self, other: "SpectralField"):
         if self.grid != other.grid:
@@ -416,7 +409,7 @@ class SpectralField:
             a = _resize(a, self.grid, other.cut)
         elif b.shape[-1] < a.shape[-1]:
             b = _resize(b, self.grid, self.cut)
-        return SpectralField(self.grid, op(a, b), self.is_mean_zero and other.is_mean_zero)
+        return SpectralField(self.grid, op(a, b))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         return self._combine(other, np.add)
@@ -425,12 +418,12 @@ class SpectralField:
         return self._combine(other, np.subtract)
 
     def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar, self.is_mean_zero)
+        return SpectralField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs, self.is_mean_zero)
+        return SpectralField(self.grid, -self.coeffs)
 
 
 @dataclass
@@ -628,15 +621,15 @@ def to_physical(F: SpectralField) -> PhysicalField:
 
 def partial_derivative(F: SpectralField, axis: int) -> SpectralField:
     """Componentwise d/dx_axis as the multiplier i*k_axis."""
-    return SpectralField(F.grid, F.coeffs * _derivatives(F.grid, F.cut)[axis], is_mean_zero=True)
+    return SpectralField(F.grid, F.coeffs * _derivatives(F.grid, F.cut)[axis])
 
 
 def gradient(F: SpectralField) -> SpectralField:
     """Gradient of a scalar field -> vector field."""
-    if not F.is_scalar:
+    if F.ncomp != 1:
         raise InvalidFieldError("gradient expects a scalar field")
     comps = [F.coeffs[0] * ik for ik in _derivatives(F.grid, F.cut)]
-    return SpectralField(F.grid, np.stack(comps), is_mean_zero=True)
+    return SpectralField(F.grid, np.stack(comps))
 
 
 def divergence(F: SpectralField) -> SpectralField:
@@ -646,11 +639,11 @@ def divergence(F: SpectralField) -> SpectralField:
     out = np.zeros(F.coeffs.shape[1:], dtype=np.complex128)
     for i, ik in enumerate(_derivatives(F.grid, F.cut)):
         out += F.coeffs[i] * ik
-    return SpectralField(F.grid, out[np.newaxis], is_mean_zero=True)
+    return SpectralField(F.grid, out[np.newaxis])
 
 
 def laplacian(F: SpectralField) -> SpectralField:
-    return SpectralField(F.grid, F.coeffs * (-k_squared(F.grid, F.cut)), is_mean_zero=True)
+    return SpectralField(F.grid, F.coeffs * (-k_squared(F.grid, F.cut)))
 
 
 def _irrotational(x: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
@@ -690,23 +683,25 @@ def helmholtz_project(F: SpectralField, which: str) -> SpectralField:
         raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
     q = _irrotational(F.coeffs, F.grid)
     if which == "Q":
-        return SpectralField(F.grid, q, is_mean_zero=True)
-    return SpectralField(F.grid, F.coeffs - q, is_mean_zero=F.is_mean_zero)
+        return SpectralField(F.grid, q)
+    return SpectralField(F.grid, F.coeffs - q)
+
+
+def _mean(grid: GridSpec) -> tuple:
+    """Index of the k = 0 coefficients in a box, or in a stack of boxes, of grid."""
+    return (Ellipsis, *(0,) * grid.dim)
+
+
+def _mean_free(F: SpectralField) -> bool:
+    """Whether F's k = 0 coefficients are 0 up to _MEAN_TOL times its largest |coefficient|."""
+    return bool(np.all(np.abs(F.coeffs[_mean(F.grid)]) <= _MEAN_TOL * np.max(np.abs(F.coeffs))))
 
 
 def lambda_power(F: SpectralField, sigma: float) -> SpectralField:
     """|k|^sigma multiplier; the k = 0 coefficient is always set to 0."""
-    if sigma == 0:
-        return F.remove_mean()
-    if sigma < 0 and not F.is_mean_zero:
-        raise SingularMultiplierError(
-            "lambda_power with sigma < 0 requires a mean-zero field"
-        )
-    ka = k_abs(F.grid, F.cut)
-    mult = np.zeros_like(ka)
-    nonzero = ka > 0
-    mult[nonzero] = ka[nonzero] ** sigma
-    return SpectralField(F.grid, F.coeffs * mult, is_mean_zero=True)
+    if sigma < 0 and not _mean_free(F):
+        raise SingularMultiplierError("lambda_power with sigma < 0 requires a mean-zero field")
+    return SpectralField(F.grid, F.coeffs * _k_power(F.grid, sigma, F.cut))
 
 
 def sobolev_norm(F: SpectralField, sigma: float) -> float:
@@ -715,7 +710,7 @@ def sobolev_norm(F: SpectralField, sigma: float) -> float:
     At sigma = 0 this is the L2 norm of the physical samples (Plancherel).
     Negative sigma requires a mean-zero field.
     """
-    if sigma < 0 and not F.is_mean_zero:
+    if sigma < 0 and not _mean_free(F):
         raise SingularMultiplierError("negative-order norm requires a mean-zero field")
     return _norm(F.coeffs, F.grid, sigma)
 
@@ -754,7 +749,7 @@ def linf_norm(f: PhysicalField | SpectralField) -> float:
 
 def dealias(F: SpectralField) -> SpectralField:
     """F on the dealias box: every coefficient with any |k_j| above dealias_fraction * k_max dropped."""
-    return SpectralField(F.grid, _resize(F.coeffs, F.grid, F.grid.dealias_cut), F.is_mean_zero)
+    return SpectralField(F.grid, _resize(F.coeffs, F.grid, F.grid.dealias_cut))
 
 
 def _product_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -882,7 +877,7 @@ def random_band_limited(
     extent min(kmax, n/2); kmax defaults to `grid.dealias_cut`.
     """
     box = _random_half(grid, rng, ncomp, kmin, kmax, decay, amplitude, divergence_free)
-    return SpectralField(grid, box, is_mean_zero=True)
+    return SpectralField(grid, box)
 
 
 def _random_half(
@@ -909,7 +904,7 @@ def _random_half(
     raw.real = rng.normal(size=shape)
     raw.imag = rng.normal(size=shape)
     box = _resize(_half(raw * envelope), grid, cut)
-    box[(slice(None), *(0,) * grid.dim)] = 0.0
+    box[_mean(grid)] = 0.0
     if divergence_free:
         box -= _irrotational(box, grid)
     peak = _linf(box, grid)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hnslab.cli import ConfigError, load_config, main
+from hnslab.spectral import InvalidFieldError
 
 
 def run_cli(args, tmp_path, out="runs"):
@@ -212,6 +213,23 @@ class TestUserMistakes:
         self.assert_rejected(overrides, tmp_path, command=("speed-test",))
         assert "InvalidWindowError: bump support already reaches the antipode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["model.alpha=nan"],
+            ["model.epsilon=inf"],
+            ["init.kind=random", "init.decay=nan"],
+            ["init.kind=random", "init.amplitude=nan"],
+            ["init.kind=random", "init.kmin=0"],
+            ["init.kind=random", "init.kmin=-3"],
+        ],
+        ids=["alpha-nan", "epsilon-inf", "decay-nan", "amplitude-nan", "kmin-0", "kmin-negative"],
+    )
+    def test_non_finite_or_out_of_domain_value(self, tmp_path, overrides):
+        # each was a blow-up, an internal error or a warning with a run directory
+        simulate = ("simulate", "model.epsilon=0.1", "model.alpha=0.1")
+        self.assert_rejected(overrides, tmp_path, command=simulate)
+
     def test_epsilon_cutoff_without_epsilon(self, tmp_path):
         self.assert_rejected(["model.kind=ns", "init.epsilon_cutoff=1"], tmp_path)
 
@@ -224,6 +242,18 @@ class TestUserMistakes:
         monkeypatch.setattr(experiments, "random_band_limited", broken)
         args = ["simulate", "seed=1", "grid.n=16", "model.kind=ns", "init.kind=random"]
         assert run_cli(args, tmp_path) == 4
+
+    def test_invalid_field_not_read_from_a_file_exits_4(self, tmp_path, monkeypatch, capsys):
+        # only data read from init.path is the user's; other data failing is an internal error
+        import hnslab.experiments as experiments
+
+        def broken(*args, **kwargs):
+            raise InvalidFieldError("physical samples contain non-finite values")
+
+        monkeypatch.setattr(experiments, "taylor_green", broken)
+        assert run_cli(["simulate", "seed=1", "grid.n=16", "model.kind=ns"], tmp_path) == 4
+        assert "init.path" not in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_internal_error_still_exits_4(self, tmp_path, monkeypatch):
         import hnslab.cli as cli

@@ -49,7 +49,7 @@ def plancherel_term_oracle(field, grid, sigma):
 def test_energies_on_the_box_equal_half_spectrum(grid):
     rng = np.random.default_rng(51)
     fields = [dealias(random_band_limited(grid, rng, ncomp=grid.dim)) for _ in range(4)]
-    half = [SpectralField(grid, _resize(F.coeffs, grid, grid.n_per_axis // 2), F.is_mean_zero) for F in fields]
+    half = [SpectralField(grid, _resize(F.coeffs, grid, grid.n_per_axis // 2)) for F in fields]
     params = ModelParams(Model.HNS_EPS_ALPHA, epsilon=0.1, alpha=0.1)
     on_box, on_half = ([SolverState(f[0], f[1], 0.0), SolverState(f[2], f[3], 0.0)] for f in (fields, half))
     got, want = (energy(states[0], params) for states in (on_box, on_half))
@@ -208,7 +208,7 @@ class TestModulatedEnergy:
         params = self._params()
         psi = single_mode(grid2d, (1, 2), amplitude=0.7371)
         g = gradient(psi)
-        u = SpectralField(grid2d, np.stack([-g.coeffs[1], g.coeffs[0]]), is_mean_zero=True)
+        u = SpectralField(grid2d, np.stack([-g.coeffs[1], g.coeffs[0]]))
         st = SolverState(u, 0.5 * u, 0.0)
         assert sobolev_norm(divergence(u), 0.0) == 0.0
         assert modulated_energy(st, st, params).value == 0.0

@@ -258,7 +258,7 @@ def bump_oracle(spec, grid):
     grad_phi = gradient(to_spectral(gaussian_bump(grid, sigma, spec.center)).remove_mean())
     gx, gy = grad_phi.coeffs[:2]
     rot = [-gy, gx] if grid.dim == 2 else [gy, -gx, np.zeros_like(gx)]
-    sol = SpectralField(grid, np.stack(rot), is_mean_zero=True)
+    sol = SpectralField(grid, np.stack(rot))
     u0 = dealias({"gradient": grad_phi, "solenoidal": sol, "mixed": grad_phi + sol}[spec.kind])
     phys = to_physical(u0)
     scale = spec.amplitude / linf_norm(phys)

@@ -113,7 +113,7 @@ class TestPartialSum:
         got = partial_sum(D, p)
         m = _index_magnitude(grid2d)
         mask = (m >= 1.0) & (m < 2.0**p)
-        want = SpectralField(grid2d, lift(F) * mask, is_mean_zero=True)
+        want = SpectralField(grid2d, lift(F) * mask)
         assert sobolev_norm(got - want, 0.0) <= 1e-13 * sobolev_norm(want, 0.0)
 
 
@@ -202,7 +202,7 @@ class TestParaproduct:
 def _constant(grid):
     coeffs = np.zeros((1, *grid.spectral_shape), dtype=complex)
     coeffs[(0,) + (0,) * grid.dim] = 1.0
-    return SpectralField(grid, coeffs, is_mean_zero=False)
+    return SpectralField(grid, coeffs)
 
 
 class TestVerifyInequality:

@@ -41,7 +41,7 @@ def spectral_product(F, G):
 
 def lifted(F):
     """F on the whole half spectrum, extent n/2."""
-    return SpectralField(F.grid, _resize(F.coeffs, F.grid, F.grid.n_per_axis // 2), F.is_mean_zero)
+    return SpectralField(F.grid, _resize(F.coeffs, F.grid, F.grid.n_per_axis // 2))
 
 
 # the dealias box and the whole half spectrum, and a grid whose box is the half spectrum
@@ -184,7 +184,7 @@ class TestHelmholtz:
     def test_mean_mode_belongs_to_p(self, grid2d):
         coeffs = np.zeros((2, *grid2d.spectral_shape), dtype=complex)
         coeffs[0, 0, 0] = 1.0
-        F = SpectralField(grid2d, coeffs, is_mean_zero=False)
+        F = SpectralField(grid2d, coeffs)
         assert np.max(np.abs(helmholtz_project(F, "Q").coeffs)) == 0.0
         P = helmholtz_project(F, "P")
         assert np.isclose(P.coeffs[0, 0, 0], 1.0)
@@ -214,7 +214,7 @@ class TestLambdaAndNorms:
         coeffs = np.zeros((1, *grid2d.spectral_shape), dtype=complex)
         coeffs[0, 0, 0] = 1.0
         coeffs[0, 1, 0] = coeffs[0, -1, 0] = 0.25
-        F = SpectralField(grid2d, coeffs, is_mean_zero=False)
+        F = SpectralField(grid2d, coeffs)
         with pytest.raises(SingularMultiplierError):
             lambda_power(F, -1.0)
 
@@ -332,6 +332,32 @@ def test_zeros_is_the_empty_box(grid, tmp_path):
     write_snapshot(tmp_path / "box.hnsf", Z, 0.5)
     write_snapshot(tmp_path / "half.hnsf", half, 0.5)
     assert (tmp_path / "box.hnsf").read_bytes() == (tmp_path / "half.hnsf").read_bytes()
+
+
+def test_building_a_field_keeps_the_callers_array_and_its_mean(tmp_path):
+    # a field is its coefficients: no constructor writes to the array it is
+    # given, and a mean far below the coefficients stays the mean it is
+    from hnslab.solvers import nonlinear_term
+
+    grid, mean = GridSpec(2, 16), 1e-14
+    c = random_band_limited(grid, np.random.default_rng(53), ncomp=2).coeffs
+    c[:, 0, 0] = mean
+    kept = c.copy()
+    F = SpectralField(grid, c)
+    assert np.array_equal(c, kept) and np.array_equal(F.coeffs[:, 0, 0], [mean, mean])
+    values = to_physical(F).values
+    samples = values.copy()
+    G = to_spectral(PhysicalField(grid, values))
+    assert np.array_equal(values, samples)
+    assert np.max(np.abs(G.coeffs[:, 0, 0] - mean)) <= 1e-15
+    write_snapshot(tmp_path / "f.hnsf", F)
+    H, _ = read_snapshot(tmp_path / "f.hnsf")
+    assert np.max(np.abs(H.coeffs[:, 0, 0] - mean)) <= 1e-15
+    one = SpectralField(grid, np.ones((1, 1, 1)))  # the constant 1 on the empty box
+    P = padded_product(F, one)
+    assert np.max(np.abs(P.coeffs[:, 0, 0] - mean)) <= 1e-15
+    nonlinear_term(F)
+    assert np.array_equal(c, kept) and np.array_equal(one.coeffs, np.ones((1, 1, 1)))
 
 
 @pytest.mark.parametrize("grid", PARITY_GRIDS, ids=PARITY_IDS)
