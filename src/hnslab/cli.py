@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -261,9 +262,12 @@ def _params_from(cfg: dict) -> ModelParams:
     return _from_config(ModelParams, kind, epsilon=eps, alpha=alpha, s=s, delta=delta)
 
 
-def _init_spec_from(cfg: dict) -> InitialDataSpec:
-    """The init.* keys but init.epsilon_cutoff, which an epsilon sweep does not read."""
-    return _from_config(
+def _init_spec_from(cfg: dict, grid: GridSpec) -> InitialDataSpec:
+    """The init.* keys but init.epsilon_cutoff, which an epsilon sweep does not read.
+
+    A random band must start inside the dealias box, where the data live.
+    """
+    spec = _from_config(
         InitialDataSpec,
         kind=cfg["init.kind"],
         seed=cfg["seed"],
@@ -273,11 +277,14 @@ def _init_spec_from(cfg: dict) -> InitialDataSpec:
         decay=cfg["init.decay"],
         path=cfg["init.path"] or None,
     )
+    if spec.kind == "random" and spec.kmin > grid.dealias_cut:
+        raise ConfigError(f"init.kmin = {spec.kmin} exceeds grid.dealias_cut = {grid.dealias_cut}")
+    return spec
 
 
 def _initial_data(cfg: dict, grid: GridSpec, params: ModelParams):
     """(u0, u1) from the init.* keys."""
-    spec = replace(_init_spec_from(cfg), epsilon_cutoff=bool(cfg["init.epsilon_cutoff"]))
+    spec = replace(_init_spec_from(cfg, grid), epsilon_cutoff=bool(cfg["init.epsilon_cutoff"]))
     if spec.epsilon_cutoff and params.epsilon is None:
         raise ConfigError("init.epsilon_cutoff needs a hyperbolic model")
     return build_initial_data(spec, grid, params)
@@ -294,10 +301,13 @@ def _probes_csv(result) -> str:
 def _cmd_simulate(cfg: dict):
     grid = _grid_from(cfg)
     params = _params_from(cfg)
+    u1_scale = cfg["init.u1_scale"]
+    if not math.isfinite(u1_scale):
+        raise ConfigError(f"init.u1_scale must be finite, got {u1_scale!r}")
     u0, u1 = _initial_data(cfg, grid, params)
-    if cfg["init.u1_scale"] and params.is_hyperbolic:
+    if u1_scale and params.is_hyperbolic:
         rng = np.random.default_rng(cfg["seed"] + 1)
-        u1 = random_band_limited(grid, rng, ncomp=grid.dim, amplitude=cfg["init.u1_scale"])
+        u1 = random_band_limited(grid, rng, ncomp=grid.dim, amplitude=u1_scale)
     dt = cfg["step.dt"]
     if dt is None:
         dt = suggest_dt(params, grid, max(cfg["step.t_end"], 1e-9) / 40.0)
@@ -368,7 +378,7 @@ def _cmd_sweep(cfg: dict):
         s=cfg["model.s"],
         delta=cfg["model.delta"],
     )
-    spec = _init_spec_from(cfg)
+    spec = _init_spec_from(cfg, grid)
     if alpha:  # an epsilon sweep cuts u0 at each point's own eps
         spec = replace(spec, epsilon_cutoff=bool(cfg["init.epsilon_cutoff"]))
     sweep_cfg = _from_config(

@@ -263,6 +263,11 @@ class SweepConfig:
         vals = tuple(self.values)
         if len(vals) < 3:
             raise ValueError("sweep needs at least 3 values")
+        if not all(math.isfinite(v) for v in vals):  # a NaN would pass the order and sign tests below
+            raise ValueError(f"sweep values must be finite, got {vals!r}")
+        for name in ("T_final", "snapshot_every_t", "resolve"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
         if any(b >= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep values must be strictly decreasing")
         if vals[-1] <= 0:

@@ -22,8 +22,9 @@ given extent, serves `evolve_linear` and the front experiment, and one
 Helmholtz split, `_helmholtz_parts`, their data and Picard's sources.
 `evolve_linear` and `picard_local_solve` work on the larger extent of their
 data.  One forcing, `_forcing` (Leray-projected and mean-free), serves the
-stepper and `picard_local_solve`, so both solve one equation; its core
-`_nonlinear` also serves the public `nonlinear_term`.
+stepper and `picard_local_solve`, so both solve one equation; the
+constrained models' core `_nonlinear` also serves the public
+`nonlinear_term`.
 
 Box rule: a step runs on the dealias box, the modes with every
 |j_axis| <= grid.dealias_cut that the 2/3 rule keeps.  One core,
@@ -56,8 +57,15 @@ processes, as the sweeps do.
 The forcing takes its form from the model.  NS and HNS_EPS evolve
 Leray-projected, hence divergence-free, states, so they use the divergence
 form (u.grad)u = sum_i d_i(u_i u): d inverse and d(d+1)/2 forward
-transforms.  The penalized model keeps the general form of
-`nonlinear_term`, which adds (div u) u.
+transforms.  The penalized model's u is not divergence-free; it uses the
+rotational (Lamb) form -(u.grad)u = u x w - grad(|u|^2/2), w = curl u:
+one inverse of (u, w) and one forward of u x w and |u|^2, 3 + 3 transformed
+fields in 2D and 6 + 4 in 3D, where the general form sum_i d_i(u_i u) -
+(div u) u of `nonlinear_term` transforms 3 + 5 and 4 + 9.  On a dealiased
+grid every product is quadratic in box fields and the 2/3 rule makes its
+truncation exact, so the two forms agree mode by mode up to rounding.  With
+dealias_fraction = 1 no form is alias-free and the two differ by aliasing
+error; the penalized model takes the rotational form there too.
 """
 
 from __future__ import annotations
@@ -253,12 +261,14 @@ class _Workspace:
     Spectral arrays have the dealias box's shape.  The phase region is sized
     by its largest phase and shared in time.  A forcing uses it for its
     transform buffers: the spectra `fhat`, whose first rows are also the
-    inverse transform's input stack, the samples `phys`, the products
-    `prods` and the transforms' pass buffers `work`; the derivative
-    terms `tmp` of every component reuse the memory of `phys`, which holds
-    no samples before the inverse transform or after the forward one, the
-    only times `tmp` is used.  The Helmholtz split of the predictor
-    and corrector then uses it for one datum's parts `q` and `p`, the
+    inverse transform's input stack, the sample rows `rows` and the
+    transforms' pass buffers `work`.  The general and divergence forms read
+    `rows` as the samples `phys` and the products `prods`; the rotational
+    form lays out its samples, products and scratch row in it.  The
+    derivative terms `tmp` of every component reuse the memory of `phys`,
+    which holds no samples before the inverse transform or after the
+    forward one, the only times `tmp` is used.  The Helmholtz split of the
+    predictor and corrector then uses it for one datum's parts `q` and `p`, the
     (u, u_t) pair `prod` of one product, the Q-branch sums `sums` and the
     corrector's `increment`, and the blow-up check for |c|.  The step region
     holds what lives across a step's two forcings: the forcing g0 of the
@@ -268,8 +278,9 @@ class _Workspace:
     fills it; Picard borrows g0 and g1 for an iterate's box and its forcing.
 
     The box constants are looked up once per grid: the dealias extent `cut`,
-    i k there, the transforms' pass views of `work` at that extent, the
-    k = 0 index, and for each i the rows of the products u_i u_j in `prods`:
+    i k and -i k/2 there, the transforms' pass views of `work` at that
+    extent, the k = 0 index, and for each i the rows of the products u_i u_j
+    in `prods`:
     a slice, or an index array where they are not contiguous (rows 1 and 2
     in 3D).  `tables` keeps the ETD2 tables of one (model, dt).
     """
@@ -280,12 +291,15 @@ class _Workspace:
         H, R = grid.box_shape, grid.shape
         c, f = np.complex128, np.float64
         vec, pair = ((d, *H), c), ((2, d, *H), c)
-        passes = max(_pass_scratch(d + 1, d, n, cut, True), _pass_scratch(npairs + d, d, n, cut, False))
-        spectra, samples = ((npairs + d, *H), c), ((d + 1, *R), f)
-        forcing = (spectra, samples, ((npairs + d, *R), f), ((passes,), c))
+        batches = ((d + 1, True), (npairs + d, False), (npairs, True), (d + 1, False))
+        passes = max(_pass_scratch(m, d, n, cut, inverse) for m, inverse in batches)
+        # the general form's d + 1 samples and npairs + d products; the
+        # rotational form's npairs samples, d + 1 products and a scratch row fit
+        forcing = (((npairs + d, *H), c), ((npairs + 2 * d + 1, *R), f), ((passes,), c))
         split = (vec, vec, pair, pair, pair)
         phase = np.empty(max(_words(forcing), _words(split)))
-        self.fhat, self.phys, self.prods, self.work = _views(phase, forcing)
+        self.fhat, self.rows, self.work = _views(phase, forcing)
+        self.phys, self.prods = self.rows[: d + 1], self.rows[d + 1 :]
         (self.tmp,) = _views(self.phys.reshape(-1), [vec])  # fits: n >= 2 d
         self.q, self.p, self.prod, self.sums, self.increment = _views(phase, split)
         (self.magnitude,) = _views(phase, [((d, *H), f)])
@@ -296,8 +310,9 @@ class _Workspace:
         # the pass views of the dealias-extent transforms, by (components, inverse)
         self.passes = {
             (m, inverse): _pass_buffers(m, d, n, cut, inverse, self.work)
-            for m, inverse in ((d, True), (d + 1, True), (npairs, False), (npairs + d, False))
+            for m, inverse in ((d, True), (npairs, False), *batches)
         }
+        self.minus_half_ik = tuple(-0.5 * k for k in self.ik)  # F[|u|^2] to -F[grad(|u|^2 / 2)]
         self.mean = _mean(grid)  # the k = 0 mode of a vector or of a pair
         self.pair_rows = [
             slice(row[0], row[-1] + 1) if np.all(np.diff(row) == 1) else row
@@ -331,10 +346,10 @@ def _nonlinear(
     """Dealias box of f(u), into out (fresh if None), from u's box of any extent: the core of `nonlinear_term`.
 
     solenoidal drops the (div u) u products and the div u inverse, leaving the
-    divergence form -sum_i d_i(u_i u), which equals f(u) only for div u = 0.
-    A step passes the dealias box of u; for a box of another extent, which
-    `nonlinear_term` may pass, the (u, div u) stack and the inverse
-    transform's pass buffers are allocated.  The forward
+    divergence form -sum_i d_i(u_i u), which equals f(u) only for div u = 0:
+    the constrained models' forcing, on the dealias box of u.  For a box of
+    another extent, which `nonlinear_term` may pass, the (u, div u) stack
+    and the inverse transform's pass buffers are allocated.  The forward
     transform is pruned to the dealias box, so no mask is applied.  Each
     loop over i makes one call for all components j, in the per-element
     order of a loop over (j, i).  The intermediates live in the grid's
@@ -379,6 +394,51 @@ def _nonlinear(
     return out
 
 
+# the rows (j, k) of the curl w_r = d_j u_k - d_k u_j: the scalar w in 2D, (w_0, w_1, w_2) in 3D
+_CURL = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
+
+
+def _rotational(u: np.ndarray, ws: _Workspace, out: np.ndarray) -> np.ndarray:
+    """Dealias box of f(u) = u x w - grad(|u|^2/2), w = curl u, into out, from the dealias box of u.
+
+    The rotational (Lamb) form of f, which holds for fields with nonzero
+    divergence (see the module notes): one inverse transform of the stack
+    (u, w), d(d+1)/2 rows, and one forward of the d+1 products u x w and
+    |u|^2, pruned to the box.  The intermediates live in the grid's
+    workspace ws, the samples and products in its `rows`; out must not be
+    one of them.
+    """
+    grid, ik, tmp = ws.grid, ws.ik, ws.tmp[0]
+    d, n = grid.dim, grid.n_per_axis
+    m = d * (d + 1) // 2
+    stack, fhat = ws.fhat[:m], ws.fhat[: d + 1]
+    phys, prods, scratch = ws.rows[:m], ws.rows[m : m + d + 1], ws.rows[m + d + 1]
+    stack[:d] = u
+    for w, (j, k) in zip(stack[d:], _CURL[d]):
+        np.multiply(ik[j], u[k], out=w)
+        w -= np.multiply(ik[k], u[j], out=tmp)
+    _irfft(stack, n, out=phys, work=ws.passes[m, True])
+    v, w = phys[:d], phys[d:]
+    if d == 2:  # u x w = (u_1 w, -u_0 w): the products (u_1 w, u_0 w), the sign taken below
+        np.multiply(v[::-1], w, out=prods[:2])
+    else:
+        for i, (j, k) in enumerate(_CURL[3]):  # (u x w)_i = u_j w_k - u_k w_j
+            np.multiply(v[j], w[k], out=prods[i])
+            prods[i] -= np.multiply(v[k], w[j], out=scratch)
+    np.multiply(v[0], v[0], out=prods[d])  # |u|^2
+    for i in range(1, d):
+        prods[d] += np.multiply(v[i], v[i], out=scratch)
+    _rfft(prods, ws.cut, out=fhat, work=ws.passes[d + 1, False])
+    for i in range(d):  # -i k_i |u|^2 / 2
+        np.multiply(ws.minus_half_ik[i], fhat[d], out=out[i])
+    if d == 2:
+        out[0] += fhat[0]
+        out[1] -= fhat[1]
+    else:
+        out += fhat[:3]
+    return out
+
+
 def _forcing(
     u: np.ndarray,
     ws: _Workspace,
@@ -390,7 +450,9 @@ def _forcing(
 
     The constrained models evolve divergence-free fields, so they take the
     divergence form of f (`_nonlinear(solenoidal=True)`: d inverse and
-    d(d+1)/2 forward transforms instead of d+1 and d(d+1)/2 + d).
+    d(d+1)/2 forward transforms); the penalized model takes the rotational
+    form (`_rotational`: d(d+1)/2 inverse and d+1 forward), at every
+    dealias fraction.
     The mean of f is discarded: evolved fields are kept mean-zero, so the
     small net force the compressible nonlinearity would exert on the torus
     (absent on the whole space) is not allowed to drive a mean flow.
@@ -401,9 +463,10 @@ def _forcing(
     if not nonlinearity:
         out.fill(0.0)
         return out
-    constrained = params.model in (Model.NS, Model.HNS_EPS)
-    f = _nonlinear(u, ws, solenoidal=constrained, out=out)
-    if constrained:
+    if params.model is Model.HNS_EPS_ALPHA:
+        f = _rotational(u, ws, out)
+    else:
+        f = _nonlinear(u, ws, solenoidal=True, out=out)
         f -= _irrotational(f, ws.grid, out=ws.q)
     f[ws.mean] = 0.0
     return f

@@ -222,13 +222,36 @@ class TestUserMistakes:
             ["init.kind=random", "init.amplitude=nan"],
             ["init.kind=random", "init.kmin=0"],
             ["init.kind=random", "init.kmin=-3"],
+            ["init.u1_scale=nan"],
+            ["init.kind=random", "init.kmin=20"],  # above the 16^2 dealias box: zero data
         ],
-        ids=["alpha-nan", "epsilon-inf", "decay-nan", "amplitude-nan", "kmin-0", "kmin-negative"],
+        ids=[
+            "alpha-nan", "epsilon-inf", "decay-nan", "amplitude-nan", "kmin-0", "kmin-negative",
+            "u1_scale-nan", "kmin-above-box",
+        ],  # fmt: skip
     )
     def test_non_finite_or_out_of_domain_value(self, tmp_path, overrides):
-        # each was a blow-up, an internal error or a warning with a run directory
+        # each was a blow-up, an internal error, a warning or a run on zero data, with a run directory
         simulate = ("simulate", "model.epsilon=0.1", "model.alpha=0.1")
         self.assert_rejected(overrides, tmp_path, command=simulate)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["sweep.values=1e-1,nan,1e-3"],
+            ["sweep.T_final=0"],
+            ["sweep.snapshot_every_t=0"],
+            ["sweep.resolve=0"],
+            ["sweep.resolve=nan"],
+            ["init.kind=random", "init.kmin=20"],
+        ],
+        ids=["values-nan", "T_final-0", "snapshot_every_t-0", "resolve-0", "resolve-nan", "kmin-above-box"],
+    )
+    def test_non_finite_or_out_of_domain_sweep_value(self, tmp_path, overrides):
+        # each was an internal error or a fit to rounding noise, with a run directory;
+        # an override given later wins, so sweep.T_final=0 replaces 0.05
+        sweep = ("sweep", "model.epsilon=0.1", "sweep.T_final=0.05", "workers=1")
+        self.assert_rejected(overrides, tmp_path, command=sweep)
 
     def test_epsilon_cutoff_without_epsilon(self, tmp_path):
         self.assert_rejected(["model.kind=ns", "init.epsilon_cutoff=1"], tmp_path)

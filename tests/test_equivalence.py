@@ -18,7 +18,6 @@ neither is a full-grid Helmholtz projection; the package's odd multipliers
 are zero at the Nyquist index, so every operator returns a real field.
 """
 
-import functools
 import tracemalloc
 
 import numpy as np
@@ -825,12 +824,25 @@ CONSTRAINED_PARAMS = STEP_PARAMS[:2]
 CONSTRAINED_IDS = STEP_IDS[:2]
 
 
-def general_forcing(u, grid):
-    """`_forcing` of the constrained models from a dealias box, with the general form of the nonlinear term."""
+def general_forcing(u, grid, params):
+    """`_forcing` from a dealias box with the general form of the nonlinear term, projected for the constrained models."""
     f = solvers._nonlinear(u, solvers._workspace(grid))
-    f -= spectral._irrotational(f, grid)
+    if params in CONSTRAINED_PARAMS:
+        f -= spectral._irrotational(f, grid)
     f[(slice(None), *(0,) * grid.dim)] = 0.0
     return f
+
+
+def assert_forcing_is_general_form(grid, params):
+    """`_forcing` equals `general_forcing` to rounding along four steps from dealiased data."""
+    u0, u1 = stepper_data(grid, params, 19)
+    state = SolverState(u0, u1, 0.0)
+    cfg = StepperConfig(dt=0.01, t_end=0.03)
+    for _ in range(4):
+        u = state.u.coeffs  # the dealias box
+        ws = solvers._workspace(grid)
+        assert_close(solvers._forcing(u, ws, params, True), general_forcing(u, grid, params))
+        state = solvers.step(state, params, cfg)
 
 
 def force_general_form(monkeypatch):
@@ -867,14 +879,7 @@ def coefficients(state):
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
 class TestDivergenceForm:
     def test_forcing_matches_general_form(self, grid, params):
-        u0, u1 = stepper_data(grid, params, 19)
-        state = SolverState(u0, u1, 0.0)
-        cfg = StepperConfig(dt=0.01, t_end=0.03)
-        for _ in range(4):
-            u = state.u.coeffs  # the dealias box
-            ws = solvers._workspace(grid)
-            assert_close(solvers._forcing(u, ws, params, True), general_forcing(u, grid))
-            state = solvers.step(state, params, cfg)
+        assert_forcing_is_general_form(grid, params)
 
     def test_no_dealiasing_steps_are_general_form(self, grid, params, monkeypatch):
         # with dealias_fraction = 1 the Leray-projected states keep their
@@ -892,14 +897,22 @@ class TestDivergenceForm:
             assert_close(a, b)
 
 
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_penalized_forcing_matches_general_form(grid):
+    # the rotational form agrees with the general form mode by mode on the
+    # dealias box, where the 2/3 rule makes every quadratic product exact
+    assert_forcing_is_general_form(grid, STEP_PARAMS[2])
+
+
 FORM_CASES = [
-    (STEP_PARAMS[0], 2.0 / 3.0, True),
-    (STEP_PARAMS[1], 2.0 / 3.0, True),
-    (STEP_PARAMS[2], 2.0 / 3.0, False),
-    (STEP_PARAMS[0], 1.0, True),
-    (STEP_PARAMS[1], 1.0, True),
+    (STEP_PARAMS[0], 2.0 / 3.0, "divergence"),
+    (STEP_PARAMS[1], 2.0 / 3.0, "divergence"),
+    (STEP_PARAMS[2], 2.0 / 3.0, "rotational"),
+    (STEP_PARAMS[0], 1.0, "divergence"),
+    (STEP_PARAMS[1], 1.0, "divergence"),
+    (STEP_PARAMS[2], 1.0, "rotational"),
 ]
-FORM_IDS = ["ns", "eps", "eps_alpha", "ns-nodealias", "eps-nodealias"]
+FORM_IDS = ["ns", "eps", "eps_alpha", "ns-nodealias", "eps-nodealias", "eps_alpha-nodealias"]
 
 
 BOX_SHAPES = {
@@ -910,11 +923,12 @@ BOX_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("params, fraction, solenoidal", FORM_CASES, ids=FORM_IDS)
+@pytest.mark.parametrize("params, fraction, form", FORM_CASES, ids=FORM_IDS)
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
-def test_forcing_transform_batches(grid, params, fraction, solenoidal, monkeypatch):
+def test_forcing_transform_batches(grid, params, fraction, form, monkeypatch):
     # the divergence form transforms u inverse and the products u_i u_j forward;
-    # the general form adds div u and the products (div u) u_j.  The inverse
+    # the rotational form transforms (u, curl u) inverse and the products
+    # u x curl u and |u|^2 forward, at every dealias fraction.  The inverse
     # pads one leading axis at a time to n and transforms the lines that meet
     # the box, the k = cut + 1 columns, then irfft reads all h = n/2 + 1
     # columns, zero past the box; the forward transforms all samples along
@@ -931,8 +945,8 @@ def test_forcing_transform_batches(grid, params, fraction, solenoidal, monkeypat
     calls = record_batches(monkeypatch)
     for _ in range(2):
         state = solvers.step(state, params, cfg)
-    a = d if solenoidal else d + 1
-    b = d * (d + 1) // 2 + (0 if solenoidal else d)
+    npairs = d * (d + 1) // 2
+    a, b = (d, npairs) if form == "divergence" else (npairs, d + 1)
     if d == 2:
         inverse = [("ifft", (a, n, k)), ("irfft", (a, n, h))]
         forward = [("rfft", (b, n, n)), ("fft", (b, n, k))]
@@ -958,31 +972,42 @@ def irrotational_oracle(x, grid):
     return np.stack([k * kdot for k in ks])
 
 
-def nonlinear_half_oracle(u, grid, solenoidal):
-    """The allocating half-spectrum nonlinear term, one expression per intermediate."""
+def divergence_half_oracle(u, grid):
+    """The allocating half-spectrum divergence form -sum_i d_i(u_i u), one expression per intermediate."""
     dim = grid.dim
     ik = spectral._derivatives(grid, grid.n_per_axis // 2)
     rows, cols, pair = solvers._product_pairs(dim)
-    npairs = rows.size
-    inverse = functools.partial(np.fft.irfftn, s=grid.shape, axes=axes(grid), norm="forward")
-    if solenoidal:
-        phys = inverse(u)
-        prods = np.empty((npairs, *phys.shape[1:]))
-    else:
-        stack = np.empty((dim + 1, *u.shape[1:]), dtype=np.complex128)
-        stack[:dim] = u
-        np.multiply(ik[0], u[0], out=stack[dim])
-        for i in range(1, dim):
-            stack[dim] += ik[i] * u[i]
-        phys = inverse(stack)
-        prods = np.empty((npairs + dim, *phys.shape[1:]))
-        np.multiply(phys[dim], phys[:dim], out=prods[npairs:])
-    np.multiply(phys[rows], phys[cols], out=prods[:npairs])
-    prods = np.fft.rfftn(prods, axes=axes(grid), norm="forward")
-    out = np.zeros((dim, *prods.shape[1:]), dtype=np.complex128) if solenoidal else prods[npairs:]
+    phys = np.fft.irfftn(u, s=grid.shape, axes=axes(grid), norm="forward")
+    prods = np.fft.rfftn(phys[rows] * phys[cols], axes=axes(grid), norm="forward")
+    out = np.zeros((dim, *prods.shape[1:]), dtype=np.complex128)
     for j in range(dim):
         for i in range(dim):
             out[j] -= ik[i] * prods[pair[i, j]]
+    out *= dealias_mask(grid)
+    return out
+
+
+def rotational_half_oracle(u, grid):
+    """The allocating half-spectrum rotational form u x w - grad(|u|^2/2), w = curl u, in the stepper's operation order."""
+    dim = grid.dim
+    ik = spectral._derivatives(grid, grid.n_per_axis // 2)
+    curl = [ik[j] * u[k] - ik[k] * u[j] for j, k in solvers._CURL[dim]]
+    phys = np.fft.irfftn(np.concatenate([u, curl]), s=grid.shape, axes=axes(grid), norm="forward")
+    v, w = phys[:dim], phys[dim:]
+    if dim == 2:
+        cross = [v[1] * w[0], v[0] * w[0]]  # (u x w)_1 negated
+    else:
+        cross = [v[j] * w[k] - v[k] * w[j] for j, k in solvers._CURL[3]]
+    square = v[0] * v[0]
+    for i in range(1, dim):
+        square = square + v[i] * v[i]
+    prods = np.fft.rfftn(np.stack([*cross, square]), axes=axes(grid), norm="forward")
+    out = np.stack([(-0.5 * ik[i]) * prods[dim] for i in range(dim)])
+    if dim == 2:
+        out[0] += prods[0]
+        out[1] -= prods[1]
+    else:
+        out += prods[:3]
     out *= dealias_mask(grid)
     return out
 
@@ -1015,9 +1040,11 @@ def allocating_step_oracle(u, v, params, dt, grid):
     constrained = params.model in (Model.NS, Model.HNS_EPS)
 
     def forcing(x):
-        f = nonlinear_half_oracle(x, grid, constrained)
         if constrained:
+            f = divergence_half_oracle(x, grid)
             f -= irrotational_oracle(f, grid)
+        else:
+            f = rotational_half_oracle(x, grid)
         f[mean] = 0.0
         return f
 
