@@ -308,16 +308,18 @@ def _cmd_simulate(cfg: dict):
     if u1_scale and params.is_hyperbolic:
         rng = np.random.default_rng(cfg["seed"] + 1)
         u1 = random_band_limited(grid, rng, ncomp=grid.dim, amplitude=u1_scale)
-    dt = cfg["step.dt"]
+    dt, t_end = cfg["step.dt"], cfg["step.t_end"]
+    if not 0 <= t_end < math.inf:  # NaN fails every comparison
+        raise ConfigError(f"step.t_end must be finite and nonnegative, got {t_end!r}")
     if dt is None:
-        dt = suggest_dt(params, grid, max(cfg["step.t_end"], 1e-9) / 40.0)
-    elif not dt > 0:
-        raise ConfigError(f"step.dt must be positive, got {dt!r}")
-    if cfg["step.t_end"] > 0:
-        n_steps = max(1, round(cfg["step.t_end"] / dt))
-        dt = cfg["step.t_end"] / n_steps
+        dt = suggest_dt(params, grid, max(t_end, 1e-9) / 40.0)
+    elif not 0 < dt < math.inf:
+        raise ConfigError(f"step.dt must be finite and positive, got {dt!r}")
+    if t_end > 0:
+        n_steps = max(1, round(t_end / dt))
+        dt = t_end / n_steps
     scfg = _from_config(
-        StepperConfig, dt=dt, t_end=cfg["step.t_end"], snapshot_every=cfg["step.snapshot_every"]
+        StepperConfig, dt=dt, t_end=t_end, snapshot_every=cfg["step.snapshot_every"]
     )
     nonlinearity, save = bool(cfg["step.nonlinearity"]), cfg["snapshots.save"]
 
@@ -433,6 +435,8 @@ def _cmd_lp_check(cfg: dict):
             g = grid
         _from_config(_check_inequality, name, g)
         checks.append((name, g))
+    if not checks:
+        raise ConfigError(f"lp.names names no inequality: {cfg['lp.names']!r}")
 
     def run(out: _Run):
         lines = [InequalityReport.csv_header()]

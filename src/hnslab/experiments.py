@@ -134,6 +134,8 @@ class InitialDataSpec:
             raise ValueError(f"amplitude and decay must be finite, got {self.amplitude!r} and {self.decay!r}")
         if self.kmin < 1:  # the |j|^-decay envelope is infinite at the mean, j = 0
             raise ValueError(f"kmin must be >= 1, got {self.kmin}")
+        if self.kmax is not None and self.kmax < self.kmin:  # an empty band: the zero field
+            raise ValueError(f"kmax = {self.kmax} is below kmin = {self.kmin}")
 
 
 def taylor_green(grid: GridSpec, amplitude: float = 1.0) -> SpectralField:
@@ -559,6 +561,8 @@ def _front_setup(
         raise ValueError("the front experiment runs the penalized model")
     if n_samples < 2:
         raise ValueError(f"the front speed fit needs n_samples >= 2, got {n_samples}")
+    if t_end is not None and not 0 < t_end < math.inf:  # NaN fails every comparison
+        raise ValueError(f"the window's t_end must be finite and positive, got {t_end!r}")
     center = spec.center or (grid.domain_length / 2.0,) * grid.dim
     sigma = spec.sigma if spec.sigma is not None else grid.domain_length / 40.0
     cut = grid.dealias_cut

@@ -22,9 +22,8 @@ given extent, serves `evolve_linear` and the front experiment, and one
 Helmholtz split, `_helmholtz_parts`, their data and Picard's sources.
 `evolve_linear` and `picard_local_solve` work on the larger extent of their
 data.  One forcing, `_forcing` (Leray-projected and mean-free), serves the
-stepper and `picard_local_solve`, so both solve one equation; the
-constrained models' core `_nonlinear` also serves the public
-`nonlinear_term`.
+stepper and `picard_local_solve`, so both solve one equation; its core
+`_rotational` also serves the public `nonlinear_term`.
 
 Box rule: a step runs on the dealias box, the modes with every
 |j_axis| <= grid.dealias_cut that the 2/3 rule keeps.  One core,
@@ -54,18 +53,17 @@ survives a call, and nothing returned aliases the workspace.  The workspace
 is per process and is not thread-safe: run concurrent solves in separate
 processes, as the sweeps do.
 
-The forcing takes its form from the model.  NS and HNS_EPS evolve
-Leray-projected, hence divergence-free, states, so they use the divergence
-form (u.grad)u = sum_i d_i(u_i u): d inverse and d(d+1)/2 forward
-transforms.  The penalized model's u is not divergence-free; it uses the
-rotational (Lamb) form -(u.grad)u = u x w - grad(|u|^2/2), w = curl u:
-one inverse of (u, w) and one forward of u x w and |u|^2, 3 + 3 transformed
-fields in 2D and 6 + 4 in 3D, where the general form sum_i d_i(u_i u) -
-(div u) u of `nonlinear_term` transforms 3 + 5 and 4 + 9.  On a dealiased
-grid every product is quadratic in box fields and the 2/3 rule makes its
-truncation exact, so the two forms agree mode by mode up to rounding.  With
-dealias_fraction = 1 no form is alias-free and the two differ by aliasing
-error; the penalized model takes the rotational form there too.
+One nonlinear core, `_rotational`, serves every model and `nonlinear_term`:
+the rotational (Lamb) form -(u.grad)u = u x w - grad(|u|^2/2), w = curl u,
+which holds whether or not div u = 0.  It makes one inverse transform of
+(u, w) and one forward of u x w and |u|^2: 3 + 3 transformed fields in 2D
+and 6 + 4 in 3D.  NS and HNS_EPS Leray-project their forcing, and the
+projection removes a gradient to rounding, so they skip the |u|^2 row:
+3 + 2 fields in 2D and 6 + 3 in 3D.  On a dealiased grid every product is
+quadratic in box fields and the 2/3 rule makes its truncation exact, so
+this form agrees with the divergence and general forms mode by mode up to
+rounding; the tests keep those as oracles.  With dealias_fraction = 1 no
+form is alias-free and the forms differ by aliasing error.
 """
 
 from __future__ import annotations
@@ -204,10 +202,10 @@ class StepperConfig:
     snapshot_every: int = 1
 
     def __post_init__(self):
-        if not self.dt > 0:  # nan included
-            raise ValueError("dt must be positive")
-        if not self.t_end >= 0:
-            raise ValueError("t_end must be nonnegative")
+        if not 0 < self.dt < math.inf:  # NaN fails every comparison
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end!r}")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
 
@@ -217,27 +215,20 @@ class StepperConfig:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=2)
-def _product_pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols) of the products u_i u_j with i <= j, and pair[i, j], the position of u_i u_j."""
-    rows, cols = np.triu_indices(dim)
-    pair = np.empty((dim, dim), dtype=int)
-    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
-    return rows, cols, pair
-
-
 def nonlinear_term(u: SpectralField) -> SpectralField:
-    """Forcing f(u) = -(u.grad)u, pseudo-spectral and dealiased.
+    """Forcing f(u) = -(u.grad)u on the dealias box, pseudo-spectral, from the dealias box of u.
 
-    Built from the conservative identity (u.grad)u = sum_i d_i(u_i u) - (div u) u,
-    which holds for fields with nonzero divergence, with two batched
-    transforms: one inverse of the whole (u, div u) and one forward of the
-    d(d+1)/2 products u_i u_j and the d products (div u) u_j, pruned to the
-    dealias box, where the result lives.  The mean of (div u) u is kept.
+    The rotational form of the stepper's forcing (`_rotational`), with the
+    gradient row and the mean kept: a step's f(u) before its model's
+    projection.  Like a step it reads only the dealias box of u, so a field
+    with content outside the box gives the result of its `dealias`; the
+    2/3 rule then makes every product exact there.
     """
     if u.ncomp != u.grid.dim:
         raise InvalidFieldError("nonlinear term expects a full velocity field")
-    return SpectralField(u.grid, _nonlinear(u.coeffs, _workspace(u.grid)))
+    ws = _workspace(u.grid)
+    box = _resize(u.coeffs, u.grid, ws.cut)
+    return SpectralField(u.grid, _rotational(box, ws, np.empty_like(box)))
 
 
 def _words(specs) -> int:
@@ -259,15 +250,13 @@ class _Workspace:
     """Scratch arrays and box constants of one grid for a forcing and an ETD2 step.
 
     Spectral arrays have the dealias box's shape.  The phase region is sized
-    by its largest phase and shared in time.  A forcing uses it for its
-    transform buffers: the spectra `fhat`, whose first rows are also the
-    inverse transform's input stack, the sample rows `rows` and the
-    transforms' pass buffers `work`.  The general and divergence forms read
-    `rows` as the samples `phys` and the products `prods`; the rotational
-    form lays out its samples, products and scratch row in it.  The
-    derivative terms `tmp` of every component reuse the memory of `phys`,
-    which holds no samples before the inverse transform or after the
-    forward one, the only times `tmp` is used.  The Helmholtz split of the
+    by its largest phase and shared in time.  A forcing (`_rotational`) uses
+    it for its transform buffers: the spectra `fhat`, whose rows are also the
+    inverse transform's input stack (u, curl u), the sample rows `rows`,
+    which hold the samples, the products and one scratch row, and the
+    transforms' pass buffers `work`.  The curl's scratch `tmp` reuses the
+    memory of `rows`, which holds no samples before the inverse transform,
+    the only time `tmp` is used.  The Helmholtz split of the
     predictor and corrector then uses it for one datum's parts `q` and `p`, the
     (u, u_t) pair `prod` of one product, the Q-branch sums `sums` and the
     corrector's `increment`, and the blow-up check for |c|.  The step region
@@ -279,28 +268,24 @@ class _Workspace:
 
     The box constants are looked up once per grid: the dealias extent `cut`,
     i k and -i k/2 there, the transforms' pass views of `work` at that
-    extent, the k = 0 index, and for each i the rows of the products u_i u_j
-    in `prods`:
-    a slice, or an index array where they are not contiguous (rows 1 and 2
-    in 3D).  `tables` keeps the ETD2 tables of one (model, dt).
+    extent and the k = 0 index.  `tables` keeps the ETD2 tables of one
+    (model, dt).
     """
 
     def __init__(self, grid: GridSpec):
         d, n, cut = grid.dim, grid.n_per_axis, grid.dealias_cut
-        npairs = d * (d + 1) // 2
+        m = d * (d + 1) // 2  # the rows of (u, curl u)
         H, R = grid.box_shape, grid.shape
         c, f = np.complex128, np.float64
         vec, pair = ((d, *H), c), ((2, d, *H), c)
-        batches = ((d + 1, True), (npairs + d, False), (npairs, True), (d + 1, False))
-        passes = max(_pass_scratch(m, d, n, cut, inverse) for m, inverse in batches)
-        # the general form's d + 1 samples and npairs + d products; the
-        # rotational form's npairs samples, d + 1 products and a scratch row fit
-        forcing = (((npairs + d, *H), c), ((npairs + 2 * d + 1, *R), f), ((passes,), c))
+        # one inverse of (u, curl u); one forward of u x curl u, with or without |u|^2
+        batches = ((m, True), (d, False), (d + 1, False))
+        passes = max(_pass_scratch(k, d, n, cut, inverse) for k, inverse in batches)
+        forcing = (((m, *H), c), ((m + d + 2, *R), f), ((passes,), c))
         split = (vec, vec, pair, pair, pair)
         phase = np.empty(max(_words(forcing), _words(split)))
         self.fhat, self.rows, self.work = _views(phase, forcing)
-        self.phys, self.prods = self.rows[: d + 1], self.rows[d + 1 :]
-        (self.tmp,) = _views(self.phys.reshape(-1), [vec])  # fits: n >= 2 d
+        (self.tmp,) = _views(self.rows.reshape(-1), [(H, c)])
         self.q, self.p, self.prod, self.sums, self.increment = _views(phase, split)
         (self.magnitude,) = _views(phase, [((d, *H), f)])
         step = (vec, pair, vec, pair)
@@ -309,15 +294,10 @@ class _Workspace:
         self.ik = _derivatives(grid, cut)
         # the pass views of the dealias-extent transforms, by (components, inverse)
         self.passes = {
-            (m, inverse): _pass_buffers(m, d, n, cut, inverse, self.work)
-            for m, inverse in ((d, True), (npairs, False), *batches)
+            (k, inverse): _pass_buffers(k, d, n, cut, inverse, self.work) for k, inverse in batches
         }
         self.minus_half_ik = tuple(-0.5 * k for k in self.ik)  # F[|u|^2] to -F[grad(|u|^2 / 2)]
         self.mean = _mean(grid)  # the k = 0 mode of a vector or of a pair
-        self.pair_rows = [
-            slice(row[0], row[-1] + 1) if np.all(np.diff(row) == 1) else row
-            for row in _product_pairs(d)[2]
-        ]
         self._table_key = self._tables = None
 
     def tables(self, params: ModelParams, dt: float):
@@ -340,79 +320,27 @@ def _workspace(grid: GridSpec) -> _Workspace:
     return _Workspace(grid)
 
 
-def _nonlinear(
-    u: np.ndarray, ws: _Workspace, solenoidal: bool = False, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Dealias box of f(u), into out (fresh if None), from u's box of any extent: the core of `nonlinear_term`.
-
-    solenoidal drops the (div u) u products and the div u inverse, leaving the
-    divergence form -sum_i d_i(u_i u), which equals f(u) only for div u = 0:
-    the constrained models' forcing, on the dealias box of u.  For a box of
-    another extent, which `nonlinear_term` may pass, the (u, div u) stack
-    and the inverse transform's pass buffers are allocated.  The forward
-    transform is pruned to the dealias box, so no mask is applied.  Each
-    loop over i makes one call for all components j, in the per-element
-    order of a loop over (j, i).  The intermediates live in the grid's
-    workspace ws; out must not be one of them.
-    """
-    grid, ik, tmp = ws.grid, ws.ik, ws.tmp
-    dim, n = grid.dim, grid.n_per_axis
-    npairs = dim * (dim + 1) // 2
-    n_in, n_out = (dim, npairs) if solenoidal else (dim + 1, npairs + dim)
-    phys, prods, fhat = ws.phys[:n_in], ws.prods[:n_out], ws.fhat[:n_out]
-    if solenoidal:
-        _irfft(u, n, out=phys, work=ws.passes[n_in, True])
-    else:
-        boxed = u.shape[1:] == tmp.shape[1:]
-        stack = fhat[:n_in] if boxed else np.empty((n_in, *u.shape[1:]), dtype=np.complex128)
-        ik_in = ik if boxed else _derivatives(grid, u.shape[-1] - 1)
-        stack[:dim] = u
-        np.multiply(ik_in[0], u[0], out=stack[dim])
-        for i in range(1, dim):
-            stack[dim] += np.multiply(ik_in[i], u[i], out=tmp[0] if boxed else None)
-        _irfft(stack, n, out=phys, work=ws.passes[n_in, True] if boxed else None)
-        np.multiply(phys[dim], phys[:dim], out=prods[npairs:])
-    start = 0
-    for i in range(dim):  # u_i u_j for j >= i, in triu order
-        np.multiply(phys[i], phys[i:dim], out=prods[start : start + dim - i])
-        start += dim - i
-    _rfft(prods, ws.cut, out=fhat, work=ws.passes[n_out, False])
-    if out is None:
-        out = np.empty((dim, *fhat.shape[1:]), dtype=np.complex128)
-    for i, rows in enumerate(ws.pair_rows):
-        # d_i (u_i u_j) for every j
-        if isinstance(rows, slice):
-            np.multiply(ik[i], fhat[rows], out=tmp)
-        else:
-            np.multiply(ik[i], np.take(fhat, rows, axis=0, out=tmp, mode="clip"), out=tmp)
-        if i > 0:
-            out -= tmp
-        elif solenoidal:
-            np.subtract(0.0, tmp, out=out)
-        else:
-            np.subtract(fhat[npairs:], tmp, out=out)  # (div u) u_j
-    return out
-
-
 # the rows (j, k) of the curl w_r = d_j u_k - d_k u_j: the scalar w in 2D, (w_0, w_1, w_2) in 3D
 _CURL = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
 
 
-def _rotational(u: np.ndarray, ws: _Workspace, out: np.ndarray) -> np.ndarray:
+def _rotational(u: np.ndarray, ws: _Workspace, out: np.ndarray, gradient: bool = True) -> np.ndarray:
     """Dealias box of f(u) = u x w - grad(|u|^2/2), w = curl u, into out, from the dealias box of u.
 
     The rotational (Lamb) form of f, which holds for fields with nonzero
     divergence (see the module notes): one inverse transform of the stack
-    (u, w), d(d+1)/2 rows, and one forward of the d+1 products u x w and
-    |u|^2, pruned to the box.  The intermediates live in the grid's
-    workspace ws, the samples and products in its `rows`; out must not be
-    one of them.
+    (u, w), d(d+1)/2 rows, and one forward of the d products u x w and,
+    with gradient, of |u|^2, pruned to the box.  Without gradient the
+    result is u x w alone, whose Leray projection is that of f to rounding:
+    i k is the projection's odd wavevector, so P annihilates the gradient
+    row.  The intermediates live in the grid's workspace ws, the samples
+    and products in its `rows`; out must not be one of them.
     """
-    grid, ik, tmp = ws.grid, ws.ik, ws.tmp[0]
+    grid, ik, tmp = ws.grid, ws.ik, ws.tmp
     d, n = grid.dim, grid.n_per_axis
-    m = d * (d + 1) // 2
-    stack, fhat = ws.fhat[:m], ws.fhat[: d + 1]
-    phys, prods, scratch = ws.rows[:m], ws.rows[m : m + d + 1], ws.rows[m + d + 1]
+    m, nprods = d * (d + 1) // 2, d + 1 if gradient else d
+    stack = ws.fhat[:m]
+    phys, prods, scratch = ws.rows[:m], ws.rows[m : m + nprods], ws.rows[m + d + 1]
     stack[:d] = u
     for w, (j, k) in zip(stack[d:], _CURL[d]):
         np.multiply(ik[j], u[k], out=w)
@@ -425,10 +353,15 @@ def _rotational(u: np.ndarray, ws: _Workspace, out: np.ndarray) -> np.ndarray:
         for i, (j, k) in enumerate(_CURL[3]):  # (u x w)_i = u_j w_k - u_k w_j
             np.multiply(v[j], w[k], out=prods[i])
             prods[i] -= np.multiply(v[k], w[j], out=scratch)
+    if not gradient:
+        _rfft(prods, ws.cut, out=out, work=ws.passes[d, False])
+        if d == 2:
+            np.negative(out[1], out=out[1])
+        return out
     np.multiply(v[0], v[0], out=prods[d])  # |u|^2
     for i in range(1, d):
         prods[d] += np.multiply(v[i], v[i], out=scratch)
-    _rfft(prods, ws.cut, out=fhat, work=ws.passes[d + 1, False])
+    fhat = _rfft(prods, ws.cut, out=ws.fhat[: d + 1], work=ws.passes[d + 1, False])
     for i in range(d):  # -i k_i |u|^2 / 2
         np.multiply(ws.minus_half_ik[i], fhat[d], out=out[i])
     if d == 2:
@@ -448,11 +381,10 @@ def _forcing(
 ) -> np.ndarray:
     """Dealias box of the model forcing f(u) from that of u, Leray-projected for the constrained models.
 
-    The constrained models evolve divergence-free fields, so they take the
-    divergence form of f (`_nonlinear(solenoidal=True)`: d inverse and
-    d(d+1)/2 forward transforms); the penalized model takes the rotational
-    form (`_rotational`: d(d+1)/2 inverse and d+1 forward), at every
-    dealias fraction.
+    Every model takes the rotational form (`_rotational`) at every dealias
+    fraction.  The constrained models project it, so they skip its |u|^2
+    row, whose gradient the projection removes: d(d+1)/2 inverse and d
+    forward transforms, against d + 1 forward for the penalized model.
     The mean of f is discarded: evolved fields are kept mean-zero, so the
     small net force the compressible nonlinearity would exert on the torus
     (absent on the whole space) is not allowed to drive a mean flow.
@@ -463,10 +395,9 @@ def _forcing(
     if not nonlinearity:
         out.fill(0.0)
         return out
-    if params.model is Model.HNS_EPS_ALPHA:
-        f = _rotational(u, ws, out)
-    else:
-        f = _nonlinear(u, ws, solenoidal=True, out=out)
+    constrained = params.model is not Model.HNS_EPS_ALPHA
+    f = _rotational(u, ws, out, gradient=not constrained)
+    if constrained:
         f -= _irrotational(f, ws.grid, out=ws.q)
     f[ws.mean] = 0.0
     return f
@@ -777,12 +708,12 @@ def step(
     A step reads only the state's dealias box, the modes with every
     |j_axis| <= grid.dealias_cut, and returns fields on that box: content
     outside the box is dropped, so a state steps exactly like its
-    `dealias`.  For NS and HNS_EPS the state must also be divergence-free,
-    as `run_simulation` makes it: their forcing is then the divergence form
-    (see `_forcing`).  The step resizes the state to the box, advances it
-    with the core that `run_simulation` loops over, in the grid's
-    workspace, and copies it out; the new state's fields wrap fresh arrays,
-    whose mean is zero.
+    `dealias`.  For NS and HNS_EPS the state should also be divergence-free,
+    as `run_simulation` makes it: the models live on such fields, and their
+    forcing is Leray-projected (see `_forcing`).  The step resizes the state
+    to the box, advances it with the core that `run_simulation` loops over,
+    in the grid's workspace, and copies it out; the new state's fields wrap
+    fresh arrays, whose mean is zero.
     """
     grid = state.u.grid
     ws = _workspace(grid)

@@ -224,16 +224,34 @@ class TestUserMistakes:
             ["init.kind=random", "init.kmin=-3"],
             ["init.u1_scale=nan"],
             ["init.kind=random", "init.kmin=20"],  # above the 16^2 dealias box: zero data
+            ["init.kind=random", "init.kmin=5", "init.kmax=3"],  # an empty band: zero data
+            ["step.dt=inf"],  # was one step of length t_end
+            ["step.t_end=nan"],
+            ["step.t_end=inf"],
         ],
         ids=[
             "alpha-nan", "epsilon-inf", "decay-nan", "amplitude-nan", "kmin-0", "kmin-negative",
-            "u1_scale-nan", "kmin-above-box",
+            "u1_scale-nan", "kmin-above-box", "kmax-below-kmin", "step-dt-inf", "t_end-nan",
+            "t_end-inf",
         ],  # fmt: skip
     )
     def test_non_finite_or_out_of_domain_value(self, tmp_path, overrides):
-        # each was a blow-up, an internal error, a warning or a run on zero data, with a run directory
+        # each was a blow-up, an internal error, a warning or a run on zero data or
+        # with a silently replaced dt, with or without a run directory
         simulate = ("simulate", "model.epsilon=0.1", "model.alpha=0.1")
         self.assert_rejected(overrides, tmp_path, command=simulate)
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            (("lp-check", "lp.trials=5"), ["lp.names=,"]),
+            (("speed-test", "model.epsilon=0.01", "model.alpha=0.01"), ["grid.n=256", "speed.t_end=nan"]),
+        ],
+        ids=["lp-names-empty", "speed-t_end-nan"],
+    )
+    def test_empty_or_non_finite_analysis_value(self, tmp_path, command, overrides):
+        # each exited 0, with a header-only inequalities.csv or a front.csv at NaN times
+        self.assert_rejected(overrides, tmp_path, command=command)
 
     @pytest.mark.parametrize(
         "overrides",

@@ -11,11 +11,13 @@ Helmholtz projections of each datum per branch, RK4 on the full
 right-hand side, the only RK4 of the project, and the
 Littlewood-Paley sampler, ratio generators and C3 loop with full-spectrum
 norms and the complex padded product).  The general form of the nonlinear
-term is the oracle of the divergence form the constrained models' forcing
-takes.  Full-band fields (kmax = n) carry Nyquist content, where a
-full-grid derivative along any axis but the last is not Hermitian, and
-neither is a full-grid Helmholtz projection; the package's odd multipliers
-are zero at the Nyquist index, so every operator returns a real field.
+term is the oracle of the rotational form every model's forcing takes on
+the dealias box; without dealiasing, where the forms alias differently, a
+full-spectrum rotational form is.  Full-band fields (kmax = n) carry
+Nyquist content, where a full-grid derivative along any axis but the last
+is not Hermitian, and neither is a full-grid Helmholtz projection; the
+package's odd multipliers are zero at the Nyquist index, so every operator
+returns a real field.
 """
 
 import tracemalloc
@@ -229,6 +231,21 @@ def nonlinear_oracle(c, grid):
         out += derivative_oracle(spectral_product_oracle(c[i : i + 1], c, grid), grid, i)
     out -= spectral_product_oracle(divergence_oracle(c, grid), c, grid)
     return -out
+
+
+def rotational_oracle(c, grid):
+    """u x w - grad(|u|^2/2), w = curl u: one collocation product per term, on full arrays."""
+    dim = grid.dim
+    v = samples_oracle(c, grid)
+    curl = [derivative_oracle(c[k], grid, j) - derivative_oracle(c[j], grid, k) for j, k in solvers._CURL[dim]]
+    w = samples_oracle(np.stack(curl), grid)
+    if dim == 2:
+        cross = [v[1] * w[0], -v[0] * w[0]]
+    else:
+        cross = [v[j] * w[k] - v[k] * w[j] for j, k in solvers._CURL[3]]
+    square = full_dealias(to_spectral_oracle(grid, np.sum(v * v, axis=0, keepdims=True)), grid)[0]
+    grad = np.stack([derivative_oracle(square, grid, i) for i in range(dim)])
+    return full_dealias(to_spectral_oracle(grid, np.stack(cross)), grid) - 0.5 * grad
 
 
 def propagator_oracle(params, grid, t, damping, branch):
@@ -469,8 +486,9 @@ class TestNonlinearTerm:
         assert_close(full(nonlinear_term(u)), nonlinear_oracle(full(u), grid))
 
     def test_full_band_hermitian(self, grid):
+        # like a step, the term reads only the dealias box of its input
         u = full_band(grid, 7, ncomp=grid.dim)
-        assert_close(full(nonlinear_term(u)), nonlinear_oracle(full(u), grid))
+        assert_close(full(nonlinear_term(u)), nonlinear_oracle(full(dealias(u)), grid))
 
     def test_projected_full_band_no_dealiasing(self, grid):
         # with dealias_fraction = 1 a Helmholtz-projected full-band field keeps
@@ -481,13 +499,14 @@ class TestNonlinearTerm:
         stands_for_real_field(u)
         got = nonlinear_term(u)
         stands_for_real_field(got)
-        # the oracle's Nyquist derivatives leave a non-Hermitian part that no
+        # the forms alias differently here, so the oracle is the rotational
+        # form; its Nyquist derivatives leave a non-Hermitian part that no
         # real field has, so compare the real fields
-        expect = samples_oracle(nonlinear_oracle(full(u), g), g)
+        expect = samples_oracle(rotational_oracle(full(u), g), g)
         assert_close(to_physical(got).values, expect)
 
     def test_two_transforms_per_evaluation(self, grid, monkeypatch):
-        # one inverse of (u, div u) and one forward of the products, each one
+        # one inverse of (u, curl u) and one forward of the products, each one
         # numpy pass per axis
         u = dealias(random_band_limited(grid, np.random.default_rng(8), ncomp=grid.dim))
         calls = count_transforms(monkeypatch)
@@ -820,41 +839,6 @@ def test_state_exactly_hermitian_without_dealiasing(params):
             stands_for_real_field(state.u_t)
 
 
-CONSTRAINED_PARAMS = STEP_PARAMS[:2]
-CONSTRAINED_IDS = STEP_IDS[:2]
-
-
-def general_forcing(u, grid, params):
-    """`_forcing` from a dealias box with the general form of the nonlinear term, projected for the constrained models."""
-    f = solvers._nonlinear(u, solvers._workspace(grid))
-    if params in CONSTRAINED_PARAMS:
-        f -= spectral._irrotational(f, grid)
-    f[(slice(None), *(0,) * grid.dim)] = 0.0
-    return f
-
-
-def assert_forcing_is_general_form(grid, params):
-    """`_forcing` equals `general_forcing` to rounding along four steps from dealiased data."""
-    u0, u1 = stepper_data(grid, params, 19)
-    state = SolverState(u0, u1, 0.0)
-    cfg = StepperConfig(dt=0.01, t_end=0.03)
-    for _ in range(4):
-        u = state.u.coeffs  # the dealias box
-        ws = solvers._workspace(grid)
-        assert_close(solvers._forcing(u, ws, params, True), general_forcing(u, grid, params))
-        state = solvers.step(state, params, cfg)
-
-
-def force_general_form(monkeypatch):
-    """Make every forcing evaluation take the general form, whatever the model and grid."""
-    nonlinear = solvers._nonlinear
-
-    def general(u, ws, solenoidal=False, out=None):
-        return nonlinear(u, ws, out=out)
-
-    monkeypatch.setattr(solvers, "_nonlinear", general)
-
-
 def record_batches(monkeypatch):
     """(name, input shape) of every one-axis and rfftn/irfftn transform call from now on."""
     calls = []
@@ -875,43 +859,23 @@ def coefficients(state):
     return [F.coeffs for F in (state.u, state.u_t) if F is not None]
 
 
-@pytest.mark.parametrize("params", CONSTRAINED_PARAMS, ids=CONSTRAINED_IDS)
+@pytest.mark.parametrize("params", STEP_PARAMS, ids=STEP_IDS)
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
-class TestDivergenceForm:
-    def test_forcing_matches_general_form(self, grid, params):
-        assert_forcing_is_general_form(grid, params)
-
-    def test_no_dealiasing_steps_are_general_form(self, grid, params, monkeypatch):
-        # with dealias_fraction = 1 the Leray-projected states keep their
-        # Nyquist content, and the divergence form still agrees with the
-        # general form to rounding
-        g = GridSpec(grid.dim, grid.n_per_axis, dealias_fraction=1.0)
-        u0 = full_band(g, 20, ncomp=g.dim)
-        u1 = full_band(g, 21, ncomp=g.dim) if params.is_hyperbolic else None
-        cfg = StepperConfig(dt=1e-3, t_end=3e-3)
-        got = coefficients(solvers.run_simulation(u0, u1, params, cfg).final)
-        force_general_form(monkeypatch)
-        expect = coefficients(solvers.run_simulation(u0, u1, params, cfg).final)
-        assert len(got) == len(expect)
-        for a, b in zip(got, expect):
-            assert_close(a, b)
-
-
-@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
-def test_penalized_forcing_matches_general_form(grid):
-    # the rotational form agrees with the general form mode by mode on the
+def test_forcing_matches_general_form(grid, params):
+    # every model's forcing, the rotational form, agrees with the general
+    # form, Leray-projected for the constrained models, mode by mode on the
     # dealias box, where the 2/3 rule makes every quadratic product exact
-    assert_forcing_is_general_form(grid, STEP_PARAMS[2])
+    u0, u1 = stepper_data(grid, params, 19)
+    state = SolverState(u0, u1, 0.0)
+    cfg = StepperConfig(dt=0.01, t_end=0.03)
+    ws = solvers._workspace(grid)
+    for _ in range(4):
+        f = SpectralField(grid, solvers._forcing(state.u.coeffs, ws, params, True))
+        assert_close(full(f), forcing_oracle(full(state.u), params, grid, True))
+        state = solvers.step(state, params, cfg)
 
 
-FORM_CASES = [
-    (STEP_PARAMS[0], 2.0 / 3.0, "divergence"),
-    (STEP_PARAMS[1], 2.0 / 3.0, "divergence"),
-    (STEP_PARAMS[2], 2.0 / 3.0, "rotational"),
-    (STEP_PARAMS[0], 1.0, "divergence"),
-    (STEP_PARAMS[1], 1.0, "divergence"),
-    (STEP_PARAMS[2], 1.0, "rotational"),
-]
+FORM_CASES = [(params, fraction) for fraction in (2.0 / 3.0, 1.0) for params in STEP_PARAMS]
 FORM_IDS = ["ns", "eps", "eps_alpha", "ns-nodealias", "eps-nodealias", "eps_alpha-nodealias"]
 
 
@@ -923,18 +887,18 @@ BOX_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("params, fraction, form", FORM_CASES, ids=FORM_IDS)
+@pytest.mark.parametrize("params, fraction", FORM_CASES, ids=FORM_IDS)
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
-def test_forcing_transform_batches(grid, params, fraction, form, monkeypatch):
-    # the divergence form transforms u inverse and the products u_i u_j forward;
-    # the rotational form transforms (u, curl u) inverse and the products
-    # u x curl u and |u|^2 forward, at every dealias fraction.  The inverse
-    # pads one leading axis at a time to n and transforms the lines that meet
-    # the box, the k = cut + 1 columns, then irfft reads all h = n/2 + 1
-    # columns, zero past the box; the forward transforms all samples along
-    # the last axis, then the box columns along the leading axes, last to
-    # first, keeping the box rows of each axis it has done.  With fraction 1
-    # the box is everything.
+def test_forcing_transform_batches(grid, params, fraction, monkeypatch):
+    # every model transforms (u, curl u) inverse and the products u x curl u
+    # forward, and the penalized model |u|^2 with them: the constrained
+    # models' projection removes its gradient.  At every dealias fraction the
+    # inverse pads one leading axis at a time to n and transforms the lines
+    # that meet the box, the k = cut + 1 columns, then irfft reads all
+    # h = n/2 + 1 columns, zero past the box; the forward transforms all
+    # samples along the last axis, then the box columns along the leading
+    # axes, last to first, keeping the box rows of each axis it has done.
+    # With fraction 1 the box is everything.
     g = GridSpec(grid.dim, grid.n_per_axis, dealias_fraction=fraction)
     d, n, h = g.dim, g.n_per_axis, g.spectral_shape[-1]
     assert g.box_shape == BOX_SHAPES[d, fraction]
@@ -945,8 +909,8 @@ def test_forcing_transform_batches(grid, params, fraction, form, monkeypatch):
     calls = record_batches(monkeypatch)
     for _ in range(2):
         state = solvers.step(state, params, cfg)
-    npairs = d * (d + 1) // 2
-    a, b = (d, npairs) if form == "divergence" else (npairs, d + 1)
+    a = d * (d + 1) // 2
+    b = d + 1 if params.model is Model.HNS_EPS_ALPHA else d
     if d == 2:
         inverse = [("ifft", (a, n, k)), ("irfft", (a, n, h))]
         forward = [("rfft", (b, n, n)), ("fft", (b, n, k))]
@@ -972,23 +936,11 @@ def irrotational_oracle(x, grid):
     return np.stack([k * kdot for k in ks])
 
 
-def divergence_half_oracle(u, grid):
-    """The allocating half-spectrum divergence form -sum_i d_i(u_i u), one expression per intermediate."""
-    dim = grid.dim
-    ik = spectral._derivatives(grid, grid.n_per_axis // 2)
-    rows, cols, pair = solvers._product_pairs(dim)
-    phys = np.fft.irfftn(u, s=grid.shape, axes=axes(grid), norm="forward")
-    prods = np.fft.rfftn(phys[rows] * phys[cols], axes=axes(grid), norm="forward")
-    out = np.zeros((dim, *prods.shape[1:]), dtype=np.complex128)
-    for j in range(dim):
-        for i in range(dim):
-            out[j] -= ik[i] * prods[pair[i, j]]
-    out *= dealias_mask(grid)
-    return out
+def rotational_half_oracle(u, grid, gradient=True):
+    """The allocating half-spectrum rotational form u x w - grad(|u|^2/2), w = curl u, in the stepper's operation order.
 
-
-def rotational_half_oracle(u, grid):
-    """The allocating half-spectrum rotational form u x w - grad(|u|^2/2), w = curl u, in the stepper's operation order."""
+    Without gradient it is u x w alone, as the constrained models take it.
+    """
     dim = grid.dim
     ik = spectral._derivatives(grid, grid.n_per_axis // 2)
     curl = [ik[j] * u[k] - ik[k] * u[j] for j, k in solvers._CURL[dim]]
@@ -998,6 +950,11 @@ def rotational_half_oracle(u, grid):
         cross = [v[1] * w[0], v[0] * w[0]]  # (u x w)_1 negated
     else:
         cross = [v[j] * w[k] - v[k] * w[j] for j, k in solvers._CURL[3]]
+    if not gradient:
+        out = np.fft.rfftn(np.stack(cross), axes=axes(grid), norm="forward") * dealias_mask(grid)
+        if dim == 2:
+            out[1] = -out[1]
+        return out
     square = v[0] * v[0]
     for i in range(1, dim):
         square = square + v[i] * v[i]
@@ -1040,11 +997,9 @@ def allocating_step_oracle(u, v, params, dt, grid):
     constrained = params.model in (Model.NS, Model.HNS_EPS)
 
     def forcing(x):
+        f = rotational_half_oracle(x, grid, gradient=not constrained)
         if constrained:
-            f = divergence_half_oracle(x, grid)
             f -= irrotational_oracle(f, grid)
-        else:
-            f = rotational_half_oracle(x, grid)
         f[mean] = 0.0
         return f
 

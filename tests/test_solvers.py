@@ -99,7 +99,8 @@ class TestModelParams:
 
 class TestStepperConfig:
     @pytest.mark.parametrize(
-        "dt, t_end", [(0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (0.1, -1.0), (0.1, np.nan)]
+        "dt, t_end",
+        [(0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (0.1, -1.0), (0.1, np.nan), (0.1, np.inf)],
     )
     def test_rejects_nonpositive_or_nan(self, dt, t_end):
         with pytest.raises(ValueError):
